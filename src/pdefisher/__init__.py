@@ -29,13 +29,8 @@ from .forward import (
     ReactionDiffusionModel,
     SpaceTimeField,
     TimeMesh,
-    evaluate_field,
-    linearize_ns,
-    linearize_rd,
     qmd_remainder_slope,
     solve_heat_exact,
-    solve_ns,
-    solve_rd,
 )
 from .information import (
     DesignMeasure,

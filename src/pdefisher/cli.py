@@ -6,7 +6,7 @@ machine-readable artifacts into --out:
 * report.json -- resolved config, results, and one {value, tolerance, pass}
   entry per numeric claim; byte-identical across runs with the same
   config+seed (timings live in meta.json)
-* meta.json   -- wall-clock timings, package/kernel info
+* meta.json   -- wall-clock timing and package version
 * *.csv       -- trace data (K vs value, s vs remainder, beta vs moment)
 
 Exit codes: 0 all checks pass, 1 a tolerance failed, 2 invalid config,
@@ -24,7 +24,6 @@ import numpy as np
 import yaml
 
 from . import __version__
-from . import _kernels
 from .config import (
     ConfigError,
     TASK_NAMES,
@@ -376,16 +375,19 @@ def _write_matrix_dump(out_dir, M):
 
 
 def _execute(task_name, config_path, out_dir, seed, workers):
+    """Run one task; ``task_name=None`` takes it from the config."""
     t0 = time.perf_counter()
     try:
         raw = load_config(config_path)
         validate_config(raw)
-        if raw["task"]["name"] != task_name:
+        if task_name is None:
+            task_name = raw["task"]["name"]
+        elif raw["task"]["name"] != task_name:
             raise ConfigError(
                 f"config task is {raw['task']['name']!r} but the {task_name!r} subcommand was invoked"
             )
         cfg = resolve_config(raw)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, yaml.YAMLError) as exc:
+    except (ConfigError, OSError, yaml.YAMLError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
 
@@ -432,7 +434,6 @@ def _execute(task_name, config_path, out_dir, seed, workers):
     meta = {
         "elapsed_s": time.perf_counter() - t0,
         "version": __version__,
-        "kernels": _kernels.IMPL,
     }
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)
@@ -478,13 +479,7 @@ for _name in TASK_NAMES:
 @click.option("--workers", type=int, default=None)
 def run(config_path, out_dir, seed, workers):
     """Dispatch on the task name inside the config."""
-    try:
-        raw = load_config(config_path)
-        validate_config(raw)
-    except (ConfigError, FileNotFoundError, yaml.YAMLError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    _execute(raw["task"]["name"], config_path, out_dir, seed, workers)
+    _execute(None, config_path, out_dir, seed, workers)
 
 
 if __name__ == "__main__":

@@ -59,6 +59,13 @@ _MESH_SPEC = {
     },
 }
 
+# Galerkin truncation sizes K, each >= 1
+_TRUNCATIONS = {
+    "type": "array",
+    "minItems": 1,
+    "items": {"type": "integer", "minimum": 1},
+}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -183,7 +190,7 @@ TASK_SCHEMAS = {
             **_COMMON_TASK,
             "kappa": {"type": "number"},
             "trials": {"type": "integer", "minimum": 10},
-            "n_basis_list": {"type": "array", "items": {"type": "integer"}},
+            "n_basis_list": _TRUNCATIONS,
             "max_over_min": {"type": "number"},
             "growth_tol": {"type": "number"},
         },
@@ -205,7 +212,7 @@ TASK_SCHEMAS = {
         "properties": {
             **_COMMON_TASK,
             "psi": _FIELD_SPEC,
-            "k_grid": {"type": "array", "items": {"type": "integer"}},
+            "k_grid": _TRUNCATIONS,
             "expected": {"type": "number"},
             "tolerance_rel": {"type": "number"},
         },
@@ -231,7 +238,7 @@ TASK_SCHEMAS = {
         "properties": {
             **_COMMON_TASK,
             "beta_list": {"type": "array", "items": {"type": "number"}},
-            "k_grid": {"type": "array", "items": {"type": "integer"}},
+            "k_grid": _TRUNCATIONS,
             "kappa": {"type": "number"},
             "alpha": {"type": "number"},
             "m_mc": {"type": "integer", "minimum": 0},
@@ -252,7 +259,7 @@ TASK_SCHEMAS = {
             "t0": {"type": "number"},
             "t1": {"type": "number"},
             "m": {"type": "integer", "minimum": 2},
-            "n_basis_list": {"type": "array", "items": {"type": "integer"}},
+            "n_basis_list": _TRUNCATIONS,
             "stability_tol": {"type": "number"},
         },
     },
@@ -272,7 +279,7 @@ TASK_SCHEMAS = {
                 "minItems": 2,
                 "maxItems": 2,
             },
-            "k_grid": {"type": "array", "items": {"type": "integer"}},
+            "k_grid": _TRUNCATIONS,
         },
     },
     "ns-diagnostics": {
@@ -440,7 +447,39 @@ def resolve_config(raw):
     task = cfg["task"]
     for key, val in _TASK_DEFAULTS.get(task["name"], {}).items():
         task.setdefault(key, copy.deepcopy(val))
+    _check_consistency(cfg)
     return cfg
+
+
+def _check_consistency(cfg):
+    """Cross-field constraints of a resolved config that the schema cannot
+    express; each would otherwise fail inside a builder, after start-up."""
+    m = cfg["model"]
+    mesh = m["mesh"]
+    steps = mesh["m"] if mesh["kind"] == "uniform" else mesh["steps_per_block"]
+    if steps % 2:
+        raise ConfigError(f"mesh step counts must be even (Simpson weights), got {steps}")
+    design = cfg["design"]
+    if design["kind"] == "cosine" and not abs(design["amplitude"]) < 1:
+        raise ConfigError(f"cosine design needs |amplitude| < 1, got {design['amplitude']}")
+    task = cfg["task"]
+    if task["name"] in ("norm-equiv", "pushforward-bound"):
+        truncations = task["n_basis_list"]
+    elif task["name"] == "gaussian-support":
+        truncations = task["k_grid"]
+    elif task["name"] in ("info-matrix", "snorm", "lan", "efficiency"):
+        truncations = [cfg["numerics"]["n_basis"]]
+        # snorm and efficiency read their traces off the n_basis matrix
+        if max(task.get("k_grid", []), default=0) > truncations[0]:
+            raise ConfigError(f"k_grid goes beyond n_basis {truncations[0]}")
+    else:
+        truncations = []
+    # (2 kmax + 1)^d lattice modes, less the constant outside the full subspace
+    n_modes = (2 * m["kmax"] + 1) ** m["d"] - (m["subspace"] != "full")
+    if max(truncations, default=0) > n_modes:
+        raise ConfigError(
+            f"truncation {max(truncations)} exceeds the {n_modes} modes of the eigensystem"
+        )
 
 
 # ---------------------------------------------------------------------------

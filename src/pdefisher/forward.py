@@ -18,13 +18,16 @@ Simpson rule cannot resolve for stiff modes.
 
 import numpy as np
 
-from . import _kernels as kernels
 from .spectral import (
     DIV_FREE,
     FourierCoeffs,
+    basis_values_at,
     coeffs_from_values,
     values_from_coeffs,
 )
+
+# points per block of scattered evaluation; bounds the (chunk, 4, nm) gather
+_CHUNK = 2048
 
 
 class TimeMesh:
@@ -103,6 +106,27 @@ class TimeMesh:
         return w
 
 
+def _time_stencils(nodes, t):
+    """4-point Lagrange stencils on an increasing node grid.
+
+    Returns node indices and weights, both (nq, 4), for query times inside
+    [nodes[0], nodes[-1]]; a stencil is centred on the query's interval and
+    shifted inward at the ends of the grid.
+    """
+    m = nodes.shape[0]
+    if m < 4:
+        raise ValueError("need at least 4 time nodes for cubic interpolation")
+    j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, m - 2)
+    idx = np.clip(j - 1, 0, m - 4)[:, None] + np.arange(4)
+    tn = nodes[idx]
+    w = np.ones((t.shape[0], 4))
+    for a in range(4):
+        for b in range(4):
+            if a != b:
+                w[:, a] *= (t - tn[:, b]) / (tn[:, a] - tn[:, b])
+    return idx, w
+
+
 class SpaceTimeField:
     """Coefficient snapshots of a space-time field on a time mesh."""
 
@@ -114,28 +138,25 @@ class SpaceTimeField:
         self.mesh = mesh
         self.data = data
 
-    def coeffs_at(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        self._check_range(t)
-        return kernels.interp_coeffs(self.mesh.nodes, self.data, t)
-
     def evaluate(self, t, x):
-        """Values at scattered points: exact Fourier sum in space, cubic in time."""
+        """Values at scattered points: exact Fourier sum in space, cubic in time.
+
+        t: (nq,), x: (nq, d).  Returns (nq,) for scalar fields and (nq, 2)
+        for divergence-free ones.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        self._check_range(t)
-        if self.es.subspace == DIV_FREE:
-            return kernels.eval_vector(
-                self.mesh.nodes, self.data, self.es.kvecs, self.es.kind,
-                self.es.dirs, t, x,
-            )
-        return kernels.eval_scalar(
-            self.mesh.nodes, self.data, self.es.kvecs, self.es.kind, t, x
-        )
-
-    def _check_range(self, t):
         if np.any(t < -1e-12) or np.any(t > self.mesh.T + 1e-12):
             raise ValueError("evaluation time outside [0, T]")
+        idx, w = _time_stencils(self.mesh.nodes, t)
+        vector = self.es.subspace == DIV_FREE
+        out = np.empty((t.shape[0], 2) if vector else t.shape[0])
+        for start in range(0, t.shape[0], _CHUNK):
+            sl = slice(start, start + _CHUNK)
+            vals = np.einsum("qa,qam->qm", w[sl], self.data[idx[sl]])
+            vals *= basis_values_at(self.es, x[sl])
+            out[sl] = vals @ self.es.dirs if vector else vals.sum(1)
+        return out
 
     def squared_l2_profile(self):
         """Spatial L^2 norm squared at every node (Parseval)."""
@@ -202,10 +223,6 @@ class SpaceTimeBatch:
 
     def field(self, b):
         return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(self.data[:, :, b]))
-
-
-def evaluate_field(field, t, x):
-    return field.evaluate(t, x)
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +463,6 @@ class ReactionDiffusionModel:
         return SpaceTimeBatch(self.es, self.mesh, vsnaps)
 
 
-def solve_rd(model, theta):
-    return model.solve(theta)
-
-
-def linearize_rd(model, theta0, h):
-    return model.linearize(theta0, h)
-
-
 # ---------------------------------------------------------------------------
 # 2D incompressible Navier-Stokes (vorticity-streamfunction)
 # ---------------------------------------------------------------------------
@@ -654,14 +663,6 @@ class NavierStokesModel:
         lhs = energy[-1] - energy[0]
         rhs = -self.nu * float(field.mesh.weights @ enstrophy)
         return abs(lhs - rhs) / field.mesh.T
-
-
-def solve_ns(model, theta):
-    return model.solve(theta)
-
-
-def linearize_ns(model, theta0, h):
-    return model.linearize(theta0, h)
 
 
 # ---------------------------------------------------------------------------

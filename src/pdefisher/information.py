@@ -39,6 +39,7 @@ class DesignMeasure:
         self.kind = kind
         self.amplitude = float(amplitude)
         self.axis = int(axis)
+        self._sampler = None
         if kind == "uniform":
             self.lambda_min = self.lambda_max = 1.0 / self.T
             self.spatial_band = 0
@@ -46,7 +47,11 @@ class DesignMeasure:
             self.lambda_min = (1.0 - abs(self.amplitude)) / self.T
             self.lambda_max = (1.0 + abs(self.amplitude)) / self.T
             self.spatial_band = 1
-        self._sampler = None
+            # inverse CDF of the marginal along ``axis``; built here, not on
+            # first use, because replicate threads share the design
+            u = np.linspace(0.0, 1.0, 4097)
+            cdf = u + self.amplitude * np.sin(2 * np.pi * u) / (2 * np.pi)
+            self._sampler = PchipInterpolator(cdf, u, extrapolate=False)
 
     @property
     def is_uniform(self):
@@ -79,10 +84,6 @@ class DesignMeasure:
         t = rng.uniform(0.0, self.T, size=n)
         x = rng.uniform(0.0, 1.0, size=(n, d))
         if not self.is_uniform:
-            if self._sampler is None:
-                u = np.linspace(0.0, 1.0, 4097)
-                cdf = u + self.amplitude * np.sin(2 * np.pi * u) / (2 * np.pi)
-                self._sampler = PchipInterpolator(cdf, u, extrapolate=False)
             x[:, self.axis] = self._sampler(x[:, self.axis])
         return t, x
 

@@ -431,14 +431,15 @@ def basis_values_at(es, x):
     """Evaluate all basis functions at scattered points x of shape (nq, d).
 
     Returns (nq, nm) for scalar subspaces; vector values for div-free are
-    dirs[m] * result[:, m].
+    dirs[m] * result[:, m].  Every mode is one cosine, amp * cos(2 pi k.x -
+    shift), with amp 1 for the constant mode and sqrt(2) otherwise, and
+    shift pi/2 turning sine modes into cosines.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    phase = TWO_PI * (x @ es.kvecs.T.astype(float))
-    out = np.empty((x.shape[0], es.size))
-    out[:, es.kind == KIND_CONST] = 1.0
-    c = es.kind == KIND_COS
-    s = es.kind == KIND_SIN
-    out[:, c] = np.sqrt(2.0) * np.cos(phase[:, c])
-    out[:, s] = np.sqrt(2.0) * np.sin(phase[:, s])
+    amp = np.where(es.kind == KIND_CONST, 1.0, np.sqrt(2.0))
+    shift = np.where(es.kind == KIND_SIN, 0.5 * np.pi, 0.0)
+    out = TWO_PI * (x @ es.kvecs.T.astype(float))
+    out -= shift
+    np.cos(out, out=out)
+    out *= amp
     return out

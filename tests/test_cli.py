@@ -81,6 +81,66 @@ class TestSchemaValidation:
         assert result.exit_code == 2
 
 
+def _odd_uniform_mesh(cfg):
+    cfg["model"]["mesh"] = {"kind": "uniform", "m": 7}
+
+
+def _cosine_amplitude_above_one(cfg):
+    cfg["design"] = {"kind": "cosine", "amplitude": 1.5}
+
+
+def _n_basis_above_ns_modes(cfg):
+    # NS kmax=4 has 80 divergence-free modes
+    cfg["model"] = {"kind": "ns", "kmax": 4, "T": 0.5}
+    cfg["noise"] = {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    cfg["numerics"]["n_basis"] = 100
+    cfg["task"] = {"name": "info-matrix"}
+
+
+def _k_grid_above_n_basis(cfg):
+    cfg["task"] = {"name": "snorm", "k_grid": [2, 4, 20]}
+
+
+def _zero_truncation(cfg):
+    cfg["task"] = {"name": "snorm", "k_grid": [0, 4]}
+
+
+class TestInconsistentConfigs:
+    """Invalid or inconsistent configs: exit 2 and no outputs."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _odd_uniform_mesh,
+            _cosine_amplitude_above_one,
+            _n_basis_above_ns_modes,
+            _k_grid_above_n_basis,
+            _zero_truncation,
+            None,
+        ],
+        ids=[
+            "odd-uniform-mesh",
+            "cosine-amplitude-1.5",
+            "n-basis-100-ns-kmax-4",
+            "k-grid-above-n-basis",
+            "zero-truncation",
+            "config-is-a-directory",
+        ],
+    )
+    def test_exit_2_no_outputs(self, tmp_path, mutate):
+        if mutate is None:
+            path = str(tmp_path)
+        else:
+            cfg = _fisher_cfg()
+            mutate(cfg)
+            path = _write(tmp_path, "cfg.yaml", cfg)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "-c", path, "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        assert not out.exists()
+
+
 class TestRunDispatch:
     def test_run_uses_config_task(self, tmp_path):
         path = _write(tmp_path, "cfg.yaml", _fisher_cfg())

@@ -1,6 +1,8 @@
 """Forward solvers against closed forms, ODE reductions, self-convergence,
 and the directional-derivative (remainder slope) diagnostics."""
 
+import bisect
+import math
 import warnings
 
 import numpy as np
@@ -14,9 +16,9 @@ from pdefisher import (
     HeatModel,
     NavierStokesModel,
     ReactionDiffusionModel,
+    SpaceTimeField,
     TimeMesh,
     build_eigensystem,
-    evaluate_field,
     qmd_remainder_slope,
     sobolev_norm,
     solve_heat_exact,
@@ -290,7 +292,7 @@ class TestQmdRemainder:
 class TestEvaluateField:
     def test_constant(self, es1):
         f = solve_heat_exact(_field(es1, [], const=2.5), T=1.0)
-        got = evaluate_field(f, [0.3, 0.9], [[0.1], [0.7]])
+        got = f.evaluate([0.3, 0.9], [[0.1], [0.7]])
         np.testing.assert_allclose(got, 2.5, atol=1e-13)
 
     def test_heat_mode_closed_form(self, es1):
@@ -302,15 +304,25 @@ class TestEvaluateField:
         exact = np.exp(-LAM1 * t) * np.sqrt(2) * np.cos(2 * np.pi * x[:, 0])
         np.testing.assert_allclose(f.evaluate(t, x), exact, atol=1e-8)
 
-    def test_nodes_reproduced(self, es1):
-        mesh = TimeMesh.uniform(1.0, 32)
-        theta = _field(es1, [([1], 1, 0.7), ([2], 2, 0.4)])
-        f = solve_heat_exact(theta, T=1.0, mesh=mesh)
-        x = np.array([[0.25]])
-        for i in (0, 7, 32):
-            t = mesh.nodes[i]
-            direct = f.data[i] @ _basis_row(es1, 0.25)
-            assert f.evaluate([t], x)[0] == pytest.approx(direct, abs=1e-12)
+    def test_nodes_reproduced(self):
+        # constant-mode field: evaluate returns the interpolated coefficient
+        es, mesh = build_eigensystem(1, 2), TimeMesh.graded(1.0, levels=4, steps_per_block=4)
+        snaps = np.random.default_rng(11).standard_normal(mesh.n_nodes)
+        f = _constant_mode_field(es, mesh, snaps)
+        x = np.full((mesh.n_nodes, 1), 0.3)
+        np.testing.assert_allclose(f.evaluate(mesh.nodes, x), snaps, rtol=0, atol=1e-12)
+
+    def test_cubic_in_time_exact(self):
+        # 4-point Lagrange reproduces cubics, on a graded mesh too
+        def cubic(t):
+            return t**3 - 2 * t**2 + 0.5
+
+        es, mesh = build_eigensystem(1, 2), TimeMesh.graded(1.0, levels=4, steps_per_block=4)
+        f = _constant_mode_field(es, mesh, cubic(mesh.nodes))
+        rng = np.random.default_rng(1)
+        t = rng.uniform(0, 1, 200)
+        x = rng.uniform(0, 1, (200, 1))
+        np.testing.assert_allclose(f.evaluate(t, x), cubic(t), rtol=0, atol=1e-13)
 
     def test_out_of_range(self, es1):
         f = solve_heat_exact(_field(es1, [], const=1.0), T=1.0)
@@ -330,10 +342,63 @@ class TestEvaluateField:
         assert val[0, 1] == pytest.approx(expected, abs=1e-9)
 
 
-def _basis_row(es, x):
-    from pdefisher.spectral import basis_values_at
+def _constant_mode_field(es, mesh, values):
+    data = np.zeros((mesh.n_nodes, es.size))
+    data[:, es.index_of((0,) * es.d, 0)] = values
+    return SpaceTimeField(es, mesh, data)
 
-    return basis_values_at(es, np.array([[x]]))[0]
+
+def _lagrange_oracle(nodes, data, t):
+    """Cubic through the 4 nodes around t (shifted inward at the ends)."""
+    j = min(max(bisect.bisect_right(nodes, t) - 1, 0), len(nodes) - 2)
+    start = min(max(j - 1, 0), len(nodes) - 4)
+    stencil = range(start, start + 4)
+    out = np.zeros(data.shape[1])
+    for a in stencil:
+        w = 1.0
+        for b in stencil:
+            if b != a:
+                w *= (t - nodes[b]) / (nodes[a] - nodes[b])
+        out += w * data[a]
+    return out
+
+
+def _fourier_oracle(es, coeffs, x):
+    """Per-mode sum of c_m sqrt(2) cos/sin(2 pi k.x), vector-valued along
+    k_perp/|k| for divergence-free fields."""
+    total = np.zeros(2 if es.subspace == DIV_FREE else 1)
+    for c, k, kind in zip(coeffs, es.kvecs.tolist(), es.kind.tolist()):
+        phase = 2 * math.pi * sum(ki * xi for ki, xi in zip(k, x))
+        value = c * (1.0 if kind == 0 else math.sqrt(2) * (math.cos if kind == 1 else math.sin)(phase))
+        if es.subspace == DIV_FREE:
+            norm = math.hypot(k[0], k[1])
+            total += value * np.array([-k[1] / norm, k[0] / norm])
+        else:
+            total += value
+    return total if es.subspace == DIV_FREE else total[0]
+
+
+class TestEvaluateExact:
+    """evaluate against the definition: 4-point Lagrange in time, explicit
+    Fourier sum in space.  2100 points cross the 2048-point chunk boundary."""
+
+    @pytest.mark.parametrize(
+        "d, kmax, subspace",
+        [(1, 5, "full"), (2, 3, "full"), (2, 3, DIV_FREE)],
+        ids=["d1-scalar", "d2-scalar", "d2-div-free"],
+    )
+    def test_matches_definition(self, d, kmax, subspace):
+        es = build_eigensystem(d, kmax, subspace)
+        mesh = TimeMesh.graded(1.0, levels=5, steps_per_block=4)
+        rng = np.random.default_rng(20 + d)
+        f = SpaceTimeField(es, mesh, rng.standard_normal((mesh.n_nodes, es.size)))
+        t = rng.uniform(0, 1, 2100)
+        x = rng.uniform(0, 1, (2100, d))
+        expected = np.array([
+            _fourier_oracle(es, _lagrange_oracle(mesh.nodes, f.data, ti), xi)
+            for ti, xi in zip(t, x)
+        ])
+        np.testing.assert_allclose(f.evaluate(t, x), expected, rtol=0, atol=1e-12)
 
 
 class TestSerialization:
