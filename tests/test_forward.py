@@ -304,7 +304,17 @@ class TestEvaluateField:
         exact = np.exp(-LAM1 * t) * np.sqrt(2) * np.cos(2 * np.pi * x[:, 0])
         np.testing.assert_allclose(f.evaluate(t, x), exact, atol=1e-8)
 
-    def test_nodes_reproduced(self):
+    def test_nodes_reproduced(self, es1):
+        mesh = TimeMesh.uniform(1.0, 32)
+        theta = _field(es1, [([1], 1, 0.7), ([2], 2, 0.4)])
+        f = solve_heat_exact(theta, T=1.0, mesh=mesh)
+        x = np.array([[0.25]])
+        for i in (0, 7, 32):
+            t = mesh.nodes[i]
+            direct = f.data[i] @ _basis_row(es1, 0.25)
+            assert f.evaluate([t], x)[0] == pytest.approx(direct, abs=1e-12)
+
+    def test_interpolation_reproduces_nodes(self):
         # constant-mode field: evaluate returns the interpolated coefficient
         es, mesh = build_eigensystem(1, 2), TimeMesh.graded(1.0, levels=4, steps_per_block=4)
         snaps = np.random.default_rng(11).standard_normal(mesh.n_nodes)
@@ -340,6 +350,12 @@ class TestEvaluateField:
         expected = np.exp(-0.05 * es_ns.lam[j] * 0.25) * np.sqrt(2) * np.cos(2 * np.pi * 0.2)
         assert val[0, 0] == pytest.approx(0.0, abs=1e-9)
         assert val[0, 1] == pytest.approx(expected, abs=1e-9)
+
+
+def _basis_row(es, x):
+    from pdefisher.spectral import basis_values_at
+
+    return basis_values_at(es, np.array([[x]]))[0]
 
 
 def _constant_mode_field(es, mesh, values):
