@@ -467,6 +467,8 @@ def _check_consistency(cfg):
         truncations = task["n_basis_list"]
     elif task["name"] == "gaussian-support":
         truncations = task["k_grid"]
+        if task.get("mc_k", 0) > max(truncations):  # M is assembled at max(k_grid)
+            raise ConfigError(f"mc_k {task['mc_k']} exceeds max(k_grid) {max(truncations)}")
     elif task["name"] in ("info-matrix", "snorm", "lan", "efficiency"):
         truncations = [cfg["numerics"]["n_basis"]]
         # snorm and efficiency read their traces off the n_basis matrix
@@ -474,6 +476,15 @@ def _check_consistency(cfg):
             raise ConfigError(f"k_grid goes beyond n_basis {truncations[0]}")
     else:
         truncations = []
+    if task["name"] == "pushforward-bound":
+        t0, t1 = task["t0"], task["t1"]
+        if not 0.0 < t0 < t1 <= m["T"] + 1e-12:
+            raise ConfigError(f"pushforward window needs 0 < t0 < t1 <= T, got [{t0}, {t1}]")
+        time_mesh = _build_mesh(m["T"], mesh)
+        try:  # Simpson over the window: endpoints on nodes, an even interval count
+            time_mesh.window_weights(*time_mesh.window_slice(t0, t1))
+        except ValueError as exc:
+            raise ConfigError(f"pushforward window [{t0}, {t1}]: {exc}") from None
     # (2 kmax + 1)^d lattice modes, less the constant outside the full subspace
     n_modes = (2 * m["kmax"] + 1) ** m["d"] - (m["subspace"] != "full")
     if max(truncations, default=0) > n_modes:

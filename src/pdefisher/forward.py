@@ -394,13 +394,14 @@ class ReactionDiffusionModel:
         return coeffs_from_values(self.es, self.reaction.f(vals))
 
     def _dnonlin(self, u, v):
+        """f'(u) v for base coefficients u (nm,) and tangent columns v (B, nm)."""
         base_vals = values_from_coeffs(self.es, u, self.grid_n)
         fp = self.reaction.df(base_vals)
-        tvals = values_from_coeffs(self.es, np.moveaxis(v, -1, 0), self.grid_n)
-        prod = fp[None, ...] * tvals
-        return np.moveaxis(coeffs_from_values(self.es, prod), 0, -1)
+        tvals = values_from_coeffs(self.es, v, self.grid_n)
+        return coeffs_from_values(self.es, fp[None, ...] * tvals)
 
     def _march(self, u0, v0=None):
+        """Base march from u0, co-integrating tangent columns v0 (B, nm) if given."""
         lin = -self.es.lam
         n_nodes = self.mesh.n_nodes
         snaps = np.empty((n_nodes, self.es.size))
@@ -408,8 +409,8 @@ class ReactionDiffusionModel:
         vsnaps = None
         v = None
         if v0 is not None:
-            vsnaps = np.empty((n_nodes, self.es.size, v0.shape[1]))
-            vsnaps[0] = v0
+            vsnaps = np.empty((n_nodes, self.es.size, v0.shape[0]))
+            vsnaps[0] = v0.T
             v = v0.copy()
         u = u0.copy()
         coeff_cache = {}
@@ -418,35 +419,17 @@ class ReactionDiffusionModel:
             if h not in coeff_cache:
                 coeff_cache[h] = _etdrk4_coeffs(h, lin)
             c = coeff_cache[h]
-            cv = None
-            if v is not None:
-                cv = {k: (a[:, None] if np.ndim(a) else a) for k, a in c.items()}
             for s in range(nsteps):
                 for _ in range(self.substeps):
                     if v is None:
                         u = _etdrk4_step(u, self._nonlin, c)
                     else:
-                        n0 = self._nonlin(u)
-                        a = c["E2"] * u + c["Q"] * n0
-                        n1 = self._nonlin(a)
-                        b = c["E2"] * u + c["Q"] * n1
-                        n2 = self._nonlin(b)
-                        cc = c["E2"] * a + c["Q"] * (2.0 * n2 - n0)
-                        n3 = self._nonlin(cc)
-                        m0 = self._dnonlin(u, v)
-                        va = cv["E2"] * v + cv["Q"] * m0
-                        m1 = self._dnonlin(a, va)
-                        vb = cv["E2"] * v + cv["Q"] * m1
-                        m2 = self._dnonlin(b, vb)
-                        vc = cv["E2"] * va + cv["Q"] * (2.0 * m2 - m0)
-                        m3 = self._dnonlin(cc, vc)
-                        u = c["E"] * u + c["f1"] * n0 + 2.0 * c["f2"] * (n1 + n2) + c["f3"] * n3
-                        v = cv["E"] * v + cv["f1"] * m0 + 2.0 * cv["f2"] * (m1 + m2) + cv["f3"] * m3
+                        u, v = _etdrk4_pair_step(u, v, self._nonlin, self._dnonlin, c)
                 if not np.all(np.isfinite(u)):
                     raise RuntimeError(f"reaction-diffusion solve blew up at t={self.mesh.nodes[i0+s+1]:.4g}")
                 snaps[i0 + s + 1] = u
                 if v is not None:
-                    vsnaps[i0 + s + 1] = v
+                    vsnaps[i0 + s + 1] = v.T
         return snaps, vsnaps
 
     def solve(self, theta):
@@ -457,7 +440,7 @@ class ReactionDiffusionModel:
         """Tangent flow U_t = Lap U + f'(u_theta0) U, U(0) = h."""
         single = isinstance(h, FourierCoeffs)
         cols = h.data[:, None] if single else np.asarray(h, dtype=float)
-        _, vsnaps = self._march(theta0.data, cols)
+        _, vsnaps = self._march(theta0.data, cols.T)
         if single:
             return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(vsnaps[:, :, 0]))
         return SpaceTimeBatch(self.es, self.mesh, vsnaps)

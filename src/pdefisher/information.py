@@ -13,13 +13,14 @@ number), and the efficient Gaussian has covariance M^{-1}.
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
 
 from .forward import SpaceTimeBatch
 from .noise import fisher_matrix as compute_fisher
 from .spectral import DIV_FREE, values_from_coeffs
 
 _BATCH_LIMIT = 4e7  # snapshot-array entries above which heat assembly streams
+_COND_LIMIT = 1e12  # condition number beyond which results are numerically meaningless
 
 
 class DesignMeasure:
@@ -160,16 +161,20 @@ def l2lambda_norm(field, design):
 
 
 class InformationMatrix:
-    """K x K Galerkin matrix of the information operator, with factorization."""
+    """K x K Galerkin matrix of the information operator and its lower
+    Cholesky factor L, the only factorization: the truncation M_k = M[:k, :k]
+    has the factor L[:k, :k] and cond(M_k) <= cond(M) (Cauchy interlacing),
+    so L and the checks below serve every k <= K.
+    """
 
-    def __init__(self, matrix, es, meta=None, cond_limit=1e12):
+    def __init__(self, matrix, es, meta=None):
         matrix = 0.5 * (matrix + matrix.T)
         self.matrix = matrix
         self.es = es
         self.n_basis = matrix.shape[0]
         self.meta = dict(meta or {})
         try:
-            self._cho = cho_factor(matrix, lower=True)
+            self._L = cholesky(matrix, lower=True)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 "information matrix is not positive definite at this truncation: "
@@ -179,32 +184,21 @@ class InformationMatrix:
         self.eig_min = float(evals[0])
         self.eig_max = float(evals[-1])
         self.cond = self.eig_max / max(self.eig_min, 1e-300)
-        if self.cond > cond_limit:
+        if self.cond > _COND_LIMIT:
             raise RuntimeError(
-                f"information matrix condition {self.cond:.2e} exceeds {cond_limit:.0e}; "
+                f"information matrix condition {self.cond:.2e} exceeds {_COND_LIMIT:.0e}; "
                 "results at this truncation would be numerically meaningless"
             )
 
     def solve(self, rhs):
-        return cho_solve(self._cho, rhs)
+        return cho_solve((self._L, True), rhs)
 
     def cholesky_lower(self):
-        L = np.tril(self._cho[0])
-        return L
+        return self._L
 
     def inv_quadform(self, psi):
         """psi^T M^{-1} psi."""
         return float(psi @ self.solve(psi))
-
-    def inv_diag(self):
-        return np.diag(self.solve(np.eye(self.n_basis)))
-
-    def leading(self, k):
-        if not (1 <= k <= self.n_basis):
-            raise ValueError("leading block size out of range")
-        if k == self.n_basis:
-            return self
-        return InformationMatrix(self.matrix[:k, :k].copy(), self.es, self.meta)
 
     def coeff_vector(self, psi):
         """Coefficients of psi in the retained basis; error if psi leaves the span."""
@@ -283,17 +277,22 @@ def lan_norm_direct(model, theta0, h, noise, design):
 def s_norm_truncated(psi, M, k_grid=None):
     """Dual-norm truncation trace psi_K'^T M_K'^{-1} psi_K', nondecreasing in K'.
 
+    It is the partial sum of z_i^2 over i < K' for z = L^{-1} psi (one
+    triangular solve), since (L^{-1} psi)[:K'] = L[:K', :K']^{-1} psi[:K'].
+
     Divergence of the trace is the numerical signature of a target outside
     the dual space (infinite efficiency bound).
     """
     v = M.coeff_vector(psi)
     if k_grid is None:
         k_grid = sorted({2**a for a in range(2, 30) if 2**a < M.n_basis} | {M.n_basis})
-    values = []
-    for k in k_grid:
-        blk = M.leading(int(k))
-        values.append(blk.inv_quadform(v[: int(k)]))
-    return {"k_grid": [int(k) for k in k_grid], "values": values, "value": values[-1]}
+    k_grid = [int(k) for k in k_grid]
+    if not all(1 <= k <= M.n_basis for k in k_grid):
+        raise ValueError(f"truncations must lie in 1..{M.n_basis}, got {k_grid}")
+    z = solve_triangular(M.cholesky_lower(), v, lower=True)
+    cumulative = np.cumsum(z**2)
+    values = [float(cumulative[k - 1]) for k in k_grid]
+    return {"k_grid": k_grid, "values": values, "value": values[-1]}
 
 
 def octave_divergence_flag(k_grid, values, rel_increment=0.02):
@@ -311,25 +310,12 @@ def octave_divergence_flag(k_grid, values, rel_increment=0.02):
 
 
 def orthonormalize_h(M):
-    """Modified Gram-Schmidt (one re-orthogonalization pass) in the M metric.
-
-    Returns H with H^T M H = I; column j expresses the j-th orthonormal
-    vector in the retained eigenbasis.
+    """H = L^{-T}, so H^T M H = I; column j expresses the j-th orthonormal
+    vector in the retained eigenbasis.  It is the unique upper-triangular H
+    with positive diagonal and H^T M H = I, i.e. Gram-Schmidt of e_1, ..., e_K
+    in the M metric, and H[:k, :k] is the basis of every truncation M_k.
     """
-    k = M.n_basis
-    A = M.matrix
-    H = np.zeros((k, k))
-    for j in range(k):
-        v = np.zeros(k)
-        v[j] = 1.0
-        for _ in range(2):  # MGS + re-orthogonalization
-            for i in range(j):
-                v -= (H[:, i] @ (A @ v)) * H[:, i]
-        nrm = np.sqrt(v @ A @ v)
-        if not np.isfinite(nrm) or nrm < 1e-14:
-            raise RuntimeError(f"loss of rank in Gram-Schmidt at column {j}")
-        H[:, j] = v / nrm
-    return H
+    return solve_triangular(M.cholesky_lower(), np.eye(M.n_basis), lower=True, trans="T")
 
 
 def gram_residual(H, M):

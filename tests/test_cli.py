@@ -105,6 +105,19 @@ def _zero_truncation(cfg):
     cfg["task"] = {"name": "snorm", "k_grid": [0, 4]}
 
 
+def _pushforward_window(t0, t1):
+    # uniform m=64 mesh on [0, 1]: nodes at multiples of 1/64
+    def mutate(cfg):
+        cfg["model"]["mesh"] = {"kind": "uniform", "m": 64}
+        cfg["task"] = {"name": "pushforward-bound", "t0": t0, "t1": t1, "m": 8, "n_basis_list": [4, 8]}
+
+    return mutate
+
+
+def _mc_k_above_k_grid(cfg):
+    cfg["task"] = {"name": "gaussian-support", "k_grid": [4, 8], "mc_k": 9}
+
+
 class TestInconsistentConfigs:
     """Invalid or inconsistent configs: exit 2 and no outputs."""
 
@@ -116,6 +129,12 @@ class TestInconsistentConfigs:
             _n_basis_above_ns_modes,
             _k_grid_above_n_basis,
             _zero_truncation,
+            _pushforward_window(0.0, 0.5),
+            _pushforward_window(0.25, 1.5),
+            _pushforward_window(0.5, 0.25),
+            _pushforward_window(0.13, 0.5),
+            _pushforward_window(0.015625, 0.5),
+            _mc_k_above_k_grid,
             None,
         ],
         ids=[
@@ -124,6 +143,12 @@ class TestInconsistentConfigs:
             "n-basis-100-ns-kmax-4",
             "k-grid-above-n-basis",
             "zero-truncation",
+            "pushforward-t0-zero",
+            "pushforward-t1-above-T",
+            "pushforward-t1-below-t0",
+            "pushforward-t0-off-mesh",
+            "pushforward-odd-window",
+            "mc-k-above-k-grid",
             "config-is-a-directory",
         ],
     )
@@ -318,3 +343,23 @@ class TestRemainingTasks:
         result = CliRunner().invoke(main, ["efficiency", "-c", path, "-o", str(out)])
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["divergent"] is True
+
+
+class TestWorkerInvariance:
+    def test_efficiency_report_independent_of_workers(self, tmp_path):
+        task = {"name": "efficiency", "n": 300, "replicates": 100, "ratio_range": [0.7, 1.3]}
+        path = _write(tmp_path, "cfg.yaml", TestRemainingTasks()._base(task))
+        reports = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            result = CliRunner().invoke(
+                main, ["run", "-c", path, "-o", str(out), "--workers", str(workers)]
+            )
+            assert result.exit_code == 0, result.output
+            reports.append(json.loads((out / "report.json").read_text()))
+        one, two = reports
+        assert one["results"] == two["results"]
+        assert one["checks"] == two["checks"]
+        assert (one["config"]["workers"], two["config"]["workers"]) == (1, 2)
+        two["config"]["workers"] = 1
+        assert one == two

@@ -8,6 +8,7 @@ from pdefisher import (
     DesignMeasure,
     FourierCoeffs,
     HeatModel,
+    InformationMatrix,
     NavierStokesModel,
     TimeMesh,
     assemble_information_matrix,
@@ -35,9 +36,8 @@ def heat_M():
 class TestSampling:
     def test_scalar_variance(self, heat_M):
         _, _, M = heat_M
-        M1 = M.leading(1)
-        batch = sample_efficient_gaussian(M1, 20000, np.random.default_rng(0))
-        g = M1.matrix[0, 0]
+        batch = sample_efficient_gaussian(M, 20000, np.random.default_rng(0), k=1)
+        g = M.matrix[0, 0]
         var = batch.samples.var(ddof=1)
         sigma = var * np.sqrt(2.0 / (batch.m - 1))
         assert abs(var - 1.0 / g) < 3 * sigma
@@ -94,6 +94,36 @@ class TestSampling:
 
 
 class TestSupportDiagnostic:
+    def test_moments_match_block_inverses(self):
+        # non-diagonal SPD M: moments are sum_j w_j (M_K^{-1})_jj, from the
+        # inverse of each leading block, at every K and at the MC truncation
+        es = build_eigensystem(1, 16)
+        rng = np.random.default_rng(11)
+        B = rng.standard_normal((24, 24))
+        A = B @ B.T / 24 + np.eye(24)
+        M = InformationMatrix(A, es)
+        k_grid = list(range(1, 25))
+        rep = support_diagnostic(
+            M, es, [0.5, 2.0], k_grid, kappa=1.0, alpha=0.5,
+            m_mc=10, rng=np.random.default_rng(12), mc_k=7,
+        )
+        for entry in rep["betas"]:
+            w = es.tau ** (-entry["beta"])
+            oracle = [float(np.sum(w[:k] * np.diag(np.linalg.inv(A[:k, :k])))) for k in k_grid]
+            np.testing.assert_allclose(entry["moments"], oracle, rtol=1e-12)
+        for entry in rep["mc"]["betas"]:
+            w = es.tau[:7] ** (-entry["beta"])
+            oracle = float(np.sum(w * np.diag(np.linalg.inv(A[:7, :7]))))
+            assert entry["exact"] == pytest.approx(oracle, rel=1e-12)
+
+    def test_mc_truncation_beyond_matrix_rejected(self, heat_M):
+        es, _, M = heat_M
+        with pytest.raises(ValueError):
+            support_diagnostic(
+                M, es, [1.0], [4, 16], kappa=1.0, alpha=0.5,
+                m_mc=10, rng=np.random.default_rng(13), mc_k=17,
+            )
+
     def test_heat_thresholds(self):
         # heat d=1 scale: kappa=1, alpha=1/2; threshold beta = 1.5
         es = build_eigensystem(1, 256)
@@ -153,7 +183,7 @@ class TestPushforward:
             model, FourierCoeffs.zeros(es), M, batch, "trajectory", "l2", t0, t1, power=2.0
         )
         lam = es.lam[: M.n_basis]
-        inv_diag = M.inv_diag()
+        inv_diag = np.diag(np.linalg.inv(M.matrix))
         with np.errstate(divide="ignore", invalid="ignore"):
             integrals = np.where(
                 lam > 0,

@@ -10,6 +10,7 @@ from pdefisher import (
     DesignMeasure,
     FourierCoeffs,
     HeatModel,
+    InformationMatrix,
     ReactionDiffusionModel,
     NavierStokesModel,
     TimeMesh,
@@ -254,6 +255,25 @@ class TestSNorm:
         assert inc.max() / inc.min() < 1.3  # per-octave increments within 30%
 
 
+class TestPrefixTraces:
+    def test_snorm_matches_block_solves(self, es1):
+        # non-diagonal SPD M: psi_k^T A_k^{-1} psi_k from a solve with each
+        # leading block, at every k
+        rng = np.random.default_rng(18)
+        B = rng.standard_normal((9, 9))
+        A = B @ B.T / 9 + np.eye(9)
+        v = rng.standard_normal(9)
+        trace = s_norm_truncated(v, InformationMatrix(A, es1), k_grid=range(1, 10))
+        oracle = [float(v[:k] @ np.linalg.solve(A[:k, :k], v[:k])) for k in range(1, 10)]
+        np.testing.assert_allclose(trace["values"], oracle, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 10])
+    def test_truncation_outside_matrix_rejected(self, heat_setup, k):
+        M = heat_setup[-1]
+        with pytest.raises(ValueError):
+            s_norm_truncated(np.ones(9), M, k_grid=[k])
+
+
 class TestOrthonormalize:
     def test_diagonal_case(self, heat_setup):
         _, _, _, _, M = heat_setup
@@ -270,6 +290,18 @@ class TestOrthonormalize:
         M = InformationMatrix(mat, es1)
         H = orthonormalize_h(M)
         assert gram_residual(H, M) < 1e-8
+
+    def test_matches_metric_gram_schmidt(self, es1):
+        # Gram-Schmidt of e_1, ..., e_K in the M inner product, written out
+        rng = np.random.default_rng(19)
+        B = rng.standard_normal((9, 9))
+        A = B @ B.T / 9 + np.eye(9)
+        G = np.zeros((9, 9))
+        for j in range(9):
+            v = np.eye(9)[j]
+            v = v - G[:, :j] @ (G[:, :j].T @ (A @ v))
+            G[:, j] = v / np.sqrt(v @ A @ v)
+        np.testing.assert_allclose(orthonormalize_h(InformationMatrix(A, es1)), G, atol=1e-12)
 
     def test_snorm_via_basis_expansion(self, es1):
         # sum_j <psi, h_j>^2 equals psi^T M^{-1} psi
