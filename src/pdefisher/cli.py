@@ -38,6 +38,7 @@ from .forward import NavierStokesModel, qmd_remainder_slope
 from .gaussian import functional_pushforward_bound, sample_efficient_gaussian, support_diagnostic
 from .inference import efficiency_report, lan_montecarlo
 from .information import (
+    _COND_LIMIT,
     assemble_information_matrix,
     lan_norm,
     norm_equivalence_diagnostic,
@@ -163,7 +164,7 @@ def _task_info_matrix(exp, task, rng):
     results = {"n_basis": M.n_basis, "cond": M.cond, "eig_min": M.eig_min, "eig_max": M.eig_max, "method": M.meta["method"]}
     checks = [
         _check("positive-definite", M.eig_min, 0.0, M.eig_min > 0),
-        _check("condition-bounded", M.cond, 1e12, M.cond < 1e12),
+        _check("condition-bounded", M.cond, _COND_LIMIT, M.cond < _COND_LIMIT),
     ]
     if task["check_heat_closed_form"]:
         if exp["model"].kind != "heat" or not exp["design"].is_uniform:

@@ -511,6 +511,8 @@ def build_field(es, spec):
             return FourierCoeffs(es, data)
         raise ConfigError(f"unknown preset {spec['preset']!r}")
     if "unit_index" in spec:
+        if spec["unit_index"] >= es.size:
+            raise ConfigError(f"unit_index {spec['unit_index']} outside the {es.size} retained modes")
         data[spec["unit_index"]] = 1.0
     if "constant" in spec:
         idx = es.index_of((0,) * es.d, 0)

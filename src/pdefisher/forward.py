@@ -217,10 +217,6 @@ class SpaceTimeBatch:
         self.mesh = mesh
         self.data = data
 
-    @property
-    def n_fields(self):
-        return self.data.shape[2]
-
     def field(self, b):
         return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(self.data[:, :, b]))
 
@@ -255,22 +251,12 @@ def _etdrk4_coeffs(h, lin, n_contour=32):
 
 
 def _etdrk4_step(u, nonlin, c):
-    """One ETDRK4 step of u' = L u + N(u) with precomputed coefficients."""
-    n0 = nonlin(u)
-    a = c["E2"] * u + c["Q"] * n0
-    n1 = nonlin(a)
-    b = c["E2"] * u + c["Q"] * n1
-    n2 = nonlin(b)
-    cc = c["E2"] * a + c["Q"] * (2.0 * n2 - n0)
-    n3 = nonlin(cc)
-    return c["E"] * u + c["f1"] * n0 + 2.0 * c["f2"] * (n1 + n2) + c["f3"] * n3
+    """One ETDRK4 step of u' = L u + N(u) with precomputed coefficients.
 
-
-def _etdrk4_pair_step(u, v, nonlin, dnonlin, c):
-    """Co-integrated step of the base state u and tangent columns v.
-
-    The tangent update is the exact Jacobian-vector product of the base
-    step: stage potentials come from the base stages.
+    Returns the new state and the four stage states at which N was evaluated.
+    Stepping tangent states v by the same function, with the nonlinearity
+    v -> N'(stage_i) v at stage i, is the exact Jacobian-vector product of
+    the base step.
     """
     n0 = nonlin(u)
     a = c["E2"] * u + c["Q"] * n0
@@ -280,16 +266,72 @@ def _etdrk4_pair_step(u, v, nonlin, dnonlin, c):
     cc = c["E2"] * a + c["Q"] * (2.0 * n2 - n0)
     n3 = nonlin(cc)
     u_new = c["E"] * u + c["f1"] * n0 + 2.0 * c["f2"] * (n1 + n2) + c["f3"] * n3
+    return u_new, (u, a, b, cc)
 
-    m0 = dnonlin(u, v)
-    va = c["E2"] * v + c["Q"] * m0
-    m1 = dnonlin(a, va)
-    vb = c["E2"] * v + c["Q"] * m1
-    m2 = dnonlin(b, vb)
-    vc = c["E2"] * va + c["Q"] * (2.0 * m2 - m0)
-    m3 = dnonlin(cc, vc)
-    v_new = c["E"] * v + c["f1"] * m0 + 2.0 * c["f2"] * (m1 + m2) + c["f3"] * m3
-    return u_new, v_new
+
+def _checked_mesh(T, mesh):
+    mesh = mesh if mesh is not None else TimeMesh.uniform(T, 256)
+    if abs(mesh.T - T) > 1e-12:
+        raise ValueError("mesh horizon does not match T")
+    return mesh
+
+
+class _SpectralModel:
+    """ETDRK4 march, solve and linearize shared by the pseudo-spectral models.
+
+    A subclass sets ``lin`` (the diagonal linear part of its state equation)
+    and ``name`` (for the blow-up error), and supplies ``_lift``
+    (coefficients (..., nm) -> states), ``_project`` (states -> coefficients,
+    batched over leading axes), ``_nonlin(u)`` and ``_dnonlin(u, v)``, the
+    derivative of the nonlinearity at u applied to tangent states v (B, ...).
+    """
+
+    def __init__(self, es, T, mesh, substeps):
+        self.es = es
+        self.T = float(T)
+        self.mesh = _checked_mesh(T, mesh)
+        self.substeps = int(substeps)
+
+    def _march(self, u, v=None):
+        """Base march from state u, co-integrating tangent states v (B, ...) if given."""
+        snaps = np.empty((self.mesh.n_nodes, self.es.size))
+        snaps[0] = self._project(u)
+        vsnaps = None
+        if v is not None:
+            vsnaps = np.empty((self.mesh.n_nodes, self.es.size, v.shape[0]))
+            vsnaps[0] = np.moveaxis(self._project(v), 0, -1)
+        cache = {}
+        for i0, nsteps, h_store in self.mesh.blocks:
+            h = h_store / self.substeps
+            if h not in cache:
+                cache[h] = _etdrk4_coeffs(h, self.lin)
+            c = cache[h]
+            for s in range(nsteps):
+                for _ in range(self.substeps):
+                    u, stages = _etdrk4_step(u, self._nonlin, c)
+                    if v is not None:
+                        stages = iter(stages)
+                        v, _ = _etdrk4_step(v, lambda w: self._dnonlin(next(stages), w), c)
+                if not np.all(np.isfinite(u)):
+                    raise RuntimeError(f"{self.name} solve blew up at t={self.mesh.nodes[i0+s+1]:.4g}")
+                snaps[i0 + s + 1] = self._project(u)
+                if v is not None:
+                    vsnaps[i0 + s + 1] = np.moveaxis(self._project(v), 0, -1)
+        return snaps, vsnaps
+
+    def solve(self, theta):
+        snaps, _ = self._march(self._lift(theta.data))
+        return SpaceTimeField(self.es, self.mesh, snaps)
+
+    def linearize(self, theta0, h):
+        """Tangent flow at theta0 from h: a FourierCoeffs (-> SpaceTimeField)
+        or (nm, B) columns (-> SpaceTimeBatch)."""
+        single = isinstance(h, FourierCoeffs)
+        cols = h.data[:, None] if single else np.asarray(h, dtype=float)
+        _, vsnaps = self._march(self._lift(theta0.data), self._lift(cols.T))
+        if single:
+            return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(vsnaps[:, :, 0]))
+        return SpaceTimeBatch(self.es, self.mesh, vsnaps)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +346,7 @@ class HeatModel:
 
     def __init__(self, es, T=1.0, mesh=None):
         self.es = es
-        self.mesh = mesh if mesh is not None else TimeMesh.uniform(T, 256)
-        if abs(self.mesh.T - T) > 1e-12:
-            raise ValueError("mesh horizon does not match T")
+        self.mesh = _checked_mesh(T, mesh)
         self.T = float(T)
 
     def solve(self, theta):
@@ -374,20 +414,25 @@ class BumpReaction:
         )
 
 
-class ReactionDiffusionModel:
+class ReactionDiffusionModel(_SpectralModel):
+    """u_t = Lap u + f(u); the state is the coefficient vector itself."""
+
     kind = "rd"
+    name = "reaction-diffusion"
 
     def __init__(self, es, T=1.0, reaction=None, mesh=None, substeps=1, grid_n=None):
         if es.subspace == DIV_FREE:
             raise ValueError("reaction-diffusion is scalar")
-        self.es = es
-        self.T = float(T)
+        super().__init__(es, T, mesh, substeps)
+        self.lin = -es.lam
         self.reaction = reaction if reaction is not None else BumpReaction()
-        self.mesh = mesh if mesh is not None else TimeMesh.uniform(T, 256)
-        if abs(self.mesh.T - T) > 1e-12:
-            raise ValueError("mesh horizon does not match T")
-        self.substeps = int(substeps)
         self.grid_n = grid_n if grid_n is not None else es.min_grid_points(dealias=True)
+
+    @staticmethod
+    def _lift(coeffs):
+        return coeffs
+
+    _project = _lift
 
     def _nonlin(self, u):
         vals = values_from_coeffs(self.es, u, self.grid_n)
@@ -400,70 +445,23 @@ class ReactionDiffusionModel:
         tvals = values_from_coeffs(self.es, v, self.grid_n)
         return coeffs_from_values(self.es, fp[None, ...] * tvals)
 
-    def _march(self, u0, v0=None):
-        """Base march from u0, co-integrating tangent columns v0 (B, nm) if given."""
-        lin = -self.es.lam
-        n_nodes = self.mesh.n_nodes
-        snaps = np.empty((n_nodes, self.es.size))
-        snaps[0] = u0
-        vsnaps = None
-        v = None
-        if v0 is not None:
-            vsnaps = np.empty((n_nodes, self.es.size, v0.shape[0]))
-            vsnaps[0] = v0.T
-            v = v0.copy()
-        u = u0.copy()
-        coeff_cache = {}
-        for i0, nsteps, h_store in self.mesh.blocks:
-            h = h_store / self.substeps
-            if h not in coeff_cache:
-                coeff_cache[h] = _etdrk4_coeffs(h, lin)
-            c = coeff_cache[h]
-            for s in range(nsteps):
-                for _ in range(self.substeps):
-                    if v is None:
-                        u = _etdrk4_step(u, self._nonlin, c)
-                    else:
-                        u, v = _etdrk4_pair_step(u, v, self._nonlin, self._dnonlin, c)
-                if not np.all(np.isfinite(u)):
-                    raise RuntimeError(f"reaction-diffusion solve blew up at t={self.mesh.nodes[i0+s+1]:.4g}")
-                snaps[i0 + s + 1] = u
-                if v is not None:
-                    vsnaps[i0 + s + 1] = v.T
-        return snaps, vsnaps
-
-    def solve(self, theta):
-        snaps, _ = self._march(theta.data)
-        return SpaceTimeField(self.es, self.mesh, snaps)
-
-    def linearize(self, theta0, h):
-        """Tangent flow U_t = Lap U + f'(u_theta0) U, U(0) = h."""
-        single = isinstance(h, FourierCoeffs)
-        cols = h.data[:, None] if single else np.asarray(h, dtype=float)
-        _, vsnaps = self._march(theta0.data, cols.T)
-        if single:
-            return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(vsnaps[:, :, 0]))
-        return SpaceTimeBatch(self.es, self.mesh, vsnaps)
-
 
 # ---------------------------------------------------------------------------
 # 2D incompressible Navier-Stokes (vorticity-streamfunction)
 # ---------------------------------------------------------------------------
 
 
-class NavierStokesModel:
+class NavierStokesModel(_SpectralModel):
+    """Marched as DFT vorticity on the n x n lattice; stored as velocity coefficients."""
+
     kind = "ns"
+    name = "Navier-Stokes"
 
     def __init__(self, es, viscosity, T=1.0, forcing=None, mesh=None, substeps=1, grid_n=None):
         if es.subspace != DIV_FREE:
             raise ValueError("Navier-Stokes needs the divergence-free eigensystem")
-        self.es = es
+        super().__init__(es, T, mesh, substeps)
         self.nu = float(viscosity)
-        self.T = float(T)
-        self.mesh = mesh if mesh is not None else TimeMesh.uniform(T, 256)
-        if abs(self.mesh.T - T) > 1e-12:
-            raise ValueError("mesh horizon does not match T")
-        self.substeps = int(substeps)
         self.n = grid_n if grid_n is not None else es.min_grid_points(dealias=True)
 
         n = self.n
@@ -473,6 +471,7 @@ class NavierStokesModel:
         self.lam = 4.0 * np.pi**2 * (self.kx**2 + self.ky**2)
         self.mask = (np.abs(self.kx) <= es.kmax) & (np.abs(self.ky) <= es.kmax)
         self.lam_safe = np.where(self.lam > 0, self.lam, 1.0)
+        self.lin = -self.nu * self.lam
 
         # eigen index -> lattice positions for velocity <-> vorticity maps
         shape = (n, n)
@@ -497,29 +496,33 @@ class NavierStokesModel:
             raise ValueError("forcing must live in the model eigensystem")
         self.forcing_hat = None
         if forcing is not None and np.any(forcing.data):
-            self.forcing_hat = self._vorticity_lattice(self._curl_coeffs(forcing.data))
+            self.forcing_hat = self._lift(forcing.data)
 
-    # -- coefficient plumbing ------------------------------------------------
+    # -- coefficient plumbing (batched over leading axes) ----------------------
 
     def _curl_coeffs(self, vel_coeffs):
         """Scalar vorticity (cos, sin) coefficients from div-free velocity coeffs."""
         w = np.empty_like(vel_coeffs)
         cos_idx = self._is_cos
         # curl(dir * sqrt2 cos) = -2 pi |k| sqrt2 sin ; curl(dir * sqrt2 sin) = +2 pi |k| sqrt2 cos
-        w[cos_idx] = self._two_pi_absk[~cos_idx] * vel_coeffs[~cos_idx]
-        w[~cos_idx] = -self._two_pi_absk[cos_idx] * vel_coeffs[cos_idx]
+        w[..., cos_idx] = self._two_pi_absk[~cos_idx] * vel_coeffs[..., ~cos_idx]
+        w[..., ~cos_idx] = -self._two_pi_absk[cos_idx] * vel_coeffs[..., cos_idx]
         return w
 
     def _vorticity_lattice(self, w_coeffs):
         """Realified vorticity coefficients -> numpy-convention DFT array."""
         n = self.n
-        flat = np.zeros(n * n, dtype=complex)
+        batch = w_coeffs.shape[:-1]
+        flat = np.zeros(batch + (n * n,), dtype=complex)
         amp = np.where(self._is_cos, w_coeffs, 0.0) / np.sqrt(2.0) + 1j * np.where(
             self._is_cos, 0.0, -w_coeffs
         ) / np.sqrt(2.0)
-        np.add.at(flat, self._pos, amp)
-        np.add.at(flat, self._neg, np.conj(amp))
-        return flat.reshape(n, n) * (n * n)
+        np.add.at(flat, (Ellipsis, self._pos), amp)
+        np.add.at(flat, (Ellipsis, self._neg), np.conj(amp))
+        return flat.reshape(batch + (n, n)) * (n * n)
+
+    def _lift(self, vel_coeffs):
+        return self._vorticity_lattice(self._curl_coeffs(vel_coeffs))
 
     def _velocity_coeffs(self, what):
         """DFT vorticity array(s) -> div-free velocity coefficients (..., nm)."""
@@ -533,6 +536,8 @@ class NavierStokesModel:
         out[..., cos_idx] = -w_sin[..., cos_idx] / self._two_pi_absk[cos_idx]
         out[..., ~cos_idx] = w_cos[..., ~cos_idx] / self._two_pi_absk[~cos_idx]
         return out
+
+    _project = _velocity_coeffs
 
     # -- spectral operators ----------------------------------------------------
 
@@ -563,63 +568,6 @@ class NavierStokesModel:
         adv = np.fft.fft2(u1 * twx + u2 * twy + tu1 * wx + tu2 * wy)
         return np.where(self.mask, -adv, 0.0)
 
-    # -- time marching ---------------------------------------------------------
-
-    def _march(self, w0_hat, v0_hat=None):
-        lin = -self.nu * self.lam
-        n_nodes = self.mesh.n_nodes
-        snaps = np.empty((n_nodes, self.es.size))
-        snaps[0] = self._velocity_coeffs(w0_hat)
-        vsnaps = None
-        v = None
-        if v0_hat is not None:
-            vsnaps = np.empty((n_nodes, self.es.size, v0_hat.shape[0]))
-            vsnaps[0] = np.moveaxis(self._velocity_coeffs(v0_hat), 0, -1)
-            v = v0_hat.copy()
-        u = w0_hat.copy()
-        cache = {}
-        for i0, nsteps, h_store in self.mesh.blocks:
-            h = h_store / self.substeps
-            if h not in cache:
-                cache[h] = _etdrk4_coeffs(h, lin)
-            c = cache[h]
-            for s in range(nsteps):
-                for _ in range(self.substeps):
-                    if v is None:
-                        u = _etdrk4_step(u, self._nonlin, c)
-                    else:
-                        u, v = _etdrk4_pair_step(u, v, self._nonlin, self._dnonlin, c)
-                if not np.all(np.isfinite(u)):
-                    raise RuntimeError(
-                        f"Navier-Stokes solve blew up at t={self.mesh.nodes[i0+s+1]:.4g}"
-                    )
-                snaps[i0 + s + 1] = self._velocity_coeffs(u)
-                if v is not None:
-                    vsnaps[i0 + s + 1] = np.moveaxis(self._velocity_coeffs(v), 0, -1)
-        return snaps, vsnaps
-
-    def solve(self, theta):
-        """Velocity trajectory for initial condition theta (div-free coeffs)."""
-        w0 = self._vorticity_lattice(self._curl_coeffs(theta.data))
-        snaps, _ = self._march(w0)
-        return SpaceTimeField(self.es, self.mesh, snaps)
-
-    def linearize(self, theta0, h):
-        single = isinstance(h, FourierCoeffs)
-        cols = h.data[:, None] if single else np.asarray(h, dtype=float)
-        w0 = self._vorticity_lattice(self._curl_coeffs(theta0.data))
-        v0 = np.stack(
-            [
-                self._vorticity_lattice(self._curl_coeffs(cols[:, b]))
-                for b in range(cols.shape[1])
-            ],
-            axis=0,
-        )
-        _, vsnaps = self._march(w0, v0)
-        if single:
-            return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(vsnaps[:, :, 0]))
-        return SpaceTimeBatch(self.es, self.mesh, vsnaps)
-
     def lattice_divergence(self, field):
         """Max |div u| over lattice coefficients of reconstructed velocity.
 
@@ -628,7 +576,7 @@ class NavierStokesModel:
         """
         worst = 0.0
         for i in range(field.mesh.n_nodes):
-            w_hat = self._vorticity_lattice(self._curl_coeffs(field.data[i]))
+            w_hat = self._lift(field.data[i])
             psi = np.where(self.mask, -w_hat / self.lam_safe, 0.0)
             u1_hat = -2j * np.pi * self.ky * psi
             u2_hat = 2j * np.pi * self.kx * psi

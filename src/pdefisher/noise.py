@@ -34,13 +34,6 @@ class FisherMatrix:
     def p(self):
         return self.matrix.shape[0]
 
-    def quad_form(self, values):
-        """Pointwise y^T I y for values of shape (..., p)."""
-        if self.p == 1:
-            return float(self.matrix[0, 0]) * np.asarray(values) ** 2
-        v = np.asarray(values)
-        return np.einsum("...a,ab,...b->...", v, self.matrix, v)
-
 
 class NoiseModel:
     """Base class; concrete families implement pdf/logpdf/sqrt_grad/sampling.

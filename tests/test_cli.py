@@ -118,6 +118,11 @@ def _mc_k_above_k_grid(cfg):
     cfg["task"] = {"name": "gaussian-support", "k_grid": [4, 8], "mc_k": 9}
 
 
+def _unit_index_above_modes(cfg):
+    # heat kmax=4 in d=1 has 9 modes
+    cfg["model"]["theta0"] = {"unit_index": 999}
+
+
 class TestInconsistentConfigs:
     """Invalid or inconsistent configs: exit 2 and no outputs."""
 
@@ -135,6 +140,7 @@ class TestInconsistentConfigs:
             _pushforward_window(0.13, 0.5),
             _pushforward_window(0.015625, 0.5),
             _mc_k_above_k_grid,
+            _unit_index_above_modes,
             None,
         ],
         ids=[
@@ -149,6 +155,7 @@ class TestInconsistentConfigs:
             "pushforward-t0-off-mesh",
             "pushforward-odd-window",
             "mc-k-above-k-grid",
+            "unit-index-above-modes",
             "config-is-a-directory",
         ],
     )

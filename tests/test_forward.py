@@ -46,6 +46,17 @@ def _field(es, entries, const=0.0):
     return u
 
 
+def _nonlinear_model(kind, es1, es_ns, mesh, substeps=1):
+    """An RD or NS model on ``mesh`` and a base state with nonlinear dynamics."""
+    if kind == "rd":
+        model = ReactionDiffusionModel(
+            es1, T=mesh.T, reaction=BumpReaction(), mesh=mesh, substeps=substeps
+        )
+        return model, _field(es1, [([1], 1, 0.4)], const=0.2)
+    model = NavierStokesModel(es_ns, viscosity=0.05, T=mesh.T, mesh=mesh, substeps=substeps)
+    return model, _field(es_ns, [([1, 0], 1, 0.4), ([0, 1], 2, 0.3)])
+
+
 class TestHeat:
     def test_constant_invariant(self, es1):
         f = solve_heat_exact(_field(es1, [], const=3.0), T=1.0)
@@ -159,15 +170,27 @@ class TestLinearizeRD:
         out = qmd_remainder_slope(rd, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
         assert abs(out["slope"] - 2.0) < 0.15
 
-    def test_batch_matches_single(self, es1):
-        mesh = TimeMesh.uniform(0.5, 32)
-        rd = ReactionDiffusionModel(es1, T=0.5, reaction=BumpReaction(), mesh=mesh)
-        theta0 = _field(es1, [([1], 1, 0.4)], const=0.2)
-        cols = np.eye(es1.size, 3)
-        batch = rd.linearize(theta0, cols)
+    @pytest.mark.parametrize("kind", ["rd", "ns"])
+    def test_batch_matches_single(self, es1, es_ns, kind):
+        model, theta0 = _nonlinear_model(kind, es1, es_ns, TimeMesh.uniform(0.5, 32))
+        cols = np.eye(model.es.size, 3)
+        batch = model.linearize(theta0, cols)
         for b in range(3):
-            single = rd.linearize(theta0, FourierCoeffs(es1, cols[:, b]))
+            single = model.linearize(theta0, FourierCoeffs(model.es, cols[:, b]))
             np.testing.assert_allclose(batch.data[:, :, b], single.data, atol=1e-13)
+
+
+class TestSubsteps:
+    @pytest.mark.parametrize("kind", ["rd", "ns"])
+    def test_substeps_match_finer_mesh(self, es1, es_ns, kind):
+        # two substeps of h/2 per stored step are the same steps as a mesh of h/2
+        coarse, theta0 = _nonlinear_model(kind, es1, es_ns, TimeMesh.uniform(0.5, 16), substeps=2)
+        fine, _ = _nonlinear_model(kind, es1, es_ns, TimeMesh.uniform(0.5, 32))
+        cols = np.eye(coarse.es.size, 3)
+        assert np.array_equal(coarse.solve(theta0).data, fine.solve(theta0).data[::2])
+        assert np.array_equal(
+            coarse.linearize(theta0, cols).data, fine.linearize(theta0, cols).data[::2]
+        )
 
 
 class TestNavierStokes:
