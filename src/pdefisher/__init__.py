@@ -9,7 +9,6 @@ from .spectral import (
     MEAN_ZERO,
     EigenSystem,
     FourierCoeffs,
-    TorusGrid,
     build_eigensystem,
     pairing,
     sobolev_norm,

@@ -61,11 +61,6 @@ def _replicate_rows(values, rng_seed, replicates):
     ]
 
 
-def _default_k_grid(n_basis):
-    grid = [k for k in (4, 8, 16, 32, 64, 128, 256, 512) if k < n_basis]
-    return grid + [n_basis]
-
-
 # ---------------------------------------------------------------------------
 # task runners: each returns (results dict, checks list, csv dict)
 # ---------------------------------------------------------------------------
@@ -110,13 +105,8 @@ def _task_fisher(exp, task, rng):
 
 def _default_direction(exp):
     es = exp["es"]
-    if es.subspace == "divergence-free-mean-zero":
-        spec = {"modes": [{"k": [1, 0], "kind": "cos", "value": 1.0}]}
-    elif es.d == 1:
-        spec = {"modes": [{"k": [1], "kind": "cos", "value": 1.0}]}
-    else:
-        spec = {"modes": [{"k": [1, 0], "kind": "cos", "value": 1.0}]}
-    return build_field(es, spec)
+    k = [1] if es.d == 1 else [1, 0]
+    return build_field(es, {"modes": [{"k": k, "kind": "cos", "value": 1.0}]})
 
 
 def _task_qmd(exp, task, rng):
@@ -157,10 +147,7 @@ def _task_norm_equiv(exp, task, rng):
 
 
 def _task_info_matrix(exp, task, rng):
-    M = assemble_information_matrix(
-        exp["model"], exp["theta0"], exp["noise"], exp["design"],
-        exp["n_basis"], method=task["method"],
-    )
+    M = assemble_information_matrix(exp["model"], exp["theta0"], exp["noise"], exp["design"], exp["n_basis"])
     results = {"n_basis": M.n_basis, "cond": M.cond, "eig_min": M.eig_min, "eig_max": M.eig_max, "method": M.meta["method"]}
     checks = [
         _check("positive-definite", M.eig_min, 0.0, M.eig_min > 0),
@@ -189,8 +176,7 @@ def _task_info_matrix(exp, task, rng):
 def _task_snorm(exp, task, rng):
     M = assemble_information_matrix(exp["model"], exp["theta0"], exp["noise"], exp["design"], exp["n_basis"])
     psi = build_field(exp["es"], task["psi"]) if "psi" in task else _default_direction(exp)
-    k_grid = task.get("k_grid", _default_k_grid(exp["n_basis"]))
-    trace = s_norm_truncated(psi, M, k_grid=k_grid)
+    trace = s_norm_truncated(psi, M, k_grid=task.get("k_grid"))
     divergent, increments = octave_divergence_flag(trace["k_grid"], trace["values"])
     diffs = np.diff(trace["values"])
     mono = bool(np.all(diffs >= -1e-12 * max(trace["values"][-1], 1.0)))
@@ -286,12 +272,11 @@ def _task_pushforward(exp, task, rng):
 def _task_efficiency(exp, task, rng):
     M = assemble_information_matrix(exp["model"], exp["theta0"], exp["noise"], exp["design"], exp["n_basis"])
     psi = build_field(exp["es"], task["psi"]) if "psi" in task else _default_direction(exp)
-    k_grid = task.get("k_grid", _default_k_grid(exp["n_basis"]))
     report = efficiency_report(
         exp["model"], psi, exp["theta0"], exp["noise"], exp["design"], M,
-        task["n"], task["replicates"], exp["seed"], k_grid=k_grid, workers=exp["workers"],
+        task["n"], task["replicates"], exp["seed"],
+        k_grid=task.get("k_grid"), workers=exp["workers"],
     )
-    report.pop("runtime_s", None)  # deterministic report; timing goes to meta
     values = report.pop("replicate_values")
     expect = task.get("expect", "divergent" if task.get("psi", {}).get("preset") else "attain")
     checks = []
@@ -380,6 +365,11 @@ def _execute(task_name, config_path, out_dir, seed, workers):
     t0 = time.perf_counter()
     try:
         raw = load_config(config_path)
+        # overrides go through the schema like the config's own keys
+        if seed is not None:
+            raw["seed"] = seed
+        if workers is not None:
+            raw["workers"] = workers
         validate_config(raw)
         if task_name is None:
             task_name = raw["task"]["name"]
@@ -391,17 +381,6 @@ def _execute(task_name, config_path, out_dir, seed, workers):
     except (ConfigError, OSError, yaml.YAMLError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-
-    env_seed = os.environ.get("PDEFISHER_SEED")
-    if seed is not None:
-        cfg["seed"] = seed
-    elif env_seed is not None:
-        cfg["seed"] = int(env_seed)
-    env_workers = os.environ.get("PDEFISHER_WORKERS")
-    if workers is not None:
-        cfg["workers"] = workers
-    elif env_workers is not None:
-        cfg["workers"] = int(env_workers)
 
     try:
         exp = build_experiment(cfg)

@@ -200,7 +200,6 @@ TASK_SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             **_COMMON_TASK,
-            "method": {"type": "string", "enum": ["auto", "batch", "diagonal-flow"]},
             "check_heat_closed_form": {"type": "boolean"},
             "tolerance": {"type": "number"},
             "dump": {"type": "boolean"},
@@ -361,7 +360,6 @@ _TASK_DEFAULTS = {
         "growth_tol": 0.10,
     },
     "info-matrix": {
-        "method": "auto",
         "check_heat_closed_form": False,
         "tolerance": 1e-10,
         "dump": False,

@@ -23,6 +23,8 @@ from .spectral import (
     FourierCoeffs,
     basis_values_at,
     coeffs_from_values,
+    coeffs_to_lattice,
+    lattice_to_coeffs,
     values_from_coeffs,
 )
 
@@ -166,48 +168,6 @@ class SpaceTimeField:
         """L^2([0,T] x Omega) norm via the mesh quadrature."""
         return float(np.sqrt(self.mesh.weights @ self.squared_l2_profile()))
 
-    def save(self, path_stem, model_kind="unknown"):
-        """Write <stem>.json (header) and <stem>.f64 (little-endian snapshots).
-
-        The binary holds the node times followed by the row-major snapshot
-        matrix; the sidecar records shapes and the eigensystem identity.
-        """
-        import json
-
-        header = {
-            "model": model_kind,
-            "T": self.mesh.T,
-            "M": self.mesh.n_nodes - 1,
-            "grid": {"d": self.es.d, "K": self.es.kmax, "subspace": self.es.subspace,
-                     "components": self.es.p},
-            "blocks": [[int(i0), int(n), float(h)] for i0, n, h in self.mesh.blocks],
-            "n_modes": self.es.size,
-            "dtype": "<f8",
-            "layout": "nodes, then row-major snapshots (n_nodes x n_modes)",
-        }
-        with open(f"{path_stem}.json", "w") as fh:
-            json.dump(header, fh, sort_keys=True, indent=2)
-        with open(f"{path_stem}.f64", "wb") as fh:
-            self.mesh.nodes.astype("<f8").tofile(fh)
-            self.data.astype("<f8").tofile(fh)
-
-    @classmethod
-    def load(cls, path_stem):
-        import json
-
-        from .spectral import build_eigensystem
-
-        with open(f"{path_stem}.json") as fh:
-            header = json.load(fh)
-        g = header["grid"]
-        es = build_eigensystem(g["d"], g["K"], g["subspace"])
-        raw = np.fromfile(f"{path_stem}.f64", dtype="<f8")
-        n_nodes = header["M"] + 1
-        nodes = raw[:n_nodes]
-        data = raw[n_nodes:].reshape(n_nodes, header["n_modes"])
-        mesh = TimeMesh(nodes, [tuple(b) for b in header["blocks"]])
-        return cls(es, mesh, data)
-
 
 class SpaceTimeBatch:
     """Batch of fields sharing mesh and eigensystem; data (n_nodes, nm, B)."""
@@ -216,9 +176,6 @@ class SpaceTimeBatch:
         self.es = es
         self.mesh = mesh
         self.data = data
-
-    def field(self, b):
-        return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(self.data[:, :, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +356,6 @@ class BumpReaction:
         chip = -gp * chi
         return self.amplitude * ((1.0 - 3.0 * u * u) * chi + u * (1.0 - u * u) * chip)
 
-    def d2f(self, u):
-        u = np.asarray(u, dtype=float)
-        chi, g, inside = self._chi(u)
-        r = self.radius
-        gp = np.where(inside, (2.0 * u / r**2) * g * g, 0.0)
-        gpp = np.where(inside, (2.0 / r**2) * g * g + (8.0 * u * u / r**4) * g**3, 0.0)
-        chip = -gp * chi
-        chipp = (gp * gp - gpp) * chi
-        return self.amplitude * (
-            -6.0 * u * chi
-            + 2.0 * (1.0 - 3.0 * u * u) * chip
-            + u * (1.0 - u * u) * chipp
-        )
-
 
 class ReactionDiffusionModel(_SpectralModel):
     """u_t = Lap u + f(u); the state is the coefficient vector itself."""
@@ -420,13 +363,13 @@ class ReactionDiffusionModel(_SpectralModel):
     kind = "rd"
     name = "reaction-diffusion"
 
-    def __init__(self, es, T=1.0, reaction=None, mesh=None, substeps=1, grid_n=None):
+    def __init__(self, es, T=1.0, reaction=None, mesh=None, substeps=1):
         if es.subspace == DIV_FREE:
             raise ValueError("reaction-diffusion is scalar")
         super().__init__(es, T, mesh, substeps)
         self.lin = -es.lam
         self.reaction = reaction if reaction is not None else BumpReaction()
-        self.grid_n = grid_n if grid_n is not None else es.min_grid_points(dealias=True)
+        self.n = es.min_grid_points(dealias=True)
 
     @staticmethod
     def _lift(coeffs):
@@ -435,14 +378,14 @@ class ReactionDiffusionModel(_SpectralModel):
     _project = _lift
 
     def _nonlin(self, u):
-        vals = values_from_coeffs(self.es, u, self.grid_n)
+        vals = values_from_coeffs(self.es, u, self.n)
         return coeffs_from_values(self.es, self.reaction.f(vals))
 
     def _dnonlin(self, u, v):
         """f'(u) v for base coefficients u (nm,) and tangent columns v (B, nm)."""
-        base_vals = values_from_coeffs(self.es, u, self.grid_n)
+        base_vals = values_from_coeffs(self.es, u, self.n)
         fp = self.reaction.df(base_vals)
-        tvals = values_from_coeffs(self.es, v, self.grid_n)
+        tvals = values_from_coeffs(self.es, v, self.n)
         return coeffs_from_values(self.es, fp[None, ...] * tvals)
 
 
@@ -457,12 +400,12 @@ class NavierStokesModel(_SpectralModel):
     kind = "ns"
     name = "Navier-Stokes"
 
-    def __init__(self, es, viscosity, T=1.0, forcing=None, mesh=None, substeps=1, grid_n=None):
+    def __init__(self, es, viscosity, T=1.0, forcing=None, mesh=None, substeps=1):
         if es.subspace != DIV_FREE:
             raise ValueError("Navier-Stokes needs the divergence-free eigensystem")
         super().__init__(es, T, mesh, substeps)
         self.nu = float(viscosity)
-        self.n = grid_n if grid_n is not None else es.min_grid_points(dealias=True)
+        self.n = es.min_grid_points(dealias=True)
 
         n = self.n
         k = np.fft.fftfreq(n, d=1.0 / n)
@@ -473,22 +416,6 @@ class NavierStokesModel(_SpectralModel):
         self.lam_safe = np.where(self.lam > 0, self.lam, 1.0)
         self.lin = -self.nu * self.lam
 
-        # eigen index -> lattice positions for velocity <-> vorticity maps
-        shape = (n, n)
-        self._pos = np.array(
-            [
-                np.ravel_multi_index((int(kv[0]) % n, int(kv[1]) % n), shape)
-                for kv in es.kvecs
-            ],
-            dtype=np.int64,
-        )
-        self._neg = np.array(
-            [
-                np.ravel_multi_index(((-int(kv[0])) % n, (-int(kv[1])) % n), shape)
-                for kv in es.kvecs
-            ],
-            dtype=np.int64,
-        )
         self._two_pi_absk = 2.0 * np.pi * np.sqrt((es.kvecs**2).sum(axis=1).astype(float))
         self._is_cos = es.kind == 1
 
@@ -509,35 +436,21 @@ class NavierStokesModel(_SpectralModel):
         w[..., ~cos_idx] = -self._two_pi_absk[cos_idx] * vel_coeffs[..., cos_idx]
         return w
 
-    def _vorticity_lattice(self, w_coeffs):
-        """Realified vorticity coefficients -> numpy-convention DFT array."""
-        n = self.n
-        batch = w_coeffs.shape[:-1]
-        flat = np.zeros(batch + (n * n,), dtype=complex)
-        amp = np.where(self._is_cos, w_coeffs, 0.0) / np.sqrt(2.0) + 1j * np.where(
-            self._is_cos, 0.0, -w_coeffs
-        ) / np.sqrt(2.0)
-        np.add.at(flat, (Ellipsis, self._pos), amp)
-        np.add.at(flat, (Ellipsis, self._neg), np.conj(amp))
-        return flat.reshape(batch + (n, n)) * (n * n)
-
     def _lift(self, vel_coeffs):
-        return self._vorticity_lattice(self._curl_coeffs(vel_coeffs))
-
-    def _velocity_coeffs(self, what):
-        """DFT vorticity array(s) -> div-free velocity coefficients (..., nm)."""
+        """Velocity coefficients -> numpy-convention DFT vorticity array(s)."""
         n = self.n
-        flat = what.reshape(what.shape[:-2] + (n * n,)) / (n * n)
-        a = flat[..., self._pos]
-        w_cos = np.sqrt(2.0) * a.real
-        w_sin = -np.sqrt(2.0) * a.imag
-        out = np.empty(what.shape[:-2] + (self.es.size,))
-        cos_idx = self._is_cos
-        out[..., cos_idx] = -w_sin[..., cos_idx] / self._two_pi_absk[cos_idx]
-        out[..., ~cos_idx] = w_cos[..., ~cos_idx] / self._two_pi_absk[~cos_idx]
-        return out
+        return coeffs_to_lattice(self.es, self._curl_coeffs(vel_coeffs), n) * (n * n)
 
-    _project = _velocity_coeffs
+    def _project(self, what):
+        """DFT vorticity array(s) -> div-free velocity coefficients (..., nm);
+        inverts :meth:`_curl_coeffs`."""
+        n = self.n
+        w = lattice_to_coeffs(self.es, what / (n * n), n)
+        out = np.empty_like(w)
+        cos_idx = self._is_cos
+        out[..., cos_idx] = -w[..., ~cos_idx] / self._two_pi_absk[~cos_idx]
+        out[..., ~cos_idx] = w[..., cos_idx] / self._two_pi_absk[cos_idx]
+        return out
 
     # -- spectral operators ----------------------------------------------------
 

@@ -15,40 +15,10 @@ from .spectral import DIV_FREE, values_from_coeffs
 class GaussianSampleBatch:
     """m draws from N(0, M^{-1}) in the retained eigenbasis."""
 
-    def __init__(self, samples, n_basis, seed_info=None):
+    def __init__(self, samples, n_basis):
         self.samples = samples
         self.m = samples.shape[0]
         self.n_basis = n_basis
-        self.seed_info = seed_info
-
-    def dump(self):
-        return {
-            "K": self.n_basis,
-            "m": self.m,
-            "seed": self.seed_info,
-        }
-
-    def save(self, path_stem, model_hash=None):
-        """<stem>.json header {K, m, seed, model-hash} + <stem>.f64 matrix (m x K)."""
-        import json
-
-        header = dict(self.dump())
-        header["model-hash"] = model_hash
-        header["dtype"] = "<f8"
-        with open(f"{path_stem}.json", "w") as fh:
-            json.dump(header, fh, sort_keys=True, indent=2)
-        self.samples.astype("<f8").tofile(f"{path_stem}.f64")
-
-    @classmethod
-    def load(cls, path_stem):
-        import json
-
-        with open(f"{path_stem}.json") as fh:
-            header = json.load(fh)
-        samples = np.fromfile(f"{path_stem}.f64", dtype="<f8").reshape(
-            header["m"], header["K"]
-        )
-        return cls(samples, header["K"], seed_info=header.get("seed"))
 
 
 def sample_efficient_gaussian(M, m, rng, k=None):

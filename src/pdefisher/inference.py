@@ -19,16 +19,14 @@ from .spectral import FourierCoeffs, pairing
 class Dataset:
     """N records (t_i, x_i, Y_i) drawn from design x noise around one field."""
 
-    def __init__(self, t, x, y, seed=None, theta_label=None):
+    def __init__(self, t, x, y):
         self.t = t
         self.x = x
         self.y = y
         self.n = t.shape[0]
-        self.seed = seed
-        self.theta_label = theta_label
 
 
-def simulate_dataset(model, theta, design, noise, n, rng, field=None, seed=None):
+def simulate_dataset(model, theta, design, noise, n, rng, field=None):
     """Y_i = G(theta)(t_i, x_i) + eps_i; the forward solve is reused if given."""
     if n < 1:
         raise ValueError("need n >= 1")
@@ -37,7 +35,7 @@ def simulate_dataset(model, theta, design, noise, n, rng, field=None, seed=None)
     t, x = design.sample(rng, n, model.es.d)
     eps = noise.sample(rng, n)
     y = field.evaluate(t, x) + eps
-    return Dataset(t, x, y, seed=seed)
+    return Dataset(t, x, y)
 
 
 def _replicate_map(fn, replicates, workers):
@@ -200,9 +198,6 @@ def efficiency_report(
     """Truncated lower-bound trace for <psi, theta0> against the Monte-Carlo
     variance of the influence estimator (heat-type models attain the bound).
     """
-    import time
-
-    t_start = time.perf_counter()
     trace = s_norm_truncated(psi, M, k_grid=k_grid)
     divergent, increments = octave_divergence_flag(trace["k_grid"], trace["values"])
     bound = trace["values"][-1]
@@ -222,7 +217,6 @@ def efficiency_report(
     estimates = _replicate_map(one, replicates, workers)
     mc_var = float(n * estimates.var(ddof=1))
     var_stderr = mc_var * np.sqrt(2.0 / (replicates - 1))
-    elapsed = time.perf_counter() - t_start
     return {
         "bound_trace": trace,
         "bound": bound,
@@ -237,5 +231,4 @@ def efficiency_report(
         "mc_variance_stderr": float(var_stderr),
         "variance_over_bound": mc_var / bound if bound > 0 else float("inf"),
         "replicate_values": estimates.tolist(),
-        "runtime_s": elapsed,
     }

@@ -20,15 +20,13 @@ class FisherMatrix:
     def __init__(self, matrix):
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         matrix = 0.5 * (matrix + matrix.T)
-        evals, evecs = np.linalg.eigh(matrix)
+        evals = np.linalg.eigh(matrix)[0]
         if evals.min() <= 0:
             raise ValueError(
                 f"noise information matrix is not positive definite (min eig {evals.min():.3e})"
             )
         self.matrix = matrix
         self.evals = evals
-        self.sqrt = (evecs * np.sqrt(evals)) @ evecs.T
-        self.inv = (evecs / evals) @ evecs.T
 
     @property
     def p(self):

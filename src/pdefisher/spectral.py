@@ -15,8 +15,6 @@ lexicographically on the wavevector and then cos before sin, so index maps
 are reproducible across runs.
 """
 
-import json
-
 import numpy as np
 
 FULL = "full"
@@ -31,32 +29,6 @@ KIND_COS = 1
 KIND_SIN = 2
 
 TWO_PI = 2.0 * np.pi
-
-
-class TorusGrid:
-    """Uniform grid on [0,1)^d with n points per axis, for p components."""
-
-    def __init__(self, d, n, p=1):
-        if d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {d}")
-        if n % 2 != 0 or n < 8:
-            raise ValueError(f"points per axis must be even and >= 8, got {n}")
-        if p < 1:
-            raise ValueError("component count must be >= 1")
-        self.d = d
-        self.n = n
-        self.p = p
-
-    def axes(self):
-        x = np.arange(self.n) / self.n
-        return (x,) * self.d
-
-    def meshgrid(self):
-        return np.meshgrid(*self.axes(), indexing="ij")
-
-    def supports_modes(self, kmax):
-        # retained modes must not alias: n >= 2*kmax + 2
-        return self.n >= 2 * kmax + 2
 
 
 def _half_lattice(d, kmax):
@@ -116,14 +88,6 @@ class EigenSystem:
         if n % 2:
             n += 1
         return n
-
-    def grid(self, dealias=False, n=None):
-        if n is None:
-            n = self.min_grid_points(dealias=dealias)
-        g = TorusGrid(self.d, n, p=self.p)
-        if not g.supports_modes(self.kmax):
-            raise ValueError(f"grid n={n} aliases modes up to kmax={self.kmax}")
-        return g
 
     def index_of(self, kvec, kind):
         """Index of a basis function, -1 if not retained."""
@@ -205,9 +169,6 @@ class FourierCoeffs:
         u[j] = 1.0
         return cls(es, u)
 
-    def copy(self):
-        return FourierCoeffs(self.es, self.data.copy())
-
     def __add__(self, other):
         self._check(other)
         return FourierCoeffs(self.es, self.data + other.data)
@@ -224,54 +185,6 @@ class FourierCoeffs:
     def _check(self, other):
         if other.es != self.es:
             raise ValueError("eigensystem mismatch")
-
-    def dump(self):
-        """JSON coefficient dump, ordered by eigensystem index.
-
-        Each entry carries the complex amplitude of exp(2i pi k.x) carried by
-        that single (realified) basis function: cos modes map to
-        (u/sqrt(2), 0), sin modes to (0, -u/sqrt(2)),
-        the constant mode to (u, 0).
-        """
-        entries = []
-        for j in range(self.es.size):
-            u = float(self.data[j])
-            kind = int(self.es.kind[j])
-            if kind == KIND_CONST:
-                re, im = u, 0.0
-            elif kind == KIND_COS:
-                re, im = u / np.sqrt(2.0), 0.0
-            else:
-                re, im = 0.0, -u / np.sqrt(2.0)
-            entries.append({"k": [int(c) for c in self.es.kvecs[j]], "re": re, "im": im})
-        return {
-            "d": self.es.d,
-            "K": self.es.kmax,
-            "subspace": self.es.subspace,
-            "components": self.es.p,
-            "entries": entries,
-        }
-
-    def dumps(self):
-        return json.dumps(self.dump())
-
-
-def load_coeffs(obj, es=None):
-    """Inverse of :meth:`FourierCoeffs.dump`."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if es is None:
-        es = build_eigensystem(obj["d"], obj["K"], obj["subspace"])
-    data = np.zeros(es.size)
-    for j, e in enumerate(obj["entries"]):
-        kind = int(es.kind[j])
-        if kind == KIND_CONST:
-            data[j] = e["re"]
-        elif kind == KIND_COS:
-            data[j] = e["re"] * np.sqrt(2.0)
-        else:
-            data[j] = -e["im"] * np.sqrt(2.0)
-    return FourierCoeffs(es, data)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +226,13 @@ def _lattice(es, n):
     return lm
 
 
-def _coeffs_to_lattice(es, data, n):
+def coeffs_to_lattice(es, data, n):
     """Real coefficients (..., nm) -> complex DFT array c(k) of shape (..., n[,n]).
 
-    Scalar fields only (the div-free case scatters per component via dirs).
+    The one realified <-> lattice convention: a cos coefficient u puts u/sqrt(2)
+    at k, a sin coefficient -i u/sqrt(2), the constant u at 0, and every
+    non-constant mode the conjugate amplitude at -k.  Scalar fields only (the
+    div-free case scatters per component via dirs).
     """
     lm = _lattice(es, n)
     batch = data.shape[:-1]
@@ -332,6 +248,21 @@ def _coeffs_to_lattice(es, data, n):
     return flat.reshape(batch + lm.shape)
 
 
+def lattice_to_coeffs(es, chat, n):
+    """Inverse of :func:`coeffs_to_lattice`: DFT array(s) (..., n[,n]) -> (..., nm).
+
+    Reads the amplitude at +k only, so it is exact for Hermitian lattices.
+    """
+    lm = _lattice(es, n)
+    batch = chat.shape[: -es.d]
+    a = chat.reshape(batch + (n**es.d,))[..., lm.pos]
+    out = np.zeros(batch + (es.size,))
+    out[..., lm.is_const] = a[..., lm.is_const].real
+    out[..., lm.is_cos] = np.sqrt(2.0) * a[..., lm.is_cos].real
+    out[..., lm.is_sin] = -np.sqrt(2.0) * a[..., lm.is_sin].imag
+    return out
+
+
 def values_from_coeffs(es, data, n):
     """Evaluate fields on the uniform n^d grid.
 
@@ -342,10 +273,10 @@ def values_from_coeffs(es, data, n):
     if es.subspace == DIV_FREE:
         comps = []
         for c in range(2):
-            lat = _coeffs_to_lattice(es, data * es.dirs[:, c], n)
+            lat = coeffs_to_lattice(es, data * es.dirs[:, c], n)
             comps.append((n**es.d) * np.fft.ifftn(lat, axes=(-2, -1)).real)
         return np.stack(comps, axis=-3)
-    lat = _coeffs_to_lattice(es, data, n)
+    lat = coeffs_to_lattice(es, data, n)
     axes = tuple(range(-es.d, 0))
     return (n**es.d) * np.fft.ifftn(lat, axes=axes).real
 
@@ -355,27 +286,18 @@ def coeffs_from_values(es, values):
 
     values: (..., n[, n]) scalar or (..., 2, n, n) for div-free.
     """
+    n = values.shape[-1]
+    axes = tuple(range(-es.d, 0))
+
+    def project(vals):
+        return lattice_to_coeffs(es, np.fft.fftn(vals, axes=axes) / (n**es.d), n)
+
     if es.subspace == DIV_FREE:
-        n = values.shape[-1]
         out = 0.0
         for c in range(2):
-            out = out + _scalar_coeffs_from_values(es, values[..., c, :, :], n) * es.dirs[:, c]
+            out = out + project(values[..., c, :, :]) * es.dirs[:, c]
         return out
-    n = values.shape[-1]
-    return _scalar_coeffs_from_values(es, values, n)
-
-
-def _scalar_coeffs_from_values(es, values, n):
-    lm = _lattice(es, n)
-    axes = tuple(range(-es.d, 0))
-    chat = np.fft.fftn(values, axes=axes) / (n**es.d)
-    flat = chat.reshape(values.shape[: -es.d] + (n**es.d,))
-    a = flat[..., lm.pos]
-    out = np.zeros(values.shape[: -es.d] + (es.size,))
-    out[..., lm.is_const] = a[..., lm.is_const].real
-    out[..., lm.is_cos] = np.sqrt(2.0) * a[..., lm.is_cos].real
-    out[..., lm.is_sin] = -np.sqrt(2.0) * a[..., lm.is_sin].imag
-    return out
+    return project(values)
 
 
 def dealiased_product(es, u, v):

@@ -172,6 +172,17 @@ class TestInconsistentConfigs:
         assert isinstance(result.exception, SystemExit)  # not an uncaught error
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override", [["--seed", "-1"], ["--workers", "0"]], ids=["seed-negative", "workers-zero"]
+    )
+    def test_override_outside_schema_exit_2_no_outputs(self, tmp_path, override):
+        path = _write(tmp_path, "cfg.yaml", _fisher_cfg())
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "-c", path, "-o", str(out)] + override)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        assert not out.exists()
+
 
 class TestRunDispatch:
     def test_run_uses_config_task(self, tmp_path):
@@ -225,14 +236,15 @@ class TestReproducibility:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["seed"] == 99
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_env_seed_ignored(self, tmp_path, monkeypatch):
+        # the seed comes from the config or --seed, never from the environment
         path = _write(tmp_path, "cfg.yaml", self._snorm_cfg())
         out = tmp_path / "d"
         monkeypatch.setenv("PDEFISHER_SEED", "123")
         result = CliRunner().invoke(main, ["snorm", "-c", path, "-o", str(out)])
         assert result.exit_code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["config"]["seed"] == 123
+        assert report["config"]["seed"] == 7
 
 
 class TestTraceArtifacts:

@@ -23,6 +23,7 @@ from pdefisher import (
     sobolev_norm,
     solve_heat_exact,
 )
+from pdefisher.spectral import values_from_coeffs
 
 LAM1 = 4 * np.pi**2
 
@@ -81,9 +82,6 @@ class ZeroReaction:
         return np.zeros_like(u)
 
     def df(self, u):
-        return np.zeros_like(u)
-
-    def d2f(self, u):
         return np.zeros_like(u)
 
 
@@ -248,6 +246,22 @@ class TestNavierStokes:
         h = _field(es_ns, [([0, 1], 1, 1.0)])
         out = qmd_remainder_slope(ns, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
         assert abs(out["slope"] - 2.0) < 0.2
+
+
+class TestNavierStokesLatticeMaps:
+    """The vorticity lift and velocity projection against the curl of the
+    velocity grid values, differentiated spectrally by numpy's FFT."""
+
+    @pytest.mark.parametrize("kmax", [3, 4, 6])
+    def test_lift_is_curl_and_project_inverts_it(self, kmax):
+        es = build_eigensystem(2, kmax, DIV_FREE)
+        ns = NavierStokesModel(es, viscosity=0.05, T=0.25, mesh=TimeMesh.uniform(0.25, 4))
+        c = np.random.default_rng(kmax).standard_normal((5, es.size))
+        u = values_from_coeffs(es, c, ns.n)  # (5, 2, n, n)
+        curl = 2j * np.pi * (ns.kx * np.fft.fft2(u[:, 1]) - ns.ky * np.fft.fft2(u[:, 0]))
+        lifted = ns._lift(c)
+        assert np.abs(lifted - curl).max() <= 1e-13 * np.abs(curl).max()
+        np.testing.assert_allclose(ns._project(lifted), c, rtol=0, atol=1e-13)
 
 
 class TestReactionDiffusion2D:
@@ -438,22 +452,6 @@ class TestEvaluateExact:
             for ti, xi in zip(t, x)
         ])
         np.testing.assert_allclose(f.evaluate(t, x), expected, rtol=0, atol=1e-12)
-
-
-class TestSerialization:
-    def test_field_roundtrip(self, es1, tmp_path):
-        mesh = TimeMesh.graded(1.0, levels=6, steps_per_block=8)
-        theta = _field(es1, [([1], 1, 0.7), ([2], 2, 0.4)], const=0.1)
-        f = solve_heat_exact(theta, T=1.0, mesh=mesh)
-        stem = str(tmp_path / "field")
-        f.save(stem, model_kind="heat")
-        import pdefisher
-
-        g = pdefisher.SpaceTimeField.load(stem)
-        np.testing.assert_array_equal(g.data, f.data)
-        np.testing.assert_array_equal(g.mesh.nodes, f.mesh.nodes)
-        np.testing.assert_allclose(g.mesh.weights, f.mesh.weights)
-        assert g.es == f.es
 
 
 class TestSmoothing:

@@ -58,17 +58,6 @@ class TestSampling:
         b = sample_efficient_gaussian(M, 64, np.random.default_rng(42)).samples
         np.testing.assert_array_equal(a, b)
 
-    def test_batch_dump_roundtrip(self, heat_M, tmp_path):
-        from pdefisher import GaussianSampleBatch
-
-        _, _, M = heat_M
-        batch = sample_efficient_gaussian(M, 32, np.random.default_rng(43))
-        stem = str(tmp_path / "batch")
-        batch.save(stem, model_hash="deadbeef")
-        back = GaussianSampleBatch.load(stem)
-        np.testing.assert_array_equal(back.samples, batch.samples)
-        assert back.n_basis == batch.n_basis
-
     def test_rkhs_reproducing_identity(self, heat_M):
         # h^T M h equals (Mh)^T M^{-1} (Mh) exactly
         _, _, M = heat_M

@@ -1,7 +1,5 @@
 """Eigensystem, transform, and norm checks against independent oracles."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from pdefisher import (
 from pdefisher.spectral import (
     coeffs_from_values,
     dealiased_product,
-    load_coeffs,
     values_from_coeffs,
 )
 
@@ -199,15 +196,3 @@ class TestTransforms:
         assert np.abs(div).max() / np.abs(np.fft.fft2(vals[0])).max() < 1e-12
         # and the projection roundtrips
         np.testing.assert_allclose(coeffs_from_values(es, vals), u, atol=1e-12)
-
-
-class TestDump:
-    def test_dump_roundtrip_and_ordering(self):
-        es = build_eigensystem(2, 3, MEAN_ZERO)
-        u = FourierCoeffs(es, np.random.default_rng(7).standard_normal(es.size))
-        blob = u.dumps()
-        obj = json.loads(blob)
-        assert obj["subspace"] == MEAN_ZERO
-        assert len(obj["entries"]) == es.size
-        back = load_coeffs(blob)
-        np.testing.assert_allclose(back.data, u.data, atol=1e-15)
