@@ -210,10 +210,9 @@ def _etdrk4_coeffs(h, lin, n_contour=32):
 def _etdrk4_step(u, nonlin, c):
     """One ETDRK4 step of u' = L u + N(u) with precomputed coefficients.
 
-    Returns the new state and the four stage states at which N was evaluated.
-    Stepping tangent states v by the same function, with the nonlinearity
-    v -> N'(stage_i) v at stage i, is the exact Jacobian-vector product of
-    the base step.
+    N is called at the four stage states in order.  Stepping tangent states v
+    by the same function, with the nonlinearity v -> N'(stage_i) v at stage
+    i, is the exact Jacobian-vector product of the base step.
     """
     n0 = nonlin(u)
     a = c["E2"] * u + c["Q"] * n0
@@ -222,8 +221,7 @@ def _etdrk4_step(u, nonlin, c):
     n2 = nonlin(b)
     cc = c["E2"] * a + c["Q"] * (2.0 * n2 - n0)
     n3 = nonlin(cc)
-    u_new = c["E"] * u + c["f1"] * n0 + 2.0 * c["f2"] * (n1 + n2) + c["f3"] * n3
-    return u_new, (u, a, b, cc)
+    return c["E"] * u + c["f1"] * n0 + 2.0 * c["f2"] * (n1 + n2) + c["f3"] * n3
 
 
 def _checked_mesh(T, mesh):
@@ -239,8 +237,10 @@ class _SpectralModel:
     A subclass sets ``lin`` (the diagonal linear part of its state equation)
     and ``name`` (for the blow-up error), and supplies ``_lift``
     (coefficients (..., nm) -> states), ``_project`` (states -> coefficients,
-    batched over leading axes), ``_nonlin(u)`` and ``_dnonlin(u, v)``, the
-    derivative of the nonlinearity at u applied to tangent states v (B, ...).
+    batched over leading axes), ``_grid(u)`` (the grid values of state u
+    that the nonlinearity and its derivative both need), ``_nonlin(g)`` and
+    ``_dnonlin(g, v)``, the derivative of the nonlinearity at the state with
+    grid values g applied to tangent states v (B, ...).
     """
 
     def __init__(self, es, T, mesh, substeps):
@@ -258,6 +258,12 @@ class _SpectralModel:
             vsnaps = np.empty((self.mesh.n_nodes, self.es.size, v.shape[0]))
             vsnaps[0] = np.moveaxis(self._project(v), 0, -1)
         cache = {}
+        grids = []  # the current step's four base-stage grid values
+
+        def base_nonlin(w):
+            grids.append(self._grid(w))
+            return self._nonlin(grids[-1])
+
         for i0, nsteps, h_store in self.mesh.blocks:
             h = h_store / self.substeps
             if h not in cache:
@@ -265,10 +271,11 @@ class _SpectralModel:
             c = cache[h]
             for s in range(nsteps):
                 for _ in range(self.substeps):
-                    u, stages = _etdrk4_step(u, self._nonlin, c)
+                    grids.clear()
+                    u = _etdrk4_step(u, base_nonlin, c)
                     if v is not None:
-                        stages = iter(stages)
-                        v, _ = _etdrk4_step(v, lambda w: self._dnonlin(next(stages), w), c)
+                        stages = iter(grids)
+                        v = _etdrk4_step(v, lambda w: self._dnonlin(next(stages), w), c)
                 if not np.all(np.isfinite(u)):
                     raise RuntimeError(f"{self.name} solve blew up at t={self.mesh.nodes[i0+s+1]:.4g}")
                 snaps[i0 + s + 1] = self._project(u)
@@ -377,16 +384,16 @@ class ReactionDiffusionModel(_SpectralModel):
 
     _project = _lift
 
-    def _nonlin(self, u):
-        vals = values_from_coeffs(self.es, u, self.n)
+    def _grid(self, u):
+        return values_from_coeffs(self.es, u, self.n)
+
+    def _nonlin(self, vals):
         return coeffs_from_values(self.es, self.reaction.f(vals))
 
-    def _dnonlin(self, u, v):
-        """f'(u) v for base coefficients u (nm,) and tangent columns v (B, nm)."""
-        base_vals = values_from_coeffs(self.es, u, self.n)
-        fp = self.reaction.df(base_vals)
+    def _dnonlin(self, vals, v):
+        """f'(u) v for the base grid values ``vals`` of u and tangent columns v (B, nm)."""
         tvals = values_from_coeffs(self.es, v, self.n)
-        return coeffs_from_values(self.es, fp[None, ...] * tvals)
+        return coeffs_from_values(self.es, self.reaction.df(vals)[None, ...] * tvals)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +402,8 @@ class ReactionDiffusionModel(_SpectralModel):
 
 
 class NavierStokesModel(_SpectralModel):
-    """Marched as DFT vorticity on the n x n lattice; stored as velocity coefficients."""
+    """Marched as the rfft2 half spectrum (n, n//2+1) of the vorticity (numpy's
+    unnormalized DFT); stored as velocity coefficients."""
 
     kind = "ns"
     name = "Navier-Stokes"
@@ -408,12 +416,13 @@ class NavierStokesModel(_SpectralModel):
         self.n = es.min_grid_points(dealias=True)
 
         n = self.n
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        self.kx = k[:, None] * np.ones((1, n))
-        self.ky = np.ones((n, 1)) * k[None, :]
+        self.kx = np.fft.fftfreq(n, d=1.0 / n)[:, None] * np.ones((1, n // 2 + 1))
+        self.ky = np.ones((n, 1)) * np.fft.rfftfreq(n, d=1.0 / n)[None, :]
         self.lam = 4.0 * np.pi**2 * (self.kx**2 + self.ky**2)
         self.mask = (np.abs(self.kx) <= es.kmax) & (np.abs(self.ky) <= es.kmax)
-        self.lam_safe = np.where(self.lam > 0, self.lam, 1.0)
+        # vorticity -> streamfunction: -1/lam on the retained modes, 0 at k = 0
+        lam_safe = np.where(self.lam > 0, self.lam, 1.0)
+        self.inv_lap = np.where(self.mask & (self.lam > 0), -1.0 / lam_safe, 0.0)
         self.lin = -self.nu * self.lam
 
         self._two_pi_absk = 2.0 * np.pi * np.sqrt((es.kvecs**2).sum(axis=1).astype(float))
@@ -437,12 +446,12 @@ class NavierStokesModel(_SpectralModel):
         return w
 
     def _lift(self, vel_coeffs):
-        """Velocity coefficients -> numpy-convention DFT vorticity array(s)."""
+        """Velocity coefficients -> numpy-convention DFT vorticity half spectra."""
         n = self.n
         return coeffs_to_lattice(self.es, self._curl_coeffs(vel_coeffs), n) * (n * n)
 
     def _project(self, what):
-        """DFT vorticity array(s) -> div-free velocity coefficients (..., nm);
+        """DFT vorticity half spectra -> div-free velocity coefficients (..., nm);
         inverts :meth:`_curl_coeffs`."""
         n = self.n
         w = lattice_to_coeffs(self.es, what / (n * n), n)
@@ -454,31 +463,27 @@ class NavierStokesModel(_SpectralModel):
 
     # -- spectral operators ----------------------------------------------------
 
-    def _velocity_values(self, what):
-        psi = np.where(self.mask, -what / self.lam_safe, 0.0)
-        psi[..., 0, 0] = 0.0
-        u1 = np.fft.ifft2(-2j * np.pi * self.ky * psi).real
-        u2 = np.fft.ifft2(2j * np.pi * self.kx * psi).real
-        return u1, u2
+    def _grid(self, what):
+        """Velocity u1, u2 and vorticity gradient wx, wy on the n x n grid."""
+        s = (self.n, self.n)
+        psi = self.inv_lap * what
+        u1 = np.fft.irfft2(-2j * np.pi * self.ky * psi, s)
+        u2 = np.fft.irfft2(2j * np.pi * self.kx * psi, s)
+        wx = np.fft.irfft2(2j * np.pi * self.kx * what, s)
+        wy = np.fft.irfft2(2j * np.pi * self.ky * what, s)
+        return u1, u2, wx, wy
 
-    def _nonlin(self, what):
-        u1, u2 = self._velocity_values(what)
-        wx = np.fft.ifft2(2j * np.pi * self.kx * what).real
-        wy = np.fft.ifft2(2j * np.pi * self.ky * what).real
-        adv = np.fft.fft2(u1 * wx + u2 * wy)
-        out = np.where(self.mask, -adv, 0.0)
+    def _nonlin(self, g):
+        u1, u2, wx, wy = g
+        out = np.where(self.mask, -np.fft.rfft2(u1 * wx + u2 * wy), 0.0)
         if self.forcing_hat is not None:
             out = out + self.forcing_hat
         return out
 
-    def _dnonlin(self, what, vhat):
-        u1, u2 = self._velocity_values(what)
-        wx = np.fft.ifft2(2j * np.pi * self.kx * what).real
-        wy = np.fft.ifft2(2j * np.pi * self.ky * what).real
-        tu1, tu2 = self._velocity_values(vhat)
-        twx = np.fft.ifft2(2j * np.pi * self.kx * vhat).real
-        twy = np.fft.ifft2(2j * np.pi * self.ky * vhat).real
-        adv = np.fft.fft2(u1 * twx + u2 * twy + tu1 * wx + tu2 * wy)
+    def _dnonlin(self, g, vhat):
+        u1, u2, wx, wy = g
+        tu1, tu2, twx, twy = self._grid(vhat)
+        adv = np.fft.rfft2(u1 * twx + u2 * twy + tu1 * wx + tu2 * wy)
         return np.where(self.mask, -adv, 0.0)
 
     def lattice_divergence(self, field):
@@ -490,7 +495,7 @@ class NavierStokesModel(_SpectralModel):
         worst = 0.0
         for i in range(field.mesh.n_nodes):
             w_hat = self._lift(field.data[i])
-            psi = np.where(self.mask, -w_hat / self.lam_safe, 0.0)
+            psi = self.inv_lap * w_hat
             u1_hat = -2j * np.pi * self.ky * psi
             u2_hat = 2j * np.pi * self.kx * psi
             div = 2j * np.pi * (self.kx * u1_hat + self.ky * u2_hat)

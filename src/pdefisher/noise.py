@@ -126,8 +126,16 @@ def _fisher_once(noise, n_panels):
     return mat
 
 
-def fisher_matrix(noise, rel_tol=1e-10, max_doublings=4):
-    """4 int (grad sqrt q)(grad sqrt q)^T dy by panel-doubled Gauss-Legendre."""
+def fisher_matrix(noise):
+    """4 int (grad sqrt q)(grad sqrt q)^T dy, computed once per noise model
+    (later calls return the FisherMatrix cached on the instance)."""
+    if "_fisher" not in vars(noise):
+        noise._fisher = _fisher_quadrature(noise)
+    return noise._fisher
+
+
+def _fisher_quadrature(noise, rel_tol=1e-10, max_doublings=4):
+    """Panel-doubled Gauss-Legendre until the relative change is below rel_tol."""
     n_panels = 32 if noise.p == 1 else 24
     prev = _fisher_once(noise, n_panels)
     for _ in range(max_doublings):

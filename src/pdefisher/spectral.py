@@ -13,6 +13,14 @@ subspaces are supported:
 Eigenpairs are ordered by nondecreasing eigenvalue, ties broken
 lexicographically on the wavevector and then cos before sin, so index maps
 are reproducible across runs.
+
+Grid transforms are real-to-complex: a field's DFT lives in the rfft half
+spectrum, shape (n//2+1,) in d = 1 and (n, n//2+1) in d = 2 (last component
+ky >= 0).  The cos and sin coefficients of wavevector k are the real and
+imaginary parts of one entry; a d = 2 mode with ky < 0 is stored conjugated
+at -k, and one with ky = 0 at both +-kx, since irfft2 needs that column
+Hermitian.  Dealiased grids (3/2 rule, n >= 3 kmax + 1) are rounded up to the
+next even n with no prime factor above 7, where the FFTs are fast.
 """
 
 import numpy as np
@@ -50,6 +58,13 @@ def _half_lattice(d, kmax):
     return out
 
 
+def _seven_smooth(n):
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 class EigenSystem:
     """Ordered eigensystem of the periodic Laplacian on a retained subspace.
 
@@ -78,15 +93,16 @@ class EigenSystem:
         return self.lam.shape[0]
 
     def min_grid_points(self, dealias=False):
-        """Smallest even grid resolving the retained modes.
+        """Smallest even grid n >= 8 resolving the retained modes.
 
         With ``dealias`` the grid resolves exact products of two retained
-        fields (3/2-rule: n >= 3*kmax + 1).
+        fields (3/2-rule: n >= 3*kmax + 1), and n is also 7-smooth (no prime
+        factor above 7), so the FFTs the marchers run on it are fast.
         """
-        need = 3 * self.kmax + 1 if dealias else 2 * self.kmax + 2
-        n = max(8, need)
-        if n % 2:
-            n += 1
+        n = max(8, 3 * self.kmax + 1 if dealias else 2 * self.kmax + 2)
+        n += n % 2
+        while dealias and not _seven_smooth(n):
+            n += 2
         return n
 
     def index_of(self, kvec, kind):
@@ -193,25 +209,30 @@ class FourierCoeffs:
 
 
 class _LatticeMap:
-    """Index maps between eigensystem entries and the complex FFT lattice."""
+    """Where each eigensystem entry lives in the rfft half spectrum, as offsets
+    into its flattened float64 view (entry p: real part at 2p, imaginary at
+    2p + 1).  ``read``/``inv`` take each coefficient off the half spectrum;
+    ``src``/``dst``/``fwd`` write it, the d = 2 modes with ky = 0 twice."""
 
     def __init__(self, es, n):
-        d = es.d
-        shape = (n,) * d
-        pos = np.zeros(es.size, dtype=np.int64)
-        neg = np.zeros(es.size, dtype=np.int64)
-        for j in range(es.size):
-            k = es.kvecs[j]
-            pos[j] = np.ravel_multi_index(tuple(int(c) % n for c in k), shape)
-            neg[j] = np.ravel_multi_index(tuple((-int(c)) % n for c in k), shape)
         self.es = es
-        self.n = n
-        self.shape = shape
-        self.pos = pos
-        self.neg = neg
-        self.is_const = es.kind == KIND_CONST
-        self.is_cos = es.kind == KIND_COS
-        self.is_sin = es.kind == KIND_SIN
+        self.shape = (n,) * (es.d - 1) + (n // 2 + 1,)
+
+        def offset(k):
+            return 2 * int(np.ravel_multi_index(tuple(c % n for c in k), self.shape))
+
+        rows = []  # (mode, offset, coefficient -> entry scale)
+        for j, (k, kind) in enumerate(zip(es.kvecs.tolist(), es.kind.tolist())):
+            sign = -1 if k[-1] < 0 else 1  # ky < 0: stored conjugated at -k
+            k = [sign * c for c in k]
+            imag = int(kind == KIND_SIN)
+            scale = 1.0 if kind == KIND_CONST else (-sign if imag else 1) / np.sqrt(2.0)
+            rows.append((j, offset(k) + imag, scale))
+            if kind != KIND_CONST and k[-1] == 0:  # irfft2 needs this column Hermitian
+                rows.append((j, offset([-c for c in k]) + imag, -scale if imag else scale))
+        self.src, self.dst, self.fwd = (np.array(col) for col in zip(*rows))
+        first = np.r_[True, np.diff(self.src) > 0]  # a mirror row follows its mode
+        self.read, self.inv = self.dst[first], 1.0 / self.fwd[first]
 
 
 _lattice_cache = {}
@@ -227,40 +248,29 @@ def _lattice(es, n):
 
 
 def coeffs_to_lattice(es, data, n):
-    """Real coefficients (..., nm) -> complex DFT array c(k) of shape (..., n[,n]).
+    """Real coefficients (..., nm) -> rfft half spectrum c(k), (..., [n,] n//2+1).
 
-    The one realified <-> lattice convention: a cos coefficient u puts u/sqrt(2)
-    at k, a sin coefficient -i u/sqrt(2), the constant u at 0, and every
-    non-constant mode the conjugate amplitude at -k.  Scalar fields only (the
-    div-free case scatters per component via dirs).
+    The one realified <-> lattice convention: a cos coefficient u is Re c(k) =
+    u/sqrt(2), a sin coefficient Im c(k) = -u/sqrt(2), the constant c(0); the
+    module docstring says where ky < 0 and ky = 0 modes go.  Scalar fields
+    only (the div-free case scales by dirs per component).
     """
     lm = _lattice(es, n)
     batch = data.shape[:-1]
-    flat = np.zeros(batch + (n**es.d,), dtype=complex)
-    amp = np.zeros(batch + (es.size,), dtype=complex)
-    amp[..., lm.is_const] = data[..., lm.is_const]
-    amp[..., lm.is_cos] = data[..., lm.is_cos] / np.sqrt(2.0)
-    amp[..., lm.is_sin] = -1j * data[..., lm.is_sin] / np.sqrt(2.0)
-    # cos and sin of the same wavevector hit the same lattice point: accumulate
-    np.add.at(flat, (Ellipsis, lm.pos), amp)
-    mask = ~lm.is_const
-    np.add.at(flat, (Ellipsis, lm.neg[mask]), np.conj(amp[..., mask]))
-    return flat.reshape(batch + lm.shape)
+    out = np.zeros(batch + lm.shape, dtype=complex)
+    out.reshape(batch + (-1,)).view(float)[..., lm.dst] = data[..., lm.src] * lm.fwd
+    return out
 
 
 def lattice_to_coeffs(es, chat, n):
-    """Inverse of :func:`coeffs_to_lattice`: DFT array(s) (..., n[,n]) -> (..., nm).
+    """Inverse of :func:`coeffs_to_lattice`: half spectra (..., [n,] n//2+1) -> (..., nm).
 
-    Reads the amplitude at +k only, so it is exact for Hermitian lattices.
+    Reads one entry per mode, so it is exact for Hermitian ky = 0 columns.
     """
     lm = _lattice(es, n)
-    batch = chat.shape[: -es.d]
-    a = chat.reshape(batch + (n**es.d,))[..., lm.pos]
-    out = np.zeros(batch + (es.size,))
-    out[..., lm.is_const] = a[..., lm.is_const].real
-    out[..., lm.is_cos] = np.sqrt(2.0) * a[..., lm.is_cos].real
-    out[..., lm.is_sin] = -np.sqrt(2.0) * a[..., lm.is_sin].imag
-    return out
+    chat = np.ascontiguousarray(chat, dtype=complex)
+    flat = chat.reshape(chat.shape[: -es.d] + (-1,)).view(float)
+    return flat[..., lm.read] * lm.inv
 
 
 def values_from_coeffs(es, data, n):
@@ -271,14 +281,9 @@ def values_from_coeffs(es, data, n):
     """
     data = np.asarray(data, dtype=float)
     if es.subspace == DIV_FREE:
-        comps = []
-        for c in range(2):
-            lat = coeffs_to_lattice(es, data * es.dirs[:, c], n)
-            comps.append((n**es.d) * np.fft.ifftn(lat, axes=(-2, -1)).real)
-        return np.stack(comps, axis=-3)
+        data = data[..., None, :] * es.dirs.T
     lat = coeffs_to_lattice(es, data, n)
-    axes = tuple(range(-es.d, 0))
-    return (n**es.d) * np.fft.ifftn(lat, axes=axes).real
+    return np.fft.irfftn(lat, s=(n,) * es.d, axes=tuple(range(-es.d, 0)), norm="forward")
 
 
 def coeffs_from_values(es, values):
@@ -287,28 +292,11 @@ def coeffs_from_values(es, values):
     values: (..., n[, n]) scalar or (..., 2, n, n) for div-free.
     """
     n = values.shape[-1]
-    axes = tuple(range(-es.d, 0))
-
-    def project(vals):
-        return lattice_to_coeffs(es, np.fft.fftn(vals, axes=axes) / (n**es.d), n)
-
+    chat = np.fft.rfftn(values, axes=tuple(range(-es.d, 0)), norm="forward")
+    out = lattice_to_coeffs(es, chat, n)
     if es.subspace == DIV_FREE:
-        out = 0.0
-        for c in range(2):
-            out = out + project(values[..., c, :, :]) * es.dirs[:, c]
-        return out
-    return project(values)
-
-
-def dealiased_product(es, u, v):
-    """Coefficients of the pointwise product of two scalar fields.
-
-    Computed on a 3/2-padded grid, hence exact for the retained modes.
-    """
-    n = es.min_grid_points(dealias=True)
-    uu = values_from_coeffs(es, np.asarray(u, dtype=float), n)
-    vv = values_from_coeffs(es, np.asarray(v, dtype=float), n)
-    return coeffs_from_values(es, uu * vv)
+        return out[..., 0, :] * es.dirs[:, 0] + out[..., 1, :] * es.dirs[:, 1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,47 @@
+"""The benchmark's tracer wraps pdefisher names from the outside
+(perfbench/layers.py); a rename under src/ must fail here, not only in a
+traced benchmark run."""
+
+import json
+import os
+import subprocess
+import sys
+import time
+
+import yaml
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_traced_child_runs_and_counts(tmp_path):
+    # graded mesh: 3 blocks of 4 steps; 8 unit tangent columns
+    cfg = {
+        "seed": 3,
+        "workers": 1,
+        "model": {
+            "kind": "rd", "kmax": 8, "T": 0.5,
+            "mesh": {"kind": "graded", "levels": 2, "steps_per_block": 4},
+        },
+        "noise": {"family": "gaussian", "variance": 1.0},
+        "design": {"kind": "uniform"},
+        "numerics": {"n_basis": 8},
+        "task": {
+            "name": "gaussian-support", "beta_list": [1.0, 2.0], "k_grid": [2, 4, 8],
+            "kappa": 1.0, "alpha": 0.5, "m_mc": 200, "mc_sigmas": 5.0,
+        },
+    }
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    stats_path = tmp_path / "stats.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PERFBENCH_T0=repr(time.monotonic()))
+    argv = [
+        sys.executable, os.path.join(ROOT, "perfbench", "child.py"), str(stats_path), "trace",
+        "run", "-c", str(cfg_path), "-o", str(tmp_path / "out"),
+    ]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    counts = json.loads(stats_path.read_text())["layers"]["counts"]
+    assert counts["forward.linearize.calls"] == 1
+    assert counts["forward.linearize.cols"] == 8
+    # per ETDRK4 stage: one base and one tangent transform to grid values
+    assert counts["spectral.to_values.calls"] == 12 * 4 * 2

@@ -13,12 +13,22 @@ from pdefisher import (
     sobolev_norm,
 )
 from pdefisher.spectral import (
+    KIND_CONST,
+    KIND_SIN,
     coeffs_from_values,
-    dealiased_product,
     values_from_coeffs,
 )
 
 PI2 = np.pi**2
+
+
+def dealiased_product(es, u, v):
+    """Coefficients of the pointwise product of two scalar fields, computed on
+    the dealiased grid, hence exact for the retained modes."""
+    n = es.min_grid_points(dealias=True)
+    return coeffs_from_values(
+        es, values_from_coeffs(es, u, n) * values_from_coeffs(es, v, n)
+    )
 
 
 class TestEigenSystem:
@@ -51,6 +61,17 @@ class TestEigenSystem:
         np.testing.assert_array_equal(a.kvecs, b.kvecs)
         np.testing.assert_array_equal(a.kind, b.kind)
         assert np.all(np.diff(a.lam) >= 0)
+
+    def test_dealiased_grid_is_smallest_even_7_smooth(self):
+        # oracle: brute-force search over even n >= max(8, 3k+1) divisible by
+        # no prime above 7
+        big_primes = [p for p in range(11, 300) if all(p % q for q in range(2, p))]
+        for k in range(1, 81):
+            n = max(8, 3 * k + 1)
+            while n % 2 or any(n % p == 0 for p in big_primes):
+                n += 1
+            assert build_eigensystem(1, k).min_grid_points(dealias=True) == n
+            assert build_eigensystem(2, k, DIV_FREE).min_grid_points(dealias=True) == n
 
     def test_invalid_combinations(self):
         with pytest.raises(ValueError):
@@ -164,21 +185,22 @@ class TestTransforms:
         rest = [a for k, a in amps.items() if k not in ((1,), (-1,))]
         assert max(abs(a) for a in rest) < 1e-14
 
-    def test_dealiased_product_vs_convolution_oracle(self):
+    @pytest.mark.parametrize("kmax", [8, 12, 24, 64])
+    def test_dealiased_product_vs_convolution_oracle(self, kmax):
         # oracle: O(K^2) direct convolution of complex coefficients
-        es = build_eigensystem(1, 8)
+        es = build_eigensystem(1, kmax)
         rng = np.random.default_rng(5)
         u = rng.standard_normal(es.size)
         v = rng.standard_normal(es.size)
-        cu = _complex_coeffs(es, u, 8)
-        cv = _complex_coeffs(es, v, 8)
+        cu = _complex_coeffs(es, u, kmax)
+        cv = _complex_coeffs(es, v, kmax)
         exact = {}
         for k1, a in cu.items():
             for k2, b in cv.items():
                 k = (k1[0] + k2[0],)
-                if abs(k[0]) <= 8:
+                if abs(k[0]) <= kmax:
                     exact[k] = exact.get(k, 0) + a * b
-        got = _complex_coeffs(es, dealiased_product(es, u, v), 8)
+        got = _complex_coeffs(es, dealiased_product(es, u, v), kmax)
         for k, val in exact.items():
             assert got.get(k, 0) == pytest.approx(val, abs=1e-12)
 
@@ -196,3 +218,46 @@ class TestTransforms:
         assert np.abs(div).max() / np.abs(np.fft.fft2(vals[0])).max() < 1e-12
         # and the projection roundtrips
         np.testing.assert_allclose(coeffs_from_values(es, vals), u, atol=1e-12)
+
+
+def _grid_sum(es, data, n):
+    """Explicit per-mode sum on the n^d grid: amp * cos or sin(2 pi k.x), with
+    div-free modes along their unit directions k_perp/|k|."""
+    axes = np.meshgrid(*([np.arange(n) / n] * es.d), indexing="ij")
+    out = np.zeros((2,) * (es.subspace == DIV_FREE) + (n,) * es.d)
+    for j in range(es.size):
+        phase = 2 * np.pi * sum(int(k) * x for k, x in zip(es.kvecs[j], axes))
+        if es.kind[j] == KIND_CONST:
+            mode = np.ones_like(phase)
+        elif es.kind[j] == KIND_SIN:
+            mode = np.sqrt(2) * np.sin(phase)
+        else:
+            mode = np.sqrt(2) * np.cos(phase)
+        if es.subspace == DIV_FREE:
+            out += data[j] * es.dirs[j][:, None, None] * mode
+        else:
+            out += data[j] * mode
+    return out
+
+
+class TestHalfSpectrumCodec:
+    """values_from_coeffs on the rfft half spectrum against the explicit mode
+    sum, and coeffs_from_values as its inverse."""
+
+    @pytest.mark.parametrize(
+        "d, kmax, subspace",
+        [(1, 9, FULL), (2, 5, FULL), (2, 5, DIV_FREE)],
+        ids=["d1-scalar", "d2-scalar", "d2-div-free"],
+    )
+    def test_matches_mode_sum_and_inverts(self, d, kmax, subspace):
+        es = build_eigensystem(d, kmax, subspace)
+        if d == 2:
+            ky = es.kvecs[:, 1]
+            assert (ky < 0).any() and (ky == 0).any() and (es.kvecs[:, 0] == 0).any()
+        rng = np.random.default_rng(7)
+        data = rng.standard_normal((3, es.size))
+        for n in (es.min_grid_points(), es.min_grid_points(dealias=True), 2 * es.min_grid_points() + 2):
+            vals = values_from_coeffs(es, data, n)
+            for b in range(3):
+                np.testing.assert_allclose(vals[b], _grid_sum(es, data[b], n), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(coeffs_from_values(es, vals), data, rtol=0, atol=1e-12)
