@@ -17,8 +17,6 @@ from .noise import (
     FisherMatrix,
     fisher_matrix,
     make_noise,
-    sample_noise,
-    score,
     sqrt_density_h1_check,
 )
 from .forward import (
@@ -50,7 +48,6 @@ from .gaussian import (
 )
 from .inference import (
     Dataset,
-    efficient_influence_estimate,
     efficiency_report,
     lan_montecarlo,
     log_likelihood_ratio,

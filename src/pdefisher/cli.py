@@ -36,7 +36,7 @@ from .config import (
 )
 from .forward import NavierStokesModel, qmd_remainder_slope
 from .gaussian import functional_pushforward_bound, sample_efficient_gaussian, support_diagnostic
-from .inference import efficiency_report, lan_montecarlo
+from .inference import efficiency_report, lan_montecarlo, replicate_seed_keys
 from .information import (
     _COND_LIMIT,
     assemble_information_matrix,
@@ -53,8 +53,6 @@ def _check(name, value, tolerance, ok):
 
 
 def _replicate_rows(values, rng_seed, replicates):
-    from .inference import replicate_seed_keys
-
     keys = replicate_seed_keys(rng_seed, replicates)
     return [("replicate", "value", "seed")] + [
         (i, v, k) for i, (v, k) in enumerate(zip(values, keys))
@@ -107,6 +105,15 @@ def _default_direction(exp):
     es = exp["es"]
     k = [1] if es.d == 1 else [1, 0]
     return build_field(es, {"modes": [{"k": k, "kind": "cos", "value": 1.0}]})
+
+
+def _spanned_field(exp, task, key, M):
+    """The task's ``key`` field (default direction if absent), which must lie
+    in the span of the basis retained by M."""
+    field = build_field(exp["es"], task[key]) if key in task else _default_direction(exp)
+    if np.any(field.data[M.n_basis :] != 0.0):
+        raise ConfigError(f"task.{key} has components beyond the {M.n_basis} retained modes")
+    return field
 
 
 def _task_qmd(exp, task, rng):
@@ -175,7 +182,7 @@ def _task_info_matrix(exp, task, rng):
 
 def _task_snorm(exp, task, rng):
     M = assemble_information_matrix(exp["model"], exp["theta0"], exp["noise"], exp["design"], exp["n_basis"])
-    psi = build_field(exp["es"], task["psi"]) if "psi" in task else _default_direction(exp)
+    psi = _spanned_field(exp, task, "psi", M)
     trace = s_norm_truncated(psi, M, k_grid=task.get("k_grid"))
     divergent, increments = octave_divergence_flag(trace["k_grid"], trace["values"])
     diffs = np.diff(trace["values"])
@@ -191,10 +198,12 @@ def _task_snorm(exp, task, rng):
 
 def _task_lan(exp, task, rng):
     M = assemble_information_matrix(exp["model"], exp["theta0"], exp["noise"], exp["design"], exp["n_basis"])
-    h = build_field(exp["es"], task["h"]) if "h" in task else _default_direction(exp)
-    if "h" in task and "scale_to_lan_norm" in task["h"]:
-        target = task["h"]["scale_to_lan_norm"]
-        h = h * (target / lan_norm(h, M))
+    h = _spanned_field(exp, task, "h", M)
+    norm = lan_norm(h, M)
+    if norm == 0.0:
+        raise ConfigError("task.h is zero; the LAN check needs a nonzero direction")
+    if "scale_to_lan_norm" in task.get("h", {}):
+        h = h * (task["h"]["scale_to_lan_norm"] / norm)
     report = lan_montecarlo(
         exp["model"], exp["theta0"], h, exp["noise"], exp["design"],
         task["n"], task["replicates"], exp["seed"],
@@ -271,7 +280,7 @@ def _task_pushforward(exp, task, rng):
 
 def _task_efficiency(exp, task, rng):
     M = assemble_information_matrix(exp["model"], exp["theta0"], exp["noise"], exp["design"], exp["n_basis"])
-    psi = build_field(exp["es"], task["psi"]) if "psi" in task else _default_direction(exp)
+    psi = _spanned_field(exp, task, "psi", M)
     report = efficiency_report(
         exp["model"], psi, exp["theta0"], exp["noise"], exp["design"], M,
         task["n"], task["replicates"], exp["seed"],

@@ -317,6 +317,10 @@ def validate_config(raw):
         jsonschema.validate(raw["task"], TASK_SCHEMAS[name])
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"invalid config: {exc.message}") from None
+    try:  # YAML's .nan and .inf pass the schema's numeric bounds
+        json.dumps(raw, allow_nan=False)
+    except ValueError:
+        raise ConfigError("invalid config: numbers must be finite") from None
     return raw
 
 
@@ -460,7 +464,12 @@ def _check_consistency(cfg):
     design = cfg["design"]
     if design["kind"] == "cosine" and not abs(design["amplitude"]) < 1:
         raise ConfigError(f"cosine design needs |amplitude| < 1, got {design['amplitude']}")
+    if design["kind"] == "cosine" and design["axis"] >= m["d"]:
+        raise ConfigError(f"cosine design axis {design['axis']} is not an axis of d={m['d']}")
     task = cfg["task"]
+    if cfg["noise"]["family"] == "uniform" and task["name"] != "fisher":
+        # sqrt q jumps at the support edges, so the model is not QMD
+        raise ConfigError("uniform noise has no Fisher information; only the fisher task accepts it")
     if task["name"] in ("norm-equiv", "pushforward-bound"):
         truncations = task["n_basis_list"]
     elif task["name"] == "gaussian-support":
@@ -560,7 +569,15 @@ def build_experiment(cfg):
     noise_params = {k: v for k, v in cfg["noise"].items() if k != "family"}
     if "cov" in noise_params:
         noise_params["cov"] = np.asarray(noise_params["cov"], dtype=float)
-    noise = make_noise(cfg["noise"]["family"], **noise_params)
+    try:
+        noise = make_noise(cfg["noise"]["family"], **noise_params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"noise {cfg['noise']['family']!r}: {exc}") from None
+    # every task but fisher (which studies the noise alone) adds it to the field
+    if cfg["task"]["name"] != "fisher" and noise.p != es.p:
+        raise ConfigError(
+            f"noise {noise.family!r} has {noise.p} component(s) but the {m['kind']} field has {es.p}"
+        )
 
     d = cfg["design"]
     design = DesignMeasure(

@@ -164,10 +164,6 @@ class SpaceTimeField:
         """Spatial L^2 norm squared at every node (Parseval)."""
         return np.einsum("tm,tm->t", self.data, self.data)
 
-    def spacetime_l2(self):
-        """L^2([0,T] x Omega) norm via the mesh quadrature."""
-        return float(np.sqrt(self.mesh.weights @ self.squared_l2_profile()))
-
 
 class SpaceTimeBatch:
     """Batch of fields sharing mesh and eigensystem; data (n_nodes, nm, B)."""

@@ -10,9 +10,8 @@ replicate index, so results are reproducible for any worker count.
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import stats
 
-from .information import lan_norm, octave_divergence_flag, s_norm_truncated
+from .information import lan_norm, lan_norm_direct, octave_divergence_flag, s_norm_truncated
 from .spectral import FourierCoeffs, pairing
 
 
@@ -99,8 +98,6 @@ def lan_montecarlo(
     if M is not None:
         hnorm2 = lan_norm(h, M) ** 2
     else:
-        from .information import lan_norm_direct
-
         hnorm2 = lan_norm_direct(model, theta0, h, noise, design) ** 2
 
     ss = np.random.SeedSequence(rng_seed)
@@ -121,6 +118,7 @@ def lan_montecarlo(
         emp_mean = float(finite.mean())
         emp_var = float(finite.var(ddof=1))
         stderr = float(finite.std(ddof=1) / np.sqrt(finite.size))
+        from scipy import stats  # not at module level: ~0.6 s of start-up for one test
         ks = stats.kstest(finite, "norm", args=(target_mean, np.sqrt(hnorm2)))
         ks_stat, ks_p = float(ks.statistic), float(ks.pvalue)
     else:
@@ -158,21 +156,6 @@ def influence_values(data, field0, influence_field, noise):
     if noise.p == 1:
         return scr * infl
     return np.einsum("na,na->n", scr, infl)
-
-
-def efficient_influence_estimate(psi, data, theta0, M, model, noise, field0=None, influence_field=None):
-    """One-step estimate <psi, theta0> + mean_i chi(X_i, Y_i) of <psi, theta>.
-
-    chi is the score paired with the linearized flow of psi_bar = M^{-1} psi;
-    its P_theta0-variance is the bound psi^T M^{-1} psi, and the estimator is
-    first-order unbiased under local shifts.
-    """
-    if field0 is None:
-        field0 = model.solve(theta0)
-    if influence_field is None:
-        influence_field = build_influence_field(psi, theta0, M, model)
-    chi = influence_values(data, field0, influence_field, noise)
-    return float(pairing(psi, theta0) + chi.mean())
 
 
 def build_influence_field(psi, theta0, M, model):

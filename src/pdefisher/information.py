@@ -12,11 +12,10 @@ number), and the efficient Gaussian has covariance M^{-1}.
 """
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
 
 from .forward import SpaceTimeBatch
-from .noise import fisher_matrix as compute_fisher
+from .noise import fisher_matrix as compute_fisher, raised_cosine_quantile
 from .spectral import DIV_FREE, values_from_coeffs
 
 _BATCH_LIMIT = 4e7  # snapshot-array entries above which heat assembly streams
@@ -28,7 +27,8 @@ class DesignMeasure:
 
     Shipped densities are time-independent: lambda(t, x) = g(x) / T with
     g band-limited, so grid means integrate products with band-limited
-    fields exactly.
+    fields exactly.  The cosine kind, g = 1 + a cos(2 pi x_axis), samples by
+    exact inversion of its marginal CDF (``noise.raised_cosine_quantile``).
     """
 
     def __init__(self, T, kind="uniform", amplitude=0.0, axis=0):
@@ -40,7 +40,6 @@ class DesignMeasure:
         self.kind = kind
         self.amplitude = float(amplitude)
         self.axis = int(axis)
-        self._sampler = None
         if kind == "uniform":
             self.lambda_min = self.lambda_max = 1.0 / self.T
             self.spatial_band = 0
@@ -48,11 +47,6 @@ class DesignMeasure:
             self.lambda_min = (1.0 - abs(self.amplitude)) / self.T
             self.lambda_max = (1.0 + abs(self.amplitude)) / self.T
             self.spatial_band = 1
-            # inverse CDF of the marginal along ``axis``; built here, not on
-            # first use, because replicate threads share the design
-            u = np.linspace(0.0, 1.0, 4097)
-            cdf = u + self.amplitude * np.sin(2 * np.pi * u) / (2 * np.pi)
-            self._sampler = PchipInterpolator(cdf, u, extrapolate=False)
 
     @property
     def is_uniform(self):
@@ -85,7 +79,7 @@ class DesignMeasure:
         t = rng.uniform(0.0, self.T, size=n)
         x = rng.uniform(0.0, 1.0, size=(n, d))
         if not self.is_uniform:
-            x[:, self.axis] = self._sampler(x[:, self.axis])
+            x[:, self.axis] = raised_cosine_quantile(x[:, self.axis], self.amplitude)
         return t, x
 
 
@@ -316,10 +310,6 @@ def orthonormalize_h(M):
     in the M metric, and H[:k, :k] is the basis of every truncation M_k.
     """
     return solve_triangular(M.cholesky_lower(), np.eye(M.n_basis), lower=True, trans="T")
-
-
-def gram_residual(H, M):
-    return float(np.max(np.abs(H.T @ M.matrix @ H - np.eye(M.n_basis))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ gradient version vanishing on the zero set, so this is consistent).
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import PchipInterpolator
-from scipy.stats import norm as _normal_dist
+from scipy import special
 
 _QUAD_NODES = 24
 
@@ -22,7 +21,7 @@ class FisherMatrix:
         matrix = 0.5 * (matrix + matrix.T)
         evals = np.linalg.eigh(matrix)[0]
         if evals.min() <= 0:
-            raise ValueError(
+            raise RuntimeError(
                 f"noise information matrix is not positive definite (min eig {evals.min():.3e})"
             )
         self.matrix = matrix
@@ -34,9 +33,12 @@ class FisherMatrix:
 
 
 class NoiseModel:
-    """Base class; concrete families implement pdf/logpdf/sqrt_grad/sampling.
+    """Base class; concrete families implement pdf/logpdf/sqrt_grad and either
+    sample or an exact quantile with its u_range.
 
     support: None for all of R^p, else per-axis (lo, hi) bounds
+    u_range: CDF image of the finite range that sample inverts over, so that
+    no draw is infinite
     breakpoints: interior kink locations of sqrt(q) per axis (quadrature
     panels never straddle them)
     """
@@ -61,7 +63,8 @@ class NoiseModel:
         raise NotImplementedError
 
     def sample(self, rng, n):
-        raise NotImplementedError
+        """n i.i.d. draws by exact inversion, one uniform from u_range each."""
+        return self.quantile(rng.uniform(*self.u_range, size=n))
 
     def params(self):
         return {}
@@ -148,17 +151,6 @@ def _fisher_quadrature(noise, rel_tol=1e-10, max_doublings=4):
     raise RuntimeError(f"Fisher quadrature did not converge (last rel change {err:.2e})")
 
 
-def score(noise, y):
-    return noise.score(y)
-
-
-def sample_noise(noise, rng, n):
-    """n i.i.d. draws from q; deterministic given the generator state."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return noise.sample(rng, n)
-
-
 def sqrt_density_h1_check(noise, eps_grid=None, probe_points=2**17):
     """Check sqrt(q) in H^1 and the zero-set gradient convention.
 
@@ -212,37 +204,37 @@ def sqrt_density_h1_check(noise, eps_grid=None, probe_points=2**17):
 # ---------------------------------------------------------------------------
 
 
-class _TabulatedSampler:
-    """Inverse-CDF sampler: monotone cubic interpolation of 2^14 CDF knots."""
+def raised_cosine_quantile(u, a):
+    """Root s in [0, 1] of s + a sin(2 pi s) / (2 pi) = u, the quantile of the
+    density 1 + a cos(2 pi s) on [0, 1] for |a| <= 1.
 
-    def __init__(self, cdf, lo, hi, knots=2**14):
-        y = np.linspace(lo, hi, knots)
-        c = cdf(y)
-        keep = np.concatenate(([True], np.diff(c) > 0))
-        y, c = y[keep], c[keep]
-        self._quantile = PchipInterpolator(c, y, extrapolate=False)
-        self._clo, self._chi = c[0], c[-1]
-
-    def draw(self, rng, n):
-        u = rng.uniform(self._clo, self._chi, size=n)
-        return np.asarray(self._quantile(u))
+    Safeguarded Newton: a step that leaves the current bracket, or meets a
+    vanishing derivative (a = -1 at the endpoints), bisects instead.
+    """
+    s = u = np.asarray(u, dtype=float)
+    lo, hi = np.zeros_like(u), np.ones_like(u)
+    for _ in range(64):
+        f = s + a * np.sin(2 * np.pi * s) / (2 * np.pi) - u
+        if np.max(np.abs(f), initial=0.0) <= 8 * np.finfo(float).eps:
+            break  # residual at the rounding level of its terms (all <= 1)
+        lo = np.where(f < 0, s, lo)
+        hi = np.where(f > 0, s, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = s - f / (1.0 + a * np.cos(2 * np.pi * s))
+        inside = (newton >= lo) & (newton <= hi)
+        s = np.where(f == 0, s, np.where(inside, newton, 0.5 * (lo + hi)))
+    return np.clip(s, 0.0, 1.0)
 
 
 class GaussianNoise(NoiseModel):
     family = "gaussian"
+    u_range = tuple(special.ndtr([-14.0, 14.0]))  # +-14 sigma
 
     def __init__(self, variance=1.0):
         if variance <= 0:
             raise ValueError("variance must be positive")
         self.variance = float(variance)
         self.sigma = float(np.sqrt(variance))
-        # samplers are stateless lookup tables, built once so threaded
-        # replicate loops never construct them concurrently
-        self._sampler = _TabulatedSampler(
-            lambda t: _normal_dist.cdf(t, scale=self.sigma),
-            -14 * self.sigma,
-            14 * self.sigma,
-        )
 
     def params(self):
         return {"variance": self.variance}
@@ -262,8 +254,8 @@ class GaussianNoise(NoiseModel):
         y = np.asarray(y, dtype=float)
         return -0.5 * (y / self.variance) * np.sqrt(self.pdf(y))
 
-    def sample(self, rng, n):
-        return self._sampler.draw(rng, n)
+    def quantile(self, u):
+        return self.sigma * special.ndtri(u)
 
 
 class BivariateGaussianNoise(NoiseModel):
@@ -311,14 +303,12 @@ class BivariateGaussianNoise(NoiseModel):
 class LaplaceNoise(NoiseModel):
     family = "laplace"
     breakpoints = (0.0,)
+    u_range = (0.5 * np.exp(-20.0), 1.0 - 0.5 * np.exp(-20.0))  # +-20 scales
 
     def __init__(self, scale=1.0):
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.scale = float(scale)
-        b = self.scale
-        cdf = lambda t: np.where(t < 0, 0.5 * np.exp(t / b), 1 - 0.5 * np.exp(-t / b))
-        self._sampler = _TabulatedSampler(cdf, -20 * b, 20 * b)
 
     def params(self):
         return {"scale": self.scale}
@@ -341,21 +331,20 @@ class LaplaceNoise(NoiseModel):
         y = np.asarray(y, dtype=float)
         return -np.sign(y) / (2 * self.scale) * np.sqrt(self.pdf(y))
 
-    def sample(self, rng, n):
-        return self._sampler.draw(rng, n)
+    def quantile(self, u):
+        u = np.asarray(u, dtype=float)
+        y = self.scale * np.log(2.0 * np.minimum(u, 1.0 - u))
+        return np.where(u < 0.5, y, -y)
 
 
 class LogisticNoise(NoiseModel):
     family = "logistic"
+    u_range = tuple(special.expit([-30.0, 30.0]))  # +-30 scales
 
     def __init__(self, scale=1.0):
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.scale = float(scale)
-        s = self.scale
-        self._sampler = _TabulatedSampler(
-            lambda t: 1.0 / (1.0 + np.exp(-t / s)), -30 * s, 30 * s
-        )
 
     def params(self):
         return {"scale": self.scale}
@@ -380,8 +369,8 @@ class LogisticNoise(NoiseModel):
         scr = np.tanh(0.5 * y / self.scale) / self.scale
         return -0.5 * scr * np.sqrt(self.pdf(y))
 
-    def sample(self, rng, n):
-        return self._sampler.draw(rng, n)
+    def quantile(self, u):
+        return self.scale * special.logit(u)
 
 
 class CosineBumpNoise(NoiseModel):
@@ -390,10 +379,7 @@ class CosineBumpNoise(NoiseModel):
     family = "cosine_bump"
     support = [(-1.0, 1.0)]
     breakpoints = ()
-
-    def __init__(self):
-        cdf = lambda t: 0.5 * (t + 1.0) + np.sin(np.pi * t) / (2 * np.pi)
-        self._sampler = _TabulatedSampler(cdf, -1.0, 1.0)
+    u_range = (0.0, 1.0)
 
     def params(self):
         return {}
@@ -412,8 +398,9 @@ class CosineBumpNoise(NoiseModel):
         inside = np.abs(y) < 1.0
         return np.where(inside, -0.5 * np.pi * np.sin(0.5 * np.pi * y), 0.0)
 
-    def sample(self, rng, n):
-        return self._sampler.draw(rng, n)
+    def quantile(self, u):
+        # the CDF (y+1)/2 + sin(pi y)/(2 pi) is s - sin(2 pi s)/(2 pi) at y = 2s - 1
+        return 2.0 * raised_cosine_quantile(u, -1.0) - 1.0
 
 
 class UniformNoise(NoiseModel):
@@ -458,22 +445,3 @@ def make_noise(family, **params):
     except KeyError:
         raise ValueError(f"unknown noise family {family!r}") from None
     return cls(**params)
-
-
-def validate_noise(noise, tol=1e-8):
-    """Quadrature check of unit mass and zero mean."""
-    dom = noise.quad_domain()
-    if noise.p == 1:
-        y, w = _gl_grid_1d(dom[0][0], dom[0][1], noise.breakpoints, 256)
-        q = noise.pdf(y)
-        mass = float(np.sum(w * q))
-        mean = float(np.sum(w * y * q))
-        return {"mass": mass, "mean": mean, "ok": abs(mass - 1) < tol and abs(mean) < tol}
-    y1, w1 = _gl_grid_1d(dom[0][0], dom[0][1], (), 64)
-    y2, w2 = _gl_grid_1d(dom[1][0], dom[1][1], (), 64)
-    yy = np.stack(np.meshgrid(y1, y2, indexing="ij"), axis=-1).reshape(-1, 2)
-    ww = (w1[:, None] * w2[None, :]).ravel()
-    q = noise.pdf(yy)
-    mass = float(np.sum(ww * q))
-    mean = np.abs(np.einsum("n,na->a", ww * q, yy)).max()
-    return {"mass": mass, "mean": float(mean), "ok": abs(mass - 1) < tol and mean < tol}

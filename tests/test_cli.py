@@ -1,14 +1,21 @@
 """CLI contract: subcommands, exit codes, schema rejection, artifacts, and
 byte-level reproducibility of reports."""
 
+import copy
 import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdefisher.cli import main
+import pdefisher
+from pdefisher.cli import _execute, main
 
 
 def _write(tmp_path, name, cfg):
@@ -382,3 +389,119 @@ class TestWorkerInvariance:
         assert (one["config"]["workers"], two["config"]["workers"]) == (1, 2)
         two["config"]["workers"] = 1
         assert one == two
+
+
+class TestColdStart:
+    def test_build_leaves_stats_and_interpolate_unimported(self):
+        # scipy.stats and scipy.interpolate together took about a second of
+        # start-up; building an experiment needs neither
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        workload = os.path.join(root, "perfbench", "workloads", "lan-rd.yaml")
+        script = (
+            "import sys\n"
+            "import pdefisher.cli as cli\n"
+            f"raw = cli.validate_config(cli.load_config({workload!r}))\n"
+            "cli.build_experiment(cli.resolve_config(raw))\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(pdefisher.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+
+# a small heat LAN run (cosine design, a few replicates) whose checks pass
+_PROPERTY_BASE = {
+    "seed": 3,
+    "workers": 1,
+    "model": {
+        "kind": "heat",
+        "kmax": 2,
+        "T": 1.0,
+        "mesh": {"kind": "uniform", "m": 8},
+        "theta0": {"constant": 0.5, "modes": [{"k": [1], "kind": "cos", "value": 0.3}]},
+    },
+    "noise": {"family": "gaussian", "variance": 1.0},
+    "design": {"kind": "cosine", "amplitude": 0.5},
+    "numerics": {"n_basis": 5},
+    "task": {
+        "name": "lan",
+        "n": 20,
+        "replicates": 10,
+        "h": {"unit_index": 1, "scale_to_lan_norm": 1.0},
+        "mean_sigmas": 6.0,
+        "var_rel_tol": 10.0,
+        "ks_pmin": 0.0,
+    },
+}
+
+# small magnitudes only, so that no mutation makes a long or large run
+_NUMBERS = [1, 2, 3, 4, 0.25, 0.5, 1.5, -0.5, 0, -1, float("nan"), float("inf"), -float("inf")]
+_STRINGS = [
+    "", "x", "gaussian", "gaussian2", "laplace", "logistic", "cosine_bump", "uniform",
+    "heat", "rd", "ns", "graded", "cos", "sin", "cosine", "alternative",
+    "fisher", "qmd-check", "snorm", "info-matrix", "efficiency", "ns-diagnostics",
+]
+_OTHERS = [None, True, [], [1], [[1.0, 0.0], [0.0, 1.0]], {}, {"kind": "graded"}]
+
+
+def _config_paths(node, prefix=()):
+    paths = [prefix] if prefix else []
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        paths += _config_paths(child, prefix + (key,))
+    return paths
+
+
+def _mutate(cfg, data):
+    """Delete an entry, replace it by a value of its own type or of any
+    type, or add an unknown sibling next to it."""
+    path = data.draw(st.sampled_from(_config_paths(cfg)))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    key, old = path[-1], parent[path[-1]]
+    # replacements by a value of the same type reach past the schema most often
+    op = data.draw(st.sampled_from(["replace", "replace", "replace", "delete", "retype", "add"]))
+    if op == "delete":
+        del parent[key]
+        return
+    if op == "replace" and isinstance(old, str):
+        value = data.draw(st.sampled_from(_STRINGS))
+    elif op == "replace" and isinstance(old, (int, float)) and not isinstance(old, bool):
+        value = data.draw(st.sampled_from(_NUMBERS))
+    else:
+        value = data.draw(st.sampled_from(_NUMBERS + _STRINGS + _OTHERS))
+    if op != "add":
+        parent[key] = value
+    elif isinstance(parent, dict):
+        parent[f"extra_{key}"] = value
+    else:
+        parent.append(value)
+
+
+class TestExitCodeProperty:
+    """The exit-code contract over mutated configs: the code is 0, 1, 2 or 3,
+    nothing escapes as an uncaught exception, and exit 2 writes nothing."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_contract(self, data):
+        cfg = copy.deepcopy(_PROPERTY_BASE)
+        n_mutations = data.draw(st.integers(0, 2))
+        for _ in range(n_mutations):
+            _mutate(cfg, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(cfg, fh)
+            out = os.path.join(tmp, "out")
+            with pytest.raises(SystemExit) as exc:
+                _execute(None, path, out, None, None)
+            assert exc.value.code in (0, 1, 2, 3)
+            if exc.value.code == 2:
+                assert not os.path.exists(out)
+            if n_mutations == 0:
+                assert exc.value.code == 0

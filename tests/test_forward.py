@@ -74,7 +74,7 @@ class TestHeat:
         mesh = TimeMesh.graded(1.0, levels=16, steps_per_block=256)
         f = solve_heat_exact(_field(es1, [([1], 1, 1.0)]), T=1.0, mesh=mesh)
         exact = (1 - np.exp(-2 * LAM1)) / (2 * LAM1)
-        assert f.spacetime_l2() ** 2 == pytest.approx(exact, abs=1e-12)
+        assert f.mesh.weights @ f.squared_l2_profile() == pytest.approx(exact, abs=1e-12)
 
 
 class ZeroReaction:

@@ -25,7 +25,8 @@ from pdefisher import (
     s_norm_truncated,
     solve_heat_exact,
 )
-from pdefisher.information import gram_residual, octave_divergence_flag
+from pdefisher.information import octave_divergence_flag
+from pdefisher.noise import raised_cosine_quantile
 from pdefisher.spectral import DIV_FREE, values_from_coeffs
 
 LAM1 = 4 * np.pi**2
@@ -289,7 +290,7 @@ class TestOrthonormalize:
 
         M = InformationMatrix(mat, es1)
         H = orthonormalize_h(M)
-        assert gram_residual(H, M) < 1e-8
+        assert float(np.max(np.abs(H.T @ M.matrix @ H - np.eye(M.n_basis)))) < 1e-8
 
     def test_matches_metric_gram_schmidt(self, es1):
         # Gram-Schmidt of e_1, ..., e_K in the M inner product, written out
@@ -386,6 +387,29 @@ class TestDesignMeasure:
         ks = stats.kstest(x[:, 0], cdf)
         assert ks.pvalue > 0.01
         assert stats.kstest(t, "uniform").pvalue > 0.01
+
+    @pytest.mark.parametrize("a", [-0.9, 0.5, 0.6])
+    def test_quantile_inverts_cdf(self, a):
+        cdf = lambda x: x + a * np.sin(2 * np.pi * x) / (2 * np.pi)
+        near = np.logspace(-15, -1, 57)
+        u = np.concatenate(([0.0, 1.0], np.linspace(0.0, 1.0, 4001), near, 1.0 - near))
+        x = raised_cosine_quantile(u, a)
+        assert np.abs(cdf(x) - u).max() <= 1e-13
+        assert np.all((x >= 0.0) & (x <= 1.0))
+
+    @pytest.mark.parametrize("a", [-0.9, 0.5, 0.6])
+    def test_draws_invert_the_same_uniforms(self, a):
+        # draw order t, then x, one uniform per coordinate; only the design
+        # axis is transformed
+        d = DesignMeasure(2.0, kind="cosine", amplitude=a, axis=1)
+        t, x = d.sample(np.random.default_rng(5), 20_000, 2)
+        ref = np.random.default_rng(5)
+        np.testing.assert_array_equal(t, ref.uniform(0.0, 2.0, 20_000))
+        u = ref.uniform(0.0, 1.0, (20_000, 2))
+        np.testing.assert_array_equal(x[:, 0], u[:, 0])
+        cdf = lambda s: s + a * np.sin(2 * np.pi * s) / (2 * np.pi)
+        assert np.abs(cdf(x[:, 1]) - u[:, 1]).max() <= 1e-13
+        assert np.all(np.isfinite(x)) and np.all((x >= 0.0) & (x <= 1.0))
 
     def test_invalid_amplitude(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,29 @@ conventions, sampling laws, and the sqrt-density H^1 membership probe."""
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
-from pdefisher import fisher_matrix, make_noise, sample_noise, score, sqrt_density_h1_check
-from pdefisher.noise import validate_noise
+from pdefisher import fisher_matrix, make_noise, sqrt_density_h1_check
+from pdefisher.noise import _gl_grid_1d
+
+
+def validate_noise(noise, tol=1e-8):
+    """Quadrature check of unit mass and zero mean."""
+    dom = noise.quad_domain()
+    if noise.p == 1:
+        y, w = _gl_grid_1d(dom[0][0], dom[0][1], noise.breakpoints, 256)
+        q = noise.pdf(y)
+        mass = float(np.sum(w * q))
+        mean = float(np.sum(w * y * q))
+        return {"mass": mass, "mean": mean, "ok": abs(mass - 1) < tol and abs(mean) < tol}
+    y1, w1 = _gl_grid_1d(dom[0][0], dom[0][1], (), 64)
+    y2, w2 = _gl_grid_1d(dom[1][0], dom[1][1], (), 64)
+    yy = np.stack(np.meshgrid(y1, y2, indexing="ij"), axis=-1).reshape(-1, 2)
+    ww = (w1[:, None] * w2[None, :]).ravel()
+    q = noise.pdf(yy)
+    mass = float(np.sum(ww * q))
+    mean = np.abs(np.einsum("n,na->a", ww * q, yy)).max()
+    return {"mass": mass, "mean": float(mean), "ok": abs(mass - 1) < tol and mean < tol}
 
 
 class TestFisherMatrix:
@@ -29,6 +49,12 @@ class TestFisherMatrix:
         fm = fisher_matrix(make_noise("logistic", scale=0.7))
         assert fm.matrix[0, 0] == pytest.approx(1.0 / (3 * 0.49), rel=1e-8)
 
+    def test_degenerate_matrix_is_a_numerical_failure(self):
+        # at scale 1e200 the quadrature underflows to a zero matrix; the CLI
+        # maps RuntimeError to exit 3
+        with pytest.raises(RuntimeError):
+            fisher_matrix(make_noise("logistic", scale=1e200))
+
     def test_bivariate_gaussian(self):
         cov = np.array([[0.5, 0.2], [0.2, 1.2]])
         fm = fisher_matrix(make_noise("gaussian2", cov=cov))
@@ -50,8 +76,8 @@ class TestFisherMatrix:
         for fam, kw in [("gaussian", {"variance": 0.8}), ("laplace", {"scale": 1.0})]:
             noise = make_noise(fam, **kw)
             fm = fisher_matrix(noise)
-            y = sample_noise(noise, rng, 200_000)
-            s = score(noise, y)
+            y = noise.sample(rng, 200_000)
+            s = noise.score(y)
             est = np.mean(s * s)
             sigma = np.std(s * s) / np.sqrt(y.size)
             # Laplace scores are +-1/b so sigma degenerates; keep an abs floor
@@ -61,17 +87,17 @@ class TestFisherMatrix:
 class TestScore:
     def test_gaussian(self):
         noise = make_noise("gaussian", variance=1.0)
-        assert score(noise, np.array([1.5]))[0] == pytest.approx(1.5)
+        assert noise.score(np.array([1.5]))[0] == pytest.approx(1.5)
 
     def test_bump_outside_support(self):
         noise = make_noise("cosine_bump")
-        assert score(noise, np.array([2.0]))[0] == 0.0
+        assert noise.score(np.array([2.0]))[0] == 0.0
 
     def test_laplace_sign(self):
         # -2 (sqrt q)'/sqrt q = sign(y)/b: negative y gives -1/b
         noise = make_noise("laplace", scale=1.0)
-        assert score(noise, np.array([-0.3]))[0] == pytest.approx(-1.0)
-        assert score(noise, np.array([0.7]))[0] == pytest.approx(1.0)
+        assert noise.score(np.array([-0.3]))[0] == pytest.approx(-1.0)
+        assert noise.score(np.array([0.7]))[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "fam,kw,pts",
@@ -88,40 +114,83 @@ class TestScore:
         h = 1e-6
         for y in pts:
             fd = -(noise.logpdf(np.array([y + h])) - noise.logpdf(np.array([y - h]))) / (2 * h)
-            assert score(noise, np.array([y]))[0] == pytest.approx(float(fd[0]), rel=1e-4)
+            assert noise.score(np.array([y]))[0] == pytest.approx(float(fd[0]), rel=1e-4)
 
 
 class TestSampling:
     def test_gaussian_moments(self):
         noise = make_noise("gaussian", variance=1.0)
-        y = sample_noise(noise, np.random.default_rng(0), 100_000)
+        y = noise.sample(np.random.default_rng(0), 100_000)
         assert abs(np.var(y) - 1.0) < 3 * np.sqrt(2.0 / y.size)
         assert abs(np.mean(y)) < 3 / np.sqrt(y.size)
 
     def test_bump_support_and_symmetry(self):
         noise = make_noise("cosine_bump")
-        y = sample_noise(noise, np.random.default_rng(1), 100_000)
+        y = noise.sample(np.random.default_rng(1), 100_000)
         assert np.all(np.abs(y) <= 1.0)
         assert abs(np.mean(y)) < 3 * noise.std_scale() / np.sqrt(y.size)
 
     def test_laplace_absolute_moment(self):
         # E|Y| = b
         noise = make_noise("laplace", scale=2.0)
-        y = sample_noise(noise, np.random.default_rng(2), 100_000)
+        y = noise.sample(np.random.default_rng(2), 100_000)
         sigma = np.std(np.abs(y)) / np.sqrt(y.size)
         assert abs(np.mean(np.abs(y)) - 2.0) < 3 * sigma
 
     def test_deterministic_given_seed(self):
         noise = make_noise("logistic", scale=1.0)
-        a = sample_noise(noise, np.random.default_rng(42), 100)
-        b = sample_noise(noise, np.random.default_rng(42), 100)
+        a = noise.sample(np.random.default_rng(42), 100)
+        b = noise.sample(np.random.default_rng(42), 100)
         np.testing.assert_array_equal(a, b)
 
     def test_bivariate_covariance(self):
         cov = np.array([[1.0, 0.4], [0.4, 0.7]])
         noise = make_noise("gaussian2", cov=cov)
-        y = sample_noise(noise, np.random.default_rng(3), 200_000)
+        y = noise.sample(np.random.default_rng(3), 200_000)
         np.testing.assert_allclose(np.cov(y.T), cov, atol=0.02)
+
+
+def _u_grid(ulo, uhi):
+    """Both truncation ends, an even grid between them, and points crowding
+    each end geometrically."""
+    near = np.logspace(-15, -1, 57) * (uhi - ulo)
+    return np.concatenate(([ulo, uhi], np.linspace(ulo, uhi, 4001), ulo + near, uhi - near))
+
+
+# family, parameters, closed-form CDF written out here, and the half-width of
+# the range the sampler inverts over (the support for the cosine bump)
+_INVERSION_CASES = [
+    ("gaussian", {"variance": 0.6}, lambda y: 0.5 * erfc(-y / np.sqrt(1.2)), 14 * np.sqrt(0.6)),
+    (
+        "laplace",
+        {"scale": 1.7},
+        lambda y: np.where(y < 0, 0.5 * np.exp(y / 1.7), 1 - 0.5 * np.exp(-y / 1.7)),
+        20 * 1.7,
+    ),
+    ("logistic", {"scale": 0.4}, lambda y: 1 / (1 + np.exp(-y / 0.4)), 30 * 0.4),
+    ("cosine_bump", {}, lambda y: 0.5 * (y + 1) + np.sin(np.pi * y) / (2 * np.pi), 1.0),
+]
+
+
+@pytest.mark.parametrize("fam,kw,cdf,r", _INVERSION_CASES, ids=[c[0] for c in _INVERSION_CASES])
+class TestExactQuantiles:
+    def test_cdf_inverts_quantile(self, fam, kw, cdf, r):
+        u = _u_grid(cdf(-r), cdf(r))
+        err = np.abs(cdf(make_noise(fam, **kw).quantile(u)) - u)
+        assert err.max() <= 1e-13
+
+    def test_draws_finite_and_in_support(self, fam, kw, cdf, r):
+        y = make_noise(fam, **kw).sample(np.random.default_rng(5), 200_000)
+        assert np.all(np.isfinite(y))
+        assert np.all(np.abs(y) <= r)
+
+    def test_one_uniform_per_draw(self, fam, kw, cdf, r):
+        # each draw inverts one uniform from the CDF image of the range
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        y = make_noise(fam, **kw).sample(rng, 1000)
+        u = ref.uniform(cdf(-r), cdf(r), 1000)
+        assert np.abs(cdf(y) - u).max() <= 1e-13
+        assert rng.random() == ref.random()
 
 
 class TestH1Check:
