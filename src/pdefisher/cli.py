@@ -36,9 +36,8 @@ from .config import (
 )
 from .forward import NavierStokesModel, qmd_remainder_slope
 from .gaussian import functional_pushforward_bound, sample_efficient_gaussian, support_diagnostic
-from .inference import efficiency_report, lan_montecarlo, replicate_seed_keys
+from .inference import efficiency_report, lan_montecarlo
 from .information import (
-    _COND_LIMIT,
     assemble_information_matrix,
     lan_norm,
     norm_equivalence_diagnostic,
@@ -50,13 +49,6 @@ from .noise import fisher_matrix, sqrt_density_h1_check
 
 def _check(name, value, tolerance, ok):
     return {"name": name, "value": value, "tolerance": tolerance, "pass": bool(ok)}
-
-
-def _replicate_rows(values, rng_seed, replicates):
-    keys = replicate_seed_keys(rng_seed, replicates)
-    return [("replicate", "value", "seed")] + [
-        (i, v, k) for i, (v, k) in enumerate(zip(values, keys))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +148,8 @@ def _task_norm_equiv(exp, task, rng):
 def _task_info_matrix(exp, task, rng):
     M = assemble_information_matrix(exp["model"], exp["theta0"], exp["noise"], exp["design"], exp["n_basis"])
     results = {"n_basis": M.n_basis, "cond": M.cond, "eig_min": M.eig_min, "eig_max": M.eig_max, "method": M.meta["method"]}
-    checks = [
-        _check("positive-definite", M.eig_min, 0.0, M.eig_min > 0),
-        _check("condition-bounded", M.cond, _COND_LIMIT, M.cond < _COND_LIMIT),
-    ]
+    # InformationMatrix has already raised (exit 3) above information._COND_LIMIT
+    checks = [_check("positive-definite", M.eig_min, 0.0, M.eig_min > 0)]
     if task["check_heat_closed_form"]:
         if exp["model"].kind != "heat" or not exp["design"].is_uniform:
             raise ConfigError("closed-form check needs the heat model and a uniform design")
@@ -209,7 +199,6 @@ def _task_lan(exp, task, rng):
         task["n"], task["replicates"], exp["seed"],
         under=task["under"], M=M, workers=exp["workers"],
     )
-    values = report.pop("replicate_values")
     mean_err = abs(report["mean"] - report["target_mean"])
     mean_tol = task["mean_sigmas"] * report["mean_stderr"]
     var_rel = abs(report["var"] / report["target_var"] - 1.0)
@@ -218,10 +207,7 @@ def _task_lan(exp, task, rng):
         _check("variance-matches-target", report["var"], task["var_rel_tol"], var_rel <= task["var_rel_tol"]),
         _check("ks-pvalue", report["ks_pvalue"], task["ks_pmin"], report["ks_pvalue"] >= task["ks_pmin"]),
     ]
-    csvs = {}
-    if task.get("dump_replicates"):
-        csvs["replicates.csv"] = _replicate_rows(values, exp["seed"], task["replicates"])
-    return report, checks, csvs
+    return report, checks, {}
 
 
 def _task_gaussian_support(exp, task, rng):
@@ -286,7 +272,6 @@ def _task_efficiency(exp, task, rng):
         task["n"], task["replicates"], exp["seed"],
         k_grid=task.get("k_grid"), workers=exp["workers"],
     )
-    values = report.pop("replicate_values")
     expect = task.get("expect", "divergent" if task.get("psi", {}).get("preset") else "attain")
     checks = []
     if expect == "divergent":
@@ -300,10 +285,7 @@ def _task_efficiency(exp, task, rng):
         checks.append(_check("no-false-divergence", report["bound"], None, not report["divergent"]))
         checks.append(_check("variance-over-bound", ratio, [lo, hi], lo <= ratio <= hi))
     rows = [("k", "bound")] + list(zip(report["bound_trace"]["k_grid"], report["bound_trace"]["values"]))
-    csvs = {"efficiency_trace.csv": rows}
-    if task.get("dump_replicates"):
-        csvs["replicates.csv"] = _replicate_rows(values, exp["seed"], task["replicates"])
-    return report, checks, csvs
+    return report, checks, {"efficiency_trace.csv": rows}
 
 
 def _task_ns_diagnostics(exp, task, rng):
@@ -319,7 +301,7 @@ def _task_ns_diagnostics(exp, task, rng):
     results["coefficient_divergence"] = div
     checks.append(_check("divergence-free", div, task["divergence_tol"], div <= task["divergence_tol"]))
 
-    plain = NavierStokesModel(es, viscosity=model.nu, T=model.T, mesh=model.mesh, substeps=model.substeps)
+    plain = NavierStokesModel(es, viscosity=model.nu, T=model.T, mesh=model.mesh)
     single = build_field(es, {"modes": [{"k": [1, 0], "kind": "cos", "value": 1.0}]})
     idx = int(np.argmax(single.data))
     traj = plain.solve(single)

@@ -1,8 +1,10 @@
 """Experiment configuration: a YAML/JSON file validated against a strict
-schema (unknown keys rejected), resolved with defaults, and mapped onto the
-model / noise / design / numerics objects.
+schema (unknown keys rejected) that declares each key once with its default,
+resolved with those defaults, and mapped onto the model / noise / design /
+numerics objects.
 """
 
+import contextlib
 import copy
 import json
 import os
@@ -21,8 +23,6 @@ from .forward import (
 from .information import DesignMeasure
 from .noise import make_noise
 from .spectral import DIV_FREE, FULL, MEAN_ZERO, FourierCoeffs, build_eigensystem
-
-SCHEMA_VERSION = 1
 
 _FIELD_SPEC = {
     "type": "object",
@@ -48,11 +48,13 @@ _FIELD_SPEC = {
     },
 }
 
+# the defaults of m, levels and steps_per_block depend on kind (resolve_config)
 _MESH_SPEC = {
     "type": "object",
     "additionalProperties": False,
+    "default": {},
     "properties": {
-        "kind": {"type": "string", "enum": ["uniform", "graded"]},
+        "kind": {"type": "string", "enum": ["uniform", "graded"], "default": "uniform"},
         "m": {"type": "integer", "minimum": 4},
         "levels": {"type": "integer", "minimum": 1},
         "steps_per_block": {"type": "integer", "minimum": 4},
@@ -66,6 +68,16 @@ _TRUNCATIONS = {
     "items": {"type": "integer", "minimum": 1},
 }
 
+# perturbation sizes s of a remainder-slope fit, which needs four
+_S_VALUES = {
+    "type": "array",
+    "minItems": 4,
+    "items": {"type": "number"},
+    "default": [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1],
+}
+
+# Each key is declared once, with its default (if any) as "default": one
+# walk over this schema and the task's fills them in (resolve_config).
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -84,7 +96,6 @@ CONFIG_SCHEMA = {
                 "subspace": {"type": "string", "enum": ["full", "mean-zero"]},
                 "T": {"type": "number", "exclusiveMinimum": 0},
                 "mesh": _MESH_SPEC,
-                "substeps": {"type": "integer", "minimum": 1},
                 "reaction": {
                     "type": "object",
                     "additionalProperties": False,
@@ -136,7 +147,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_basis": {"type": "integer", "minimum": 1},
+                "n_basis": {"type": "integer", "minimum": 1, "default": 9},
             },
         },
         "task": {
@@ -147,153 +158,100 @@ CONFIG_SCHEMA = {
     },
 }
 
-TASK_NAMES = (
-    "fisher",
-    "qmd-check",
-    "norm-equiv",
-    "info-matrix",
-    "snorm",
-    "lan",
-    "gaussian-support",
-    "pushforward-bound",
-    "efficiency",
-    "ns-diagnostics",
-)
 
-_COMMON_TASK = {"name": {"type": "string", "enum": list(TASK_NAMES)}}
+def _task(**properties):
+    """Schema of a task block: the name and the task's own keys."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {"name": {"type": "string"}, **properties},
+    }
+
 
 TASK_SCHEMAS = {
-    "fisher": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            **_COMMON_TASK,
-            "tolerance_rel": {"type": "number", "exclusiveMinimum": 0},
+    "fisher": _task(
+        tolerance_rel={"type": "number", "exclusiveMinimum": 0, "default": 1e-6},
+    ),
+    "qmd-check": _task(
+        h=_FIELD_SPEC,
+        s_values=_S_VALUES,
+        slope_target={"type": "number", "default": 2.0},
+        slope_tol={"type": "number", "default": 0.15},
+        linear_rho_tol={"type": "number", "default": 1e-12},
+    ),
+    "norm-equiv": _task(
+        kappa={"type": "number", "default": 1.0},
+        trials={"type": "integer", "minimum": 10, "default": 200},
+        n_basis_list={**_TRUNCATIONS, "default": [32, 64]},
+        max_over_min={"type": "number", "default": 20.0},
+        growth_tol={"type": "number", "default": 0.10},
+    ),
+    "info-matrix": _task(
+        check_heat_closed_form={"type": "boolean", "default": False},
+        tolerance={"type": "number", "default": 1e-10},
+        dump={"type": "boolean", "default": False},
+    ),
+    "snorm": _task(
+        psi=_FIELD_SPEC,
+        k_grid=_TRUNCATIONS,
+        # a squared dual norm; the check divides by it
+        expected={"type": "number", "exclusiveMinimum": 0},
+        tolerance_rel={"type": "number", "default": 1e-8},
+    ),
+    "lan": _task(
+        h=_FIELD_SPEC,
+        n={"type": "integer", "minimum": 10, "default": 5000},
+        replicates={"type": "integer", "minimum": 10, "default": 400},
+        under={"type": "string", "enum": ["null", "alternative"], "default": "null"},
+        mean_sigmas={"type": "number", "default": 3.0},
+        var_rel_tol={"type": "number", "default": 0.15},
+        ks_pmin={"type": "number", "default": 0.01},
+    ),
+    "gaussian-support": _task(
+        beta_list={"type": "array", "minItems": 1, "items": {"type": "number"}, "default": [1.0, 2.0]},
+        k_grid={**_TRUNCATIONS, "default": [64, 128, 256, 512]},
+        kappa={"type": "number", "default": 1.0},
+        alpha={"type": "number", "default": 0.5},
+        m_mc={"type": "integer", "minimum": 0, "default": 5000},
+        mc_k={"type": "integer", "minimum": 1},
+        plateau_tol={"type": "number", "default": 0.02},
+        growth_min={"type": "number", "default": 0.25},
+        mc_sigmas={"type": "number", "default": 3.0},
+    ),
+    "pushforward-bound": _task(
+        functional={"type": "string", "enum": ["trajectory", "ns-nonlinearity"], "default": "trajectory"},
+        loss={"type": "string", "enum": ["l2", "sup"], "default": "l2"},
+        power={"type": "number", "default": 2.0},
+        t0={"type": "number", "default": 0.1},
+        t1={"type": "number", "default": 0.5},
+        m={"type": "integer", "minimum": 2, "default": 2000},
+        n_basis_list={**_TRUNCATIONS, "default": [32, 64]},
+        stability_tol={"type": "number", "default": 0.05},
+    ),
+    "efficiency": _task(
+        psi=_FIELD_SPEC,
+        n={"type": "integer", "minimum": 10, "default": 2000},
+        replicates={"type": "integer", "minimum": 10, "default": 2000},
+        expect={"type": "string", "enum": ["attain", "divergent"]},
+        ratio_range={
+            "type": "array",
+            "items": {"type": "number"},
+            "minItems": 2,
+            "maxItems": 2,
+            "default": [0.9, 1.15],
         },
-    },
-    "qmd-check": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            **_COMMON_TASK,
-            "h": _FIELD_SPEC,
-            "s_values": {"type": "array", "items": {"type": "number"}},
-            "slope_target": {"type": "number"},
-            "slope_tol": {"type": "number"},
-            "linear_rho_tol": {"type": "number"},
-        },
-    },
-    "norm-equiv": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            **_COMMON_TASK,
-            "kappa": {"type": "number"},
-            "trials": {"type": "integer", "minimum": 10},
-            "n_basis_list": _TRUNCATIONS,
-            "max_over_min": {"type": "number"},
-            "growth_tol": {"type": "number"},
-        },
-    },
-    "info-matrix": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            **_COMMON_TASK,
-            "check_heat_closed_form": {"type": "boolean"},
-            "tolerance": {"type": "number"},
-            "dump": {"type": "boolean"},
-        },
-    },
-    "snorm": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            **_COMMON_TASK,
-            "psi": _FIELD_SPEC,
-            "k_grid": _TRUNCATIONS,
-            "expected": {"type": "number"},
-            "tolerance_rel": {"type": "number"},
-        },
-    },
-    "lan": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            **_COMMON_TASK,
-            "h": _FIELD_SPEC,
-            "n": {"type": "integer", "minimum": 10},
-            "replicates": {"type": "integer", "minimum": 10},
-            "under": {"type": "string", "enum": ["null", "alternative"]},
-            "mean_sigmas": {"type": "number"},
-            "var_rel_tol": {"type": "number"},
-            "ks_pmin": {"type": "number"},
-            "dump_replicates": {"type": "boolean"},
-        },
-    },
-    "gaussian-support": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            **_COMMON_TASK,
-            "beta_list": {"type": "array", "items": {"type": "number"}},
-            "k_grid": _TRUNCATIONS,
-            "kappa": {"type": "number"},
-            "alpha": {"type": "number"},
-            "m_mc": {"type": "integer", "minimum": 0},
-            "mc_k": {"type": "integer", "minimum": 1},
-            "plateau_tol": {"type": "number"},
-            "growth_min": {"type": "number"},
-            "mc_sigmas": {"type": "number"},
-        },
-    },
-    "pushforward-bound": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            **_COMMON_TASK,
-            "functional": {"type": "string", "enum": ["trajectory", "ns-nonlinearity"]},
-            "loss": {"type": "string", "enum": ["l2", "sup"]},
-            "power": {"type": "number"},
-            "t0": {"type": "number"},
-            "t1": {"type": "number"},
-            "m": {"type": "integer", "minimum": 2},
-            "n_basis_list": _TRUNCATIONS,
-            "stability_tol": {"type": "number"},
-        },
-    },
-    "efficiency": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            **_COMMON_TASK,
-            "psi": _FIELD_SPEC,
-            "n": {"type": "integer", "minimum": 10},
-            "replicates": {"type": "integer", "minimum": 10},
-            "expect": {"type": "string", "enum": ["attain", "divergent"]},
-            "dump_replicates": {"type": "boolean"},
-            "ratio_range": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "k_grid": _TRUNCATIONS,
-        },
-    },
-    "ns-diagnostics": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            **_COMMON_TASK,
-            "divergence_tol": {"type": "number"},
-            "decay_tol": {"type": "number"},
-            "energy_tol": {"type": "number"},
-            "slope_tol": {"type": "number"},
-            "s_values": {"type": "array", "items": {"type": "number"}},
-        },
-    },
+        k_grid=_TRUNCATIONS,
+    ),
+    "ns-diagnostics": _task(
+        divergence_tol={"type": "number", "default": 1e-12},
+        decay_tol={"type": "number", "default": 1e-8},
+        energy_tol={"type": "number", "default": 1e-6},
+        slope_tol={"type": "number", "default": 0.2},
+        s_values=_S_VALUES,
+    ),
 }
+
+TASK_NAMES = tuple(TASK_SCHEMAS)
 
 
 class ConfigError(ValueError):
@@ -348,74 +306,24 @@ _DEFAULT_THETA0 = {
     },
 }
 
-_TASK_DEFAULTS = {
-    "fisher": {"tolerance_rel": 1e-6},
-    "qmd-check": {
-        "s_values": [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1],
-        "slope_target": 2.0,
-        "slope_tol": 0.15,
-        "linear_rho_tol": 1e-12,
-    },
-    "norm-equiv": {
-        "kappa": 1.0,
-        "trials": 200,
-        "n_basis_list": [32, 64],
-        "max_over_min": 20.0,
-        "growth_tol": 0.10,
-    },
-    "info-matrix": {
-        "check_heat_closed_form": False,
-        "tolerance": 1e-10,
-        "dump": False,
-    },
-    "snorm": {"tolerance_rel": 1e-8},
-    "lan": {
-        "n": 5000,
-        "replicates": 400,
-        "under": "null",
-        "mean_sigmas": 3.0,
-        "var_rel_tol": 0.15,
-        "ks_pmin": 0.01,
-    },
-    "gaussian-support": {
-        "beta_list": [1.0, 2.0],
-        "k_grid": [64, 128, 256, 512],
-        "kappa": 1.0,
-        "alpha": 0.5,
-        "m_mc": 5000,
-        "plateau_tol": 0.02,
-        "growth_min": 0.25,
-        "mc_sigmas": 3.0,
-    },
-    "pushforward-bound": {
-        "functional": "trajectory",
-        "loss": "l2",
-        "power": 2.0,
-        "t0": 0.1,
-        "t1": 0.5,
-        "m": 2000,
-        "n_basis_list": [32, 64],
-        "stability_tol": 0.05,
-    },
-    "efficiency": {
-        "n": 2000,
-        "replicates": 2000,
-        "ratio_range": [0.9, 1.15],
-    },
-    "ns-diagnostics": {
-        "divergence_tol": 1e-12,
-        "decay_tol": 1e-8,
-        "energy_tol": 1e-6,
-        "slope_tol": 0.2,
-        "s_values": [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1],
-    },
-}
+
+def _fill_defaults(node, schema):
+    """Give each key of the mapping ``node`` that is absent and has a
+    ``default`` in ``schema`` a copy of it; recurse into mapping values."""
+    for key, sub in schema.get("properties", {}).items():
+        if key not in node and "default" in sub:
+            node[key] = copy.deepcopy(sub["default"])
+        if isinstance(node.get(key), dict):
+            _fill_defaults(node[key], sub)
 
 
 def resolve_config(raw):
     """Fill defaults; returns a plain dict safe to embed in reports."""
     cfg = copy.deepcopy(raw)
-    # replicate seeds are pre-split, so results never depend on the count
+    _fill_defaults(cfg, CONFIG_SCHEMA)
+    _fill_defaults(cfg["task"], TASK_SCHEMAS[cfg["task"]["name"]])
+    # the defaults below depend on the machine or on another key;
+    # replicate seeds are pre-split, so results never depend on the worker count
     cfg.setdefault("workers", os.cpu_count() or 1)
     m = cfg["model"]
     m.setdefault("d", 2 if m["kind"] == "ns" else 1)
@@ -431,73 +339,59 @@ def resolve_config(raw):
         m.setdefault("theta0", copy.deepcopy(_DEFAULT_THETA0[key]))
     if m["kind"] == "rd":
         m.setdefault("reaction", {"amplitude": 2.0, "radius": 2.5})
-    m.setdefault("substeps", 1)
-    m.setdefault("mesh", {"kind": "uniform", "m": 256})
     mesh = m["mesh"]
-    if mesh.get("kind", "uniform") == "uniform":
-        mesh.setdefault("kind", "uniform")
+    if mesh["kind"] == "uniform":
         mesh.setdefault("m", 256)
     else:
         mesh.setdefault("levels", 14)
         mesh.setdefault("steps_per_block", 16)
-    cfg.setdefault("numerics", {})
-    cfg["numerics"].setdefault("n_basis", 9)
     d = cfg["design"]
     if d["kind"] == "cosine":
         d.setdefault("amplitude", 0.5)
         d.setdefault("axis", 0)
-    task = cfg["task"]
-    for key, val in _TASK_DEFAULTS.get(task["name"], {}).items():
-        task.setdefault(key, copy.deepcopy(val))
     _check_consistency(cfg)
     return cfg
 
 
 def _check_consistency(cfg):
     """Cross-field constraints of a resolved config that the schema cannot
-    express; each would otherwise fail inside a builder, after start-up."""
-    m = cfg["model"]
-    mesh = m["mesh"]
-    steps = mesh["m"] if mesh["kind"] == "uniform" else mesh["steps_per_block"]
-    if steps % 2:
-        raise ConfigError(f"mesh step counts must be even (Simpson weights), got {steps}")
-    design = cfg["design"]
-    if design["kind"] == "cosine" and not abs(design["amplitude"]) < 1:
-        raise ConfigError(f"cosine design needs |amplitude| < 1, got {design['amplitude']}")
+    express and no builder checks; build_experiment runs the builders that
+    check the others, so each fails before the task starts."""
+    m, design, task = cfg["model"], cfg["design"], cfg["task"]
     if design["kind"] == "cosine" and design["axis"] >= m["d"]:
         raise ConfigError(f"cosine design axis {design['axis']} is not an axis of d={m['d']}")
-    task = cfg["task"]
     if cfg["noise"]["family"] == "uniform" and task["name"] != "fisher":
         # sqrt q jumps at the support edges, so the model is not QMD
         raise ConfigError("uniform noise has no Fisher information; only the fisher task accepts it")
+    if "mc_k" in task and task["mc_k"] > max(task["k_grid"]):  # M is assembled at max(k_grid)
+        raise ConfigError(f"mc_k {task['mc_k']} exceeds max(k_grid) {max(task['k_grid'])}")
+    # snorm and efficiency read their traces off the n_basis matrix
+    n_basis = cfg["numerics"]["n_basis"]
+    if task["name"] in ("snorm", "efficiency") and max(task.get("k_grid", [0])) > n_basis:
+        raise ConfigError(f"k_grid goes beyond n_basis {n_basis}")
+    if task["name"] == "pushforward-bound" and not 0.0 < task["t0"] < task["t1"] <= m["T"] + 1e-12:
+        raise ConfigError(f"pushforward window needs 0 < t0 < t1 <= T, got [{task['t0']}, {task['t1']}]")
+
+
+def _truncations(cfg):
+    """The Galerkin sizes K at which the task assembles M."""
+    task = cfg["task"]
     if task["name"] in ("norm-equiv", "pushforward-bound"):
-        truncations = task["n_basis_list"]
-    elif task["name"] == "gaussian-support":
-        truncations = task["k_grid"]
-        if task.get("mc_k", 0) > max(truncations):  # M is assembled at max(k_grid)
-            raise ConfigError(f"mc_k {task['mc_k']} exceeds max(k_grid) {max(truncations)}")
-    elif task["name"] in ("info-matrix", "snorm", "lan", "efficiency"):
-        truncations = [cfg["numerics"]["n_basis"]]
-        # snorm and efficiency read their traces off the n_basis matrix
-        if max(task.get("k_grid", []), default=0) > truncations[0]:
-            raise ConfigError(f"k_grid goes beyond n_basis {truncations[0]}")
-    else:
-        truncations = []
-    if task["name"] == "pushforward-bound":
-        t0, t1 = task["t0"], task["t1"]
-        if not 0.0 < t0 < t1 <= m["T"] + 1e-12:
-            raise ConfigError(f"pushforward window needs 0 < t0 < t1 <= T, got [{t0}, {t1}]")
-        time_mesh = _build_mesh(m["T"], mesh)
-        try:  # Simpson over the window: endpoints on nodes, an even interval count
-            time_mesh.window_weights(*time_mesh.window_slice(t0, t1))
-        except ValueError as exc:
-            raise ConfigError(f"pushforward window [{t0}, {t1}]: {exc}") from None
-    # (2 kmax + 1)^d lattice modes, less the constant outside the full subspace
-    n_modes = (2 * m["kmax"] + 1) ** m["d"] - (m["subspace"] != "full")
-    if max(truncations, default=0) > n_modes:
-        raise ConfigError(
-            f"truncation {max(truncations)} exceeds the {n_modes} modes of the eigensystem"
-        )
+        return task["n_basis_list"]
+    if task["name"] == "gaussian-support":
+        return task["k_grid"]
+    if task["name"] in ("info-matrix", "snorm", "lan", "efficiency"):
+        return [cfg["numerics"]["n_basis"]]
+    return []
+
+
+@contextlib.contextmanager
+def _owner_check(what):
+    """The ValueError of a builder's own input check, as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -542,27 +436,38 @@ def _build_mesh(T, spec):
 
 
 def build_experiment(cfg):
-    """Resolved config -> dict of live objects for the task runners."""
-    m = cfg["model"]
+    """Resolved config -> dict of live objects for the task runners.
+
+    Rules that a builder owns (even step counts, the Simpson window, the
+    cosine design's amplitude, the noise parameters) are checked by running
+    it; its ValueError becomes a ConfigError.
+    """
+    m, task = cfg["model"], cfg["task"]
     subspace = {"full": FULL, "mean-zero": MEAN_ZERO, "div-free": DIV_FREE}[m["subspace"]]
     es = build_eigensystem(m["d"], m["kmax"], subspace)
-    mesh = _build_mesh(m["T"], m["mesh"])
+    worst = max(_truncations(cfg), default=0)
+    if worst > es.size:
+        raise ConfigError(f"truncation {worst} exceeds the {es.size} modes of the eigensystem")
+    with _owner_check("time mesh"):
+        mesh = _build_mesh(m["T"], m["mesh"])
+    if task["name"] == "pushforward-bound":
+        with _owner_check(f"pushforward window [{task['t0']}, {task['t1']}]"):
+            mesh.window_weights(*mesh.window_slice(task["t0"], task["t1"]))
+    d = cfg["design"]
+    with _owner_check("design"):
+        design = DesignMeasure(
+            m["T"], kind=d["kind"], amplitude=d.get("amplitude", 0.0), axis=d.get("axis", 0)
+        )
+
     if m["kind"] == "heat":
         model = HeatModel(es, T=m["T"], mesh=mesh)
     elif m["kind"] == "rd":
         reaction = BumpReaction(**m["reaction"])
-        model = ReactionDiffusionModel(
-            es, T=m["T"], reaction=reaction, mesh=mesh, substeps=m["substeps"]
-        )
+        model = ReactionDiffusionModel(es, T=m["T"], reaction=reaction, mesh=mesh)
     else:
         forcing = build_field(es, m["forcing"]) if "forcing" in m else None
         model = NavierStokesModel(
-            es,
-            viscosity=m["viscosity"],
-            T=m["T"],
-            forcing=forcing,
-            mesh=mesh,
-            substeps=m["substeps"],
+            es, viscosity=m["viscosity"], T=m["T"], forcing=forcing, mesh=mesh
         )
     theta0 = build_field(es, m["theta0"])
 
@@ -574,15 +479,11 @@ def build_experiment(cfg):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"noise {cfg['noise']['family']!r}: {exc}") from None
     # every task but fisher (which studies the noise alone) adds it to the field
-    if cfg["task"]["name"] != "fisher" and noise.p != es.p:
+    if task["name"] != "fisher" and noise.p != es.p:
         raise ConfigError(
             f"noise {noise.family!r} has {noise.p} component(s) but the {m['kind']} field has {es.p}"
         )
 
-    d = cfg["design"]
-    design = DesignMeasure(
-        m["T"], kind=d["kind"], amplitude=d.get("amplitude", 0.0), axis=d.get("axis", 0)
-    )
     return {
         "es": es,
         "model": model,

@@ -239,11 +239,10 @@ class _SpectralModel:
     grid values g applied to tangent states v (B, ...).
     """
 
-    def __init__(self, es, T, mesh, substeps):
+    def __init__(self, es, T, mesh):
         self.es = es
         self.T = float(T)
         self.mesh = _checked_mesh(T, mesh)
-        self.substeps = int(substeps)
 
     def _march(self, u, v=None):
         """Base march from state u, co-integrating tangent states v (B, ...) if given."""
@@ -260,18 +259,16 @@ class _SpectralModel:
             grids.append(self._grid(w))
             return self._nonlin(grids[-1])
 
-        for i0, nsteps, h_store in self.mesh.blocks:
-            h = h_store / self.substeps
+        for i0, nsteps, h in self.mesh.blocks:
             if h not in cache:
                 cache[h] = _etdrk4_coeffs(h, self.lin)
             c = cache[h]
             for s in range(nsteps):
-                for _ in range(self.substeps):
-                    grids.clear()
-                    u = _etdrk4_step(u, base_nonlin, c)
-                    if v is not None:
-                        stages = iter(grids)
-                        v = _etdrk4_step(v, lambda w: self._dnonlin(next(stages), w), c)
+                grids.clear()
+                u = _etdrk4_step(u, base_nonlin, c)
+                if v is not None:
+                    stages = iter(grids)
+                    v = _etdrk4_step(v, lambda w: self._dnonlin(next(stages), w), c)
                 if not np.all(np.isfinite(u)):
                     raise RuntimeError(f"{self.name} solve blew up at t={self.mesh.nodes[i0+s+1]:.4g}")
                 snaps[i0 + s + 1] = self._project(u)
@@ -361,15 +358,20 @@ class BumpReaction:
 
 
 class ReactionDiffusionModel(_SpectralModel):
-    """u_t = Lap u + f(u); the state is the coefficient vector itself."""
+    """u_t = Lap u + f(u); the state is the coefficient vector itself.
+
+    f is evaluated on the dealiased grid of ``min_grid_points``, whose 3/2
+    rule is exact for quadratic products only; the bump reaction is not a
+    polynomial, so results carry an aliasing error that depends on that grid.
+    """
 
     kind = "rd"
     name = "reaction-diffusion"
 
-    def __init__(self, es, T=1.0, reaction=None, mesh=None, substeps=1):
+    def __init__(self, es, T=1.0, reaction=None, mesh=None):
         if es.subspace == DIV_FREE:
             raise ValueError("reaction-diffusion is scalar")
-        super().__init__(es, T, mesh, substeps)
+        super().__init__(es, T, mesh)
         self.lin = -es.lam
         self.reaction = reaction if reaction is not None else BumpReaction()
         self.n = es.min_grid_points(dealias=True)
@@ -404,10 +406,10 @@ class NavierStokesModel(_SpectralModel):
     kind = "ns"
     name = "Navier-Stokes"
 
-    def __init__(self, es, viscosity, T=1.0, forcing=None, mesh=None, substeps=1):
+    def __init__(self, es, viscosity, T=1.0, forcing=None, mesh=None):
         if es.subspace != DIV_FREE:
             raise ValueError("Navier-Stokes needs the divergence-free eigensystem")
-        super().__init__(es, T, mesh, substeps)
+        super().__init__(es, T, mesh)
         self.nu = float(viscosity)
         self.n = es.min_grid_points(dealias=True)
 

@@ -45,12 +45,6 @@ def _replicate_map(fn, replicates, workers):
     return np.array([fn(i) for i in range(replicates)])
 
 
-def replicate_seed_keys(rng_seed, replicates):
-    """Spawn keys identifying each replicate's generator (for CSV dumps)."""
-    ss = np.random.SeedSequence(rng_seed)
-    return [str(child.spawn_key) for child in ss.spawn(replicates)]
-
-
 def _loglik(noise, data, field):
     resid = data.y - field.evaluate(data.t, data.x)
     return noise.logpdf(resid)
@@ -139,7 +133,6 @@ def lan_montecarlo(
         "ks_pvalue": ks_p,
         "support_escapes": escapes,
         "escape_fraction": escapes / replicates,
-        "replicate_values": values.tolist(),
     }
 
 
@@ -213,5 +206,4 @@ def efficiency_report(
         "mc_variance": mc_var,
         "mc_variance_stderr": float(var_stderr),
         "variance_over_bound": mc_var / bound if bound > 0 else float("inf"),
-        "replicate_values": estimates.tolist(),
     }

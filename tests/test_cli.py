@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 
+import jsonschema
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -15,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdefisher
+from pdefisher import cli
 from pdefisher.cli import _execute, main
+from pdefisher.config import CONFIG_SCHEMA, TASK_NAMES, TASK_SCHEMAS, resolve_config, validate_config
 
 
 def _write(tmp_path, name, cfg):
@@ -130,6 +133,25 @@ def _unit_index_above_modes(cfg):
     cfg["model"]["theta0"] = {"unit_index": 999}
 
 
+def _short_s_values(task, model=None):
+    # the remainder-slope fit needs four perturbation sizes
+    def mutate(cfg):
+        if model is not None:
+            cfg["model"] = model
+            cfg["noise"] = {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        cfg["task"] = {"name": task, "s_values": [1e-2, 1e-1]}
+
+    return mutate
+
+
+def _empty_beta_list(cfg):
+    cfg["task"] = {"name": "gaussian-support", "beta_list": [], "k_grid": [4, 8]}
+
+
+def _zero_expected_snorm(cfg):
+    cfg["task"] = {"name": "snorm", "expected": 0}
+
+
 class TestInconsistentConfigs:
     """Invalid or inconsistent configs: exit 2 and no outputs."""
 
@@ -148,6 +170,10 @@ class TestInconsistentConfigs:
             _pushforward_window(0.015625, 0.5),
             _mc_k_above_k_grid,
             _unit_index_above_modes,
+            _short_s_values("qmd-check"),
+            _short_s_values("ns-diagnostics", {"kind": "ns", "kmax": 2, "T": 0.5, "mesh": {"m": 8}}),
+            _empty_beta_list,
+            _zero_expected_snorm,
             None,
         ],
         ids=[
@@ -163,6 +189,10 @@ class TestInconsistentConfigs:
             "pushforward-odd-window",
             "mc-k-above-k-grid",
             "unit-index-above-modes",
+            "qmd-two-s-values",
+            "ns-diagnostics-two-s-values",
+            "support-empty-beta-list",
+            "snorm-expected-zero",
             "config-is-a-directory",
         ],
     )
@@ -391,6 +421,43 @@ class TestWorkerInvariance:
         assert one == two
 
 
+def _declared_defaults(schema):
+    """The property schemas, at any depth, that declare a default."""
+    found = []
+    for sub in schema.get("properties", {}).values():
+        if "default" in sub:
+            found.append(sub)
+        found += _declared_defaults(sub)
+    return found
+
+
+class TestConfigTable:
+    """Each config key is declared once, in the schema, with its default."""
+
+    def test_defaults_satisfy_their_own_schema(self):
+        declared = [s for schema in (CONFIG_SCHEMA, *TASK_SCHEMAS.values()) for s in _declared_defaults(schema)]
+        assert declared
+        for sub in declared:
+            jsonschema.validate(sub["default"], sub)
+
+    def test_every_task_has_a_runner(self):
+        assert set(TASK_NAMES) == set(cli._RUNNERS)
+
+    @pytest.mark.parametrize("name", TASK_NAMES)
+    def test_resolve_fills_defaults_once(self, name):
+        cfg = _fisher_cfg()
+        cfg["task"] = {"name": name}
+        if name == "ns-diagnostics":
+            cfg["model"] = {"kind": "ns", "kmax": 4, "T": 0.5}
+        elif name == "qmd-check":
+            cfg["model"] = {"kind": "rd", "kmax": 4, "T": 0.5, "mesh": {"kind": "graded"}}
+        resolved = resolve_config(validate_config(cfg))
+        assert resolve_config(resolved) == resolved
+        schema = TASK_SCHEMAS[name]["properties"]
+        defaults = {key: sub["default"] for key, sub in schema.items() if "default" in sub}
+        assert resolved["task"] == {"name": name, **defaults}
+
+
 class TestColdStart:
     def test_build_leaves_stats_and_interpolate_unimported(self):
         # scipy.stats and scipy.interpolate together took about a second of
@@ -413,7 +480,7 @@ class TestColdStart:
 
 
 # a small heat LAN run (cosine design, a few replicates) whose checks pass
-_PROPERTY_BASE = {
+_LAN_BASE = {
     "seed": 3,
     "workers": 1,
     "model": {
@@ -434,6 +501,28 @@ _PROPERTY_BASE = {
         "mean_sigmas": 6.0,
         "var_rel_tol": 10.0,
         "ks_pmin": 0.0,
+    },
+}
+
+# a small heat s-norm trace whose checks pass (expected is its value on this mesh)
+_SNORM_BASE = {
+    "seed": 4,
+    "workers": 1,
+    "model": {
+        "kind": "heat",
+        "kmax": 2,
+        "T": 1.0,
+        "mesh": {"kind": "graded", "levels": 6, "steps_per_block": 8},
+    },
+    "noise": {"family": "gaussian", "variance": 1.0},
+    "design": {"kind": "uniform"},
+    "numerics": {"n_basis": 5},
+    "task": {
+        "name": "snorm",
+        "psi": {"modes": [{"k": [1], "kind": "cos", "value": 1.0}]},
+        "k_grid": [1, 3, 5],
+        "expected": 78.95582611339273,
+        "tolerance_rel": 1e-8,
     },
 }
 
@@ -482,6 +571,25 @@ def _mutate(cfg, data):
         parent.append(value)
 
 
+def _check_exit_code_contract(base, data):
+    cfg = copy.deepcopy(base)
+    n_mutations = data.draw(st.integers(0, 2))
+    for _ in range(n_mutations):
+        _mutate(cfg, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        with pytest.raises(SystemExit) as exc:
+            _execute(None, path, out, None, None)
+        assert exc.value.code in (0, 1, 2, 3)
+        if exc.value.code == 2:
+            assert not os.path.exists(out)
+        if n_mutations == 0:
+            assert exc.value.code == 0
+
+
 class TestExitCodeProperty:
     """The exit-code contract over mutated configs: the code is 0, 1, 2 or 3,
     nothing escapes as an uncaught exception, and exit 2 writes nothing."""
@@ -489,19 +597,9 @@ class TestExitCodeProperty:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(data=st.data())
     def test_exit_code_contract(self, data):
-        cfg = copy.deepcopy(_PROPERTY_BASE)
-        n_mutations = data.draw(st.integers(0, 2))
-        for _ in range(n_mutations):
-            _mutate(cfg, data)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "cfg.yaml")
-            with open(path, "w") as fh:
-                yaml.safe_dump(cfg, fh)
-            out = os.path.join(tmp, "out")
-            with pytest.raises(SystemExit) as exc:
-                _execute(None, path, out, None, None)
-            assert exc.value.code in (0, 1, 2, 3)
-            if exc.value.code == 2:
-                assert not os.path.exists(out)
-            if n_mutations == 0:
-                assert exc.value.code == 0
+        _check_exit_code_contract(_LAN_BASE, data)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_contract_snorm(self, data):
+        _check_exit_code_contract(_SNORM_BASE, data)

@@ -47,14 +47,12 @@ def _field(es, entries, const=0.0):
     return u
 
 
-def _nonlinear_model(kind, es1, es_ns, mesh, substeps=1):
+def _nonlinear_model(kind, es1, es_ns, mesh):
     """An RD or NS model on ``mesh`` and a base state with nonlinear dynamics."""
     if kind == "rd":
-        model = ReactionDiffusionModel(
-            es1, T=mesh.T, reaction=BumpReaction(), mesh=mesh, substeps=substeps
-        )
+        model = ReactionDiffusionModel(es1, T=mesh.T, reaction=BumpReaction(), mesh=mesh)
         return model, _field(es1, [([1], 1, 0.4)], const=0.2)
-    model = NavierStokesModel(es_ns, viscosity=0.05, T=mesh.T, mesh=mesh, substeps=substeps)
+    model = NavierStokesModel(es_ns, viscosity=0.05, T=mesh.T, mesh=mesh)
     return model, _field(es_ns, [([1, 0], 1, 0.4), ([0, 1], 2, 0.3)])
 
 
@@ -176,19 +174,6 @@ class TestLinearizeRD:
         for b in range(3):
             single = model.linearize(theta0, FourierCoeffs(model.es, cols[:, b]))
             np.testing.assert_allclose(batch.data[:, :, b], single.data, atol=1e-13)
-
-
-class TestSubsteps:
-    @pytest.mark.parametrize("kind", ["rd", "ns"])
-    def test_substeps_match_finer_mesh(self, es1, es_ns, kind):
-        # two substeps of h/2 per stored step are the same steps as a mesh of h/2
-        coarse, theta0 = _nonlinear_model(kind, es1, es_ns, TimeMesh.uniform(0.5, 16), substeps=2)
-        fine, _ = _nonlinear_model(kind, es1, es_ns, TimeMesh.uniform(0.5, 32))
-        cols = np.eye(coarse.es.size, 3)
-        assert np.array_equal(coarse.solve(theta0).data, fine.solve(theta0).data[::2])
-        assert np.array_equal(
-            coarse.linearize(theta0, cols).data, fine.linearize(theta0, cols).data[::2]
-        )
 
 
 class TestNavierStokes:

@@ -33,6 +33,19 @@ def heat_M():
     return es, model, M
 
 
+@pytest.fixture(scope="module")
+def ns_M():
+    es = build_eigensystem(2, 3, DIV_FREE)
+    mesh = TimeMesh.uniform(0.5, 64)
+    model = NavierStokesModel(es, viscosity=0.05, T=0.5, mesh=mesh)
+    theta0 = FourierCoeffs.zeros(es)
+    theta0.data[es.index_of([1, 0], 1)] = 0.4
+    theta0.data[es.index_of([0, 1], 2)] = 0.3
+    noise = make_noise("gaussian2", cov=np.eye(2))
+    M = assemble_information_matrix(model, theta0, noise, DesignMeasure(0.5), 8)
+    return model, theta0, M
+
+
 class TestSampling:
     def test_scalar_variance(self, heat_M):
         _, _, M = heat_M
@@ -198,27 +211,25 @@ class TestPushforward:
                 model, FourierCoeffs.zeros(es), M, batch, "trajectory", "l2", 0.0, 0.5
             )
 
-    def test_sup_loss_bounded_by_values(self, heat_M):
-        es, model, M = heat_M
+    @pytest.mark.parametrize(
+        "functional, t0, t1",
+        [("trajectory", 0.25, 0.75), ("ns-nonlinearity", 0.125, 0.375)],
+        ids=["heat-trajectory", "ns-nonlinearity"],
+    )
+    def test_sup_loss_bounded_by_values(self, request, functional, t0, t1):
+        if functional == "trajectory":  # heat flow from theta0 = 0
+            es, model, M = request.getfixturevalue("heat_M")
+            theta0 = FourierCoeffs.zeros(es)
+        else:
+            model, theta0, M = request.getfixturevalue("ns_M")
         batch = sample_efficient_gaussian(M, 50, np.random.default_rng(9))
-        l2 = functional_pushforward_bound(
-            model, FourierCoeffs.zeros(es), M, batch, "trajectory", "l2", 0.25, 0.75, power=1.0
-        )
-        sup = functional_pushforward_bound(
-            model, FourierCoeffs.zeros(es), M, batch, "trajectory", "sup", 0.25, 0.75, power=1.0
-        )
+        l2 = functional_pushforward_bound(model, theta0, M, batch, functional, "l2", t0, t1, power=1.0)
+        sup = functional_pushforward_bound(model, theta0, M, batch, functional, "sup", t0, t1, power=1.0)
         # ||.||_L2 over a window of measure < 1 is below the sup
         assert l2["estimate"] <= sup["estimate"]
 
-    def test_ns_nonlinearity_functional(self):
-        es = build_eigensystem(2, 3, DIV_FREE)
-        mesh = TimeMesh.uniform(0.5, 64)
-        model = NavierStokesModel(es, viscosity=0.05, T=0.5, mesh=mesh)
-        theta0 = FourierCoeffs.zeros(es)
-        theta0.data[es.index_of([1, 0], 1)] = 0.4
-        theta0.data[es.index_of([0, 1], 2)] = 0.3
-        noise = make_noise("gaussian2", cov=np.eye(2))
-        M = assemble_information_matrix(model, theta0, noise, DesignMeasure(0.5), 8)
+    def test_ns_nonlinearity_functional(self, ns_M):
+        model, theta0, M = ns_M
         batch = sample_efficient_gaussian(M, 100, np.random.default_rng(10))
         out = functional_pushforward_bound(
             model, theta0, M, batch, "ns-nonlinearity", "l2", 0.125, 0.375, power=2.0

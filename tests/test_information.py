@@ -317,6 +317,14 @@ class TestOrthonormalize:
         assert via_basis == pytest.approx(M.inv_quadform(psi), rel=1e-8)
 
 
+class TestConditionLimit:
+    def test_ill_conditioned_matrix_rejected(self, es1):
+        # the CLI maps the RuntimeError to exit 3; the limit is cond 1e12
+        with pytest.raises(RuntimeError, match="condition"):
+            InformationMatrix(np.diag([1.0, 1e-13]), es1)
+        assert InformationMatrix(np.diag([1.0, 1e-11]), es1).cond == pytest.approx(1e11)
+
+
 class TestInvariants:
     def test_isometry_at_truncation(self, heat_setup):
         # H-norm of M^{-1} psi equals the dual norm of psi
