@@ -83,8 +83,7 @@ def _task_fisher(exp, task, rng):
             return results, checks, {}
     fm = fisher_matrix(noise)
     results["fisher"] = fm.matrix.tolist()
-    results["fisher_min_eig"] = fm.evals.min()
-    checks.append(_check("positive-definite", fm.evals.min(), 0.0, fm.evals.min() > 0))
+    results["fisher_min_eig"] = fm.evals.min()  # > 0: FisherMatrix raised (exit 3) otherwise
     expected = _analytic_fisher(noise)
     if expected is not None:
         rel = float(np.max(np.abs(fm.matrix - expected)) / np.max(np.abs(expected)))
@@ -148,8 +147,9 @@ def _task_norm_equiv(exp, task, rng):
 def _task_info_matrix(exp, task, rng):
     M = assemble_information_matrix(exp["model"], exp["theta0"], exp["noise"], exp["design"], exp["n_basis"])
     results = {"n_basis": M.n_basis, "cond": M.cond, "eig_min": M.eig_min, "eig_max": M.eig_max, "method": M.meta["method"]}
-    # InformationMatrix has already raised (exit 3) above information._COND_LIMIT
-    checks = [_check("positive-definite", M.eig_min, 0.0, M.eig_min > 0)]
+    # eig_min > 0: InformationMatrix has already raised (exit 3) on a failed
+    # Cholesky factor or above information._COND_LIMIT
+    checks = []
     if task["check_heat_closed_form"]:
         if exp["model"].kind != "heat" or not exp["design"].is_uniform:
             raise ConfigError("closed-form check needs the heat model and a uniform design")

@@ -72,7 +72,7 @@ _TRUNCATIONS = {
 _S_VALUES = {
     "type": "array",
     "minItems": 4,
-    "items": {"type": "number"},
+    "items": {"type": "number", "exclusiveMinimum": 0},
     "default": [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1],
 }
 

@@ -39,6 +39,7 @@ class TimeMesh:
         self.nodes = np.asarray(nodes, dtype=float)
         self.blocks = blocks  # list of (first_node_index, n_steps, h)
         self.weights = self._simpson_weights()
+        self._stencils = self._lagrange_stencils()
 
     @classmethod
     def uniform(cls, T, m):
@@ -81,6 +82,21 @@ class TimeMesh:
             w[i0 : i0 + nsteps + 1] += bw * (h / 3.0)
         return w
 
+    def _lagrange_stencils(self):
+        """Per interval [nodes[j], nodes[j+1]): the 4 node indices of its cubic
+        stencil (centred on the interval, shifted inward at the ends of the
+        grid), (n_nodes - 1, 4); and, (4, n_nodes - 1), their times and their
+        Lagrange denominators prod_{b != a} (t_a - t_b).  Built once here, so
+        the replicate threads that evaluate fields only read them."""
+        m = self.n_nodes
+        if m < 4:
+            raise ValueError("need at least 4 time nodes for cubic interpolation")
+        idx = np.clip(np.arange(m - 1) - 1, 0, m - 4)[:, None] + np.arange(4)
+        tn = self.nodes[idx].T
+        diag = np.arange(4)
+        denom = _others_product(tn[None, :, :] - tn[:, None, :])[diag, diag]
+        return idx, tn, denom
+
     def window_slice(self, t0, t1, rtol=1e-9):
         """Node index range covering [t0, t1]; endpoints must be nodes."""
         i0 = int(np.argmin(np.abs(self.nodes - t0)))
@@ -108,25 +124,30 @@ class TimeMesh:
         return w
 
 
-def _time_stencils(nodes, t):
-    """4-point Lagrange stencils on an increasing node grid.
+def _others_product(diff):
+    """For diff = (d0, d1, d2, d3) along the first axis: the product of the
+    other three at each position, (d1 d2 d3, d0 d2 d3, d0 d1 d3, d0 d1 d2),
+    as (partner in the pair) * (product of the other pair), with no division,
+    so a zero entry is exact."""
+    pairs = diff.reshape((2, 2) + diff.shape[1:])
+    return (pairs[:, ::-1] * (pairs[:, 0] * pairs[:, 1])[::-1, None]).reshape(diff.shape)
+
+
+def _time_stencils(mesh, t):
+    """4-point Lagrange stencils on the mesh's increasing node grid.
 
     Returns node indices and weights, both (nq, 4), for query times inside
-    [nodes[0], nodes[-1]]; a stencil is centred on the query's interval and
-    shifted inward at the ends of the grid.
+    [nodes[0], nodes[-1]].  One ``searchsorted`` over the interior nodes
+    finds each query's interval (clamped to the first and last by
+    construction); the interval's stencil comes from the tables the mesh
+    built once (:meth:`TimeMesh._lagrange_stencils`).  Weight a is the
+    product of t - t_b over the other three nodes divided by the same
+    product at t = t_a, so a query at a node reproduces that node exactly.
     """
-    m = nodes.shape[0]
-    if m < 4:
-        raise ValueError("need at least 4 time nodes for cubic interpolation")
-    j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, m - 2)
-    idx = np.clip(j - 1, 0, m - 4)[:, None] + np.arange(4)
-    tn = nodes[idx]
-    w = np.ones((t.shape[0], 4))
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                w[:, a] *= (t - tn[:, b]) / (tn[:, a] - tn[:, b])
-    return idx, w
+    idx, tn, denom = mesh._stencils
+    j = np.searchsorted(mesh.nodes[1:-1], t, side="right")
+    w = _others_product(t - np.take(tn, j, axis=1)) / np.take(denom, j, axis=1)
+    return np.take(idx, j, axis=0), w.T
 
 
 class SpaceTimeField:
@@ -150,12 +171,12 @@ class SpaceTimeField:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if np.any(t < -1e-12) or np.any(t > self.mesh.T + 1e-12):
             raise ValueError("evaluation time outside [0, T]")
-        idx, w = _time_stencils(self.mesh.nodes, t)
+        idx, w = _time_stencils(self.mesh, t)
         vector = self.es.subspace == DIV_FREE
         out = np.empty((t.shape[0], 2) if vector else t.shape[0])
         for start in range(0, t.shape[0], _CHUNK):
             sl = slice(start, start + _CHUNK)
-            vals = np.einsum("qa,qam->qm", w[sl], self.data[idx[sl]])
+            vals = np.einsum("qa,qam->qm", w[sl], np.take(self.data, idx[sl], axis=0))
             vals *= basis_values_at(self.es, x[sl])
             out[sl] = vals @ self.es.dirs if vector else vals.sum(1)
         return out

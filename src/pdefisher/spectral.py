@@ -87,6 +87,14 @@ class EigenSystem:
         self.tau = tau
         self.dirs = dirs
         self.p = p
+        # where basis_values_at reads each mode: an offset into the float64
+        # view of its per-point table of e^{2 pi i k.x}, and the amplitude
+        if d == 1:
+            cell = kvecs[:, 0]
+        else:
+            cell = kvecs[:, 0] * (2 * kmax + 1) + kvecs[:, 1] + kmax
+        self._table_cols = 2 * cell + (kind == KIND_SIN)
+        self._table_amp = np.where(kind == KIND_CONST, 1.0, np.sqrt(2.0))
 
     @property
     def size(self):
@@ -345,15 +353,30 @@ def basis_values_at(es, x):
     """Evaluate all basis functions at scattered points x of shape (nq, d).
 
     Returns (nq, nm) for scalar subspaces; vector values for div-free are
-    dirs[m] * result[:, m].  Every mode is one cosine, amp * cos(2 pi k.x -
-    shift), with amp 1 for the constant mode and sqrt(2) otherwise, and
-    shift pi/2 turning sine modes into cosines.
+    dirs[m] * result[:, m].  No mode costs a cosine: per point and axis one
+    complex exponential z = e^{2 pi i x_a}, then the powers z^0..z^kmax by
+    products of blocks (z^(m+j) = z^m z^j, doubling m).  In d = 2 the second
+    axis covers -kmax..kmax by conjugation and the table is the outer product
+    of the two axes.  A wavevector's cos and sin modes are the real and
+    imaginary parts of its entry, adjacent in the table's float64 view as in
+    the eigensystem order, so one gather and the amplitudes (sqrt(2); 1 for
+    the constant, the real part of k = 0) give every column.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    amp = np.where(es.kind == KIND_CONST, 1.0, np.sqrt(2.0))
-    shift = np.where(es.kind == KIND_SIN, 0.5 * np.pi, 0.0)
-    out = TWO_PI * (x @ es.kvecs.T.astype(float))
-    out -= shift
-    np.cos(out, out=out)
-    out *= amp
+    nq, kmax = x.shape[0], es.kmax
+    pw = np.empty((nq, es.d, kmax + 1), dtype=complex)
+    pw[..., 0] = 1.0
+    pw[..., 1] = np.exp(TWO_PI * 1j * x)
+    m = 1
+    while m < kmax:
+        j = min(m, kmax - m)
+        np.multiply(pw[..., 1 : j + 1], pw[..., m : m + 1], out=pw[..., m + 1 : m + j + 1])
+        m += j
+    if es.d == 1:
+        table = pw[:, 0]
+    else:
+        ky = np.concatenate([pw[:, 1, :0:-1].conj(), pw[:, 1]], axis=1)  # ky = -kmax..kmax
+        table = (pw[:, 0, :, None] * ky[:, None, :]).reshape(nq, -1)
+    out = table.view(float)[:, es._table_cols]
+    out *= es._table_amp
     return out

@@ -13,6 +13,21 @@ import yaml
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _traced_counts(tmp_path, cfg):
+    """Run ``cfg`` through perfbench/child.py in trace mode; its layer counts."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    stats_path = tmp_path / "stats.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PERFBENCH_T0=repr(time.monotonic()))
+    argv = [
+        sys.executable, os.path.join(ROOT, "perfbench", "child.py"), str(stats_path), "trace",
+        "run", "-c", str(cfg_path), "-o", str(tmp_path / "out"),
+    ]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return json.loads(stats_path.read_text())["layers"]["counts"]
+
+
 def test_traced_child_runs_and_counts(tmp_path):
     # graded mesh: 3 blocks of 4 steps; 8 unit tangent columns
     cfg = {
@@ -30,18 +45,35 @@ def test_traced_child_runs_and_counts(tmp_path):
             "kappa": 1.0, "alpha": 0.5, "m_mc": 200, "mc_sigmas": 5.0,
         },
     }
-    cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(yaml.safe_dump(cfg))
-    stats_path = tmp_path / "stats.json"
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PERFBENCH_T0=repr(time.monotonic()))
-    argv = [
-        sys.executable, os.path.join(ROOT, "perfbench", "child.py"), str(stats_path), "trace",
-        "run", "-c", str(cfg_path), "-o", str(tmp_path / "out"),
-    ]
-    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    counts = json.loads(stats_path.read_text())["layers"]["counts"]
+    counts = _traced_counts(tmp_path, cfg)
     assert counts["forward.linearize.calls"] == 1
     assert counts["forward.linearize.cols"] == 8
     # per ETDRK4 stage: one base and one tangent transform to grid values
     assert counts["spectral.to_values.calls"] == 12 * 4 * 2
+
+
+def test_traced_lan_counts_three_evaluations_per_replicate(tmp_path):
+    # lan-rd's count gate: per replicate, evaluate is called on n points by
+    # simulate_dataset and by the log-likelihood of each of the two fields
+    n, replicates = 40, 10
+    cfg = {
+        "seed": 3,
+        "workers": 2,
+        "model": {
+            "kind": "rd", "kmax": 8, "T": 0.5,
+            "mesh": {"kind": "graded", "levels": 2, "steps_per_block": 4},
+            "theta0": {"constant": 0.5, "modes": [{"k": [1], "kind": "cos", "value": 0.3}]},
+        },
+        "noise": {"family": "laplace", "scale": 1.0},
+        "design": {"kind": "uniform"},
+        "numerics": {"n_basis": 5},
+        "task": {
+            "name": "lan", "h": {"unit_index": 0, "scale_to_lan_norm": 1.0},
+            "n": n, "replicates": replicates,
+            "mean_sigmas": 50.0, "var_rel_tol": 100.0, "ks_pmin": 0.0,
+        },
+    }
+    counts = _traced_counts(tmp_path, cfg)
+    assert counts["kernels.eval.calls"] == 3 * replicates
+    assert counts["kernels.eval.points"] == 3 * n * replicates
+    assert counts["inference.simulate.calls"] == replicates

@@ -133,15 +133,18 @@ def _unit_index_above_modes(cfg):
     cfg["model"]["theta0"] = {"unit_index": 999}
 
 
-def _short_s_values(task, model=None):
-    # the remainder-slope fit needs four perturbation sizes
+def _bad_s_values(task, s_values, model=None):
+    # the remainder-slope fit needs four positive perturbation sizes
     def mutate(cfg):
         if model is not None:
             cfg["model"] = model
             cfg["noise"] = {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]}
-        cfg["task"] = {"name": task, "s_values": [1e-2, 1e-1]}
+        cfg["task"] = {"name": task, "s_values": s_values}
 
     return mutate
+
+
+_NS_SMALL = {"kind": "ns", "kmax": 2, "T": 0.5, "mesh": {"m": 8}}
 
 
 def _empty_beta_list(cfg):
@@ -170,8 +173,10 @@ class TestInconsistentConfigs:
             _pushforward_window(0.015625, 0.5),
             _mc_k_above_k_grid,
             _unit_index_above_modes,
-            _short_s_values("qmd-check"),
-            _short_s_values("ns-diagnostics", {"kind": "ns", "kmax": 2, "T": 0.5, "mesh": {"m": 8}}),
+            _bad_s_values("qmd-check", [1e-2, 1e-1]),
+            _bad_s_values("ns-diagnostics", [1e-2, 1e-1], _NS_SMALL),
+            _bad_s_values("qmd-check", [0.0, 0.01, 0.1, 1.0]),
+            _bad_s_values("ns-diagnostics", [-0.01, 0.01, 0.1, 1.0], _NS_SMALL),
             _empty_beta_list,
             _zero_expected_snorm,
             None,
@@ -191,6 +196,8 @@ class TestInconsistentConfigs:
             "unit-index-above-modes",
             "qmd-two-s-values",
             "ns-diagnostics-two-s-values",
+            "qmd-s-zero",
+            "ns-diagnostics-s-negative",
             "support-empty-beta-list",
             "snorm-expected-zero",
             "config-is-a-directory",
@@ -401,10 +408,43 @@ class TestRemainingTasks:
         assert report["results"]["divergent"] is True
 
 
+def _rd_lan_cfg():
+    """A small RD + Laplace LAN run, the lan-rd workload's shape scaled down."""
+    return {
+        "seed": 7,
+        "model": {
+            "kind": "rd",
+            "kmax": 8,
+            "T": 0.5,
+            "mesh": {"kind": "graded", "levels": 4, "steps_per_block": 8},
+            "theta0": {"constant": 0.5, "modes": [{"k": [1], "kind": "cos", "value": 0.3}]},
+        },
+        "noise": {"family": "laplace", "scale": 1.0},
+        "design": {"kind": "uniform"},
+        "numerics": {"n_basis": 5},
+        "task": {
+            "name": "lan",
+            "h": {"unit_index": 0, "scale_to_lan_norm": 1.0},
+            "n": 150,
+            "replicates": 24,
+            "mean_sigmas": 6.0,
+            "var_rel_tol": 10.0,
+            "ks_pmin": 0.0,
+        },
+    }
+
+
 class TestWorkerInvariance:
     def test_efficiency_report_independent_of_workers(self, tmp_path):
         task = {"name": "efficiency", "n": 300, "replicates": 100, "ratio_range": [0.7, 1.3]}
-        path = _write(tmp_path, "cfg.yaml", TestRemainingTasks()._base(task))
+        self._check(tmp_path, TestRemainingTasks()._base(task))
+
+    def test_lan_report_independent_of_workers(self, tmp_path):
+        # the replicate threads evaluate fields against the mesh's shared stencils
+        self._check(tmp_path, _rd_lan_cfg())
+
+    def _check(self, tmp_path, cfg):
+        path = _write(tmp_path, "cfg.yaml", cfg)
         reports = []
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
@@ -459,24 +499,37 @@ class TestConfigTable:
 
 
 class TestColdStart:
+    def _unimported(self, script):
+        src = os.path.dirname(os.path.dirname(pdefisher.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        script += "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules))\n"
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return out.stdout.strip().splitlines()[-1] == "[]"
+
     def test_build_leaves_stats_and_interpolate_unimported(self):
         # scipy.stats and scipy.interpolate together took about a second of
         # start-up; building an experiment needs neither
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         workload = os.path.join(root, "perfbench", "workloads", "lan-rd.yaml")
-        script = (
-            "import sys\n"
+        assert self._unimported(
             "import pdefisher.cli as cli\n"
             f"raw = cli.validate_config(cli.load_config({workload!r}))\n"
             "cli.build_experiment(cli.resolve_config(raw))\n"
-            "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules))\n"
         )
-        src = os.path.dirname(os.path.dirname(pdefisher.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+
+    def test_lan_task_leaves_stats_unimported(self, tmp_path):
+        # the LAN task's KS p-value is computed without scipy.stats
+        path = _write(tmp_path, "cfg.yaml", _rd_lan_cfg())
+        assert self._unimported(
+            "import pytest\n"
+            "from pdefisher.cli import _execute\n"
+            "with pytest.raises(SystemExit) as exc:\n"
+            f"    _execute(None, {path!r}, {str(tmp_path / 'out')!r}, None, None)\n"
+            "assert exc.value.code == 0, exc.value.code\n"
         )
-        assert out.stdout.strip() == "[]"
 
 
 # a small heat LAN run (cosine design, a few replicates) whose checks pass

@@ -23,6 +23,7 @@ from pdefisher import (
     sobolev_norm,
     solve_heat_exact,
 )
+from pdefisher.forward import _time_stencils
 from pdefisher.spectral import values_from_coeffs
 
 LAM1 = 4 * np.pi**2
@@ -389,19 +390,57 @@ def _constant_mode_field(es, mesh, values):
     return SpaceTimeField(es, mesh, data)
 
 
-def _lagrange_oracle(nodes, data, t):
-    """Cubic through the 4 nodes around t (shifted inward at the ends)."""
+def _lagrange_stencil(nodes, t):
+    """The 4 nodes around t (shifted inward at the ends) and their Lagrange
+    weights, as explicit products."""
     j = min(max(bisect.bisect_right(nodes, t) - 1, 0), len(nodes) - 2)
     start = min(max(j - 1, 0), len(nodes) - 4)
-    stencil = range(start, start + 4)
-    out = np.zeros(data.shape[1])
+    stencil = list(range(start, start + 4))
+    weights = []
     for a in stencil:
         w = 1.0
         for b in stencil:
             if b != a:
                 w *= (t - nodes[b]) / (nodes[a] - nodes[b])
-        out += w * data[a]
-    return out
+        weights.append(w)
+    return stencil, weights
+
+
+def _lagrange_oracle(nodes, data, t):
+    """Cubic through the 4 nodes around t (shifted inward at the ends)."""
+    stencil, weights = _lagrange_stencil(nodes, t)
+    return sum(w * data[a] for a, w in zip(stencil, weights))
+
+
+class TestTimeStencils:
+    """The mesh's precomputed stencils against explicit Lagrange products on
+    a graded mesh: at every node, at both ends and around the block joins."""
+
+    def test_matches_explicit_products(self):
+        mesh = TimeMesh.graded(1.0, levels=4, steps_per_block=4)
+        nodes = mesh.nodes.tolist()
+        joins = [nodes[i0] for i0, _, _ in mesh.blocks[1:]]
+        rng = np.random.default_rng(4)
+        t = np.concatenate([
+            mesh.nodes,
+            [0.0, 1e-300, 0.5 * nodes[1], 1.0 - 1e-15, 1.0, 0.5 * (nodes[-2] + 1.0)],
+            np.ravel([[tj * (1 - 1e-9), tj * (1 + 1e-9)] for tj in joins]),
+            rng.uniform(0.0, 1.0, 200),
+        ])
+        idx, w = _time_stencils(mesh, t)
+        assert idx.shape == w.shape == (t.shape[0], 4)
+        for q, tq in enumerate(t.tolist()):
+            stencil, weights = _lagrange_stencil(nodes, tq)
+            assert idx[q].tolist() == stencil, tq
+            np.testing.assert_allclose(w[q], weights, rtol=0, atol=1e-13)
+
+    def test_node_weights_are_exact(self):
+        # each node's weight is 1 on itself and 0 on the three others, bitwise
+        mesh = TimeMesh.graded(1.0, levels=4, steps_per_block=4)
+        idx, w = _time_stencils(mesh, mesh.nodes)
+        own = idx == np.arange(mesh.n_nodes)[:, None]
+        assert own.sum(axis=1).tolist() == [1] * mesh.n_nodes
+        np.testing.assert_array_equal(w, own.astype(float))
 
 
 def _fourier_oracle(es, coeffs, x):

@@ -1,8 +1,11 @@
 """Data simulation, likelihood ratios, the LAN expansion at moderate scale,
 and the influence-function estimator (exactness in the linear-Gaussian case)."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from pdefisher import (
     DesignMeasure,
@@ -18,7 +21,7 @@ from pdefisher import (
     pairing,
     simulate_dataset,
 )
-from pdefisher.inference import build_influence_field, influence_values
+from pdefisher.inference import _kolmogorov_sf, _ks_normal, build_influence_field, influence_values
 
 LAM1 = 4 * np.pi**2
 
@@ -187,6 +190,58 @@ class TestLanMonteCarlo:
         a = lan_montecarlo(model, theta0, h, noise, design, 200, 20, 10, M=M, workers=1)
         b = lan_montecarlo(model, theta0, h, noise, design, 200, 20, 10, M=M, workers=4)
         assert a["mean"] == b["mean"] and a["var"] == b["var"]
+
+
+def _d_grid(n, points=60):
+    return np.linspace(0.5 / n, 1.0, points + 2)[1:-1]
+
+
+class TestKolmogorovSmirnov:
+    """The LAN task's KS test against scipy.stats and the closed forms of the
+    exact two-sided distribution (Ruben & Gambino 1982)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 140, 141, 400, 3000])
+    def test_statistic_equals_kstest(self, n):
+        rng = np.random.default_rng(n)
+        for shift in (0.0, 0.4, -1.5):
+            x = rng.normal(0.3 + shift, 1.7, n)
+            d, p = _ks_normal(x, 0.3, 1.7)
+            ref = stats.kstest(x, "norm", args=(0.3, 1.7))
+            assert d == ref.statistic
+            assert p == pytest.approx(ref.pvalue, rel=1e-4, abs=1e-300)
+
+    def test_durbin_branch_matches_kstwo(self):
+        # where scipy itself runs the Durbin matrix: n <= 140, n d^2 <= 0.754693,
+        # outside the closed-form ranges below
+        checked = 0
+        for n in range(2, 141):
+            for d in _d_grid(n):
+                if n * d > 1 and d < 0.5 and n * d * d <= 0.754693:
+                    assert _kolmogorov_sf(n, d) == pytest.approx(stats.kstwo.sf(d, n), rel=1e-10)
+                    checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 60, 140, 141, 400, 1000])
+    def test_closed_forms(self, n):
+        # P(D_n <= d) = n!/n^n (2nd - 1)^n on [1/(2n), 1/n]
+        for d in np.linspace(0.5 / n, 1.0 / n, 41).tolist():
+            cdf = math.factorial(n) / n**n * (2 * n * d - 1) ** n if n <= 140 else math.exp(
+                math.lgamma(n + 1) - n * math.log(n) + n * math.log(max(2 * n * d - 1, 1e-300))
+            )
+            assert _kolmogorov_sf(n, d) == pytest.approx(1.0 - cdf, rel=1e-12, abs=1e-300)
+        # P(D_n >= d) = 2 (1 - d)^n on [1 - 1/n, 1]
+        if n >= 2:
+            for d in np.linspace(1.0 - 1.0 / n, 1.0, 41)[:-1].tolist():
+                assert _kolmogorov_sf(n, d) == pytest.approx(2 * (1 - d) ** n, rel=1e-10)
+        assert _kolmogorov_sf(n, 1.0) == 0.0
+
+    @pytest.mark.parametrize("n", [3, 20, 80, 140, 141, 400, 1000, 5000])
+    def test_matches_kstwo_elsewhere(self, n):
+        # Pomeranz (n <= 140) or Pelz-Good (n > 140) in scipy against the
+        # Durbin matrix here, and scipy's own 2 smirnov branch
+        for d in _d_grid(n, 200):
+            got, ref = _kolmogorov_sf(n, d), stats.kstwo.sf(d, n)
+            assert got == pytest.approx(ref, rel=1e-4, abs=1e-300), (n, d)
 
 
 class TestInfluenceEstimator:

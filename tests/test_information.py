@@ -324,6 +324,11 @@ class TestConditionLimit:
             InformationMatrix(np.diag([1.0, 1e-13]), es1)
         assert InformationMatrix(np.diag([1.0, 1e-11]), es1).cond == pytest.approx(1e11)
 
+    def test_indefinite_matrix_rejected(self, es1):
+        # the CLI's info-matrix task relies on this for eig_min > 0
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            InformationMatrix(np.diag([1.0, -1.0]), es1)
+
 
 class TestInvariants:
     def test_isometry_at_truncation(self, heat_setup):

@@ -1,5 +1,7 @@
 """Eigensystem, transform, and norm checks against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from pdefisher import (
 )
 from pdefisher.spectral import (
     KIND_CONST,
+    KIND_COS,
     KIND_SIN,
+    basis_values_at,
     coeffs_from_values,
     values_from_coeffs,
 )
@@ -61,6 +65,18 @@ class TestEigenSystem:
         np.testing.assert_array_equal(a.kvecs, b.kvecs)
         np.testing.assert_array_equal(a.kind, b.kind)
         assert np.all(np.diff(a.lam) >= 0)
+
+    @pytest.mark.parametrize(
+        "d, kmax, subspace", [(1, 7, FULL), (1, 64, MEAN_ZERO), (2, 9, FULL), (2, 16, DIV_FREE)]
+    )
+    def test_sin_follows_cos_of_same_wavevector(self, d, kmax, subspace):
+        # basis_values_at reads each wavevector's cos and sin columns as one
+        # complex entry, so the order must keep them adjacent
+        es = build_eigensystem(d, kmax, subspace)
+        cos = np.flatnonzero(es.kind == KIND_COS)
+        assert cos.size == np.count_nonzero(es.kind == KIND_SIN) > 0
+        np.testing.assert_array_equal(es.kind[cos + 1], KIND_SIN)
+        np.testing.assert_array_equal(es.kvecs[cos + 1], es.kvecs[cos])
 
     def test_dealiased_grid_is_smallest_even_7_smooth(self):
         # oracle: brute-force search over even n >= max(8, 3k+1) divisible by
@@ -261,3 +277,38 @@ class TestHalfSpectrumCodec:
             for b in range(3):
                 np.testing.assert_allclose(vals[b], _grid_sum(es, data[b], n), rtol=0, atol=1e-12)
             np.testing.assert_allclose(coeffs_from_values(es, vals), data, rtol=0, atol=1e-12)
+
+
+def _mode_values(es, x):
+    """One point, every mode: 1, or sqrt(2) cos / sin(2 pi k.x) by math."""
+    out = []
+    for k, kind in zip(es.kvecs.tolist(), es.kind.tolist()):
+        phase = 2 * math.pi * sum(ki * xi for ki, xi in zip(k, x))
+        out.append(1.0 if kind == KIND_CONST else math.sqrt(2) * (math.cos if kind == KIND_COS else math.sin)(phase))
+    return out
+
+
+class TestBasisValuesAt:
+    """basis_values_at (per-axis tables of e^{2 pi i k x}, powers by products)
+    against a per-mode cosine/sine sum.  The kmax values cover a last block of
+    powers that is full (1, 16, 64) and partial (5, 7, 9, 33)."""
+
+    @pytest.mark.parametrize(
+        "d, kmax, subspace",
+        [
+            (1, 1, FULL), (1, 7, MEAN_ZERO), (1, 33, FULL), (1, 64, FULL), (1, 64, MEAN_ZERO),
+            (2, 1, FULL), (2, 5, MEAN_ZERO), (2, 9, DIV_FREE), (2, 16, FULL), (2, 16, MEAN_ZERO),
+            (2, 16, DIV_FREE),
+        ],
+    )
+    def test_matches_per_mode_sum(self, d, kmax, subspace):
+        es = build_eigensystem(d, kmax, subspace)
+        rng = np.random.default_rng(kmax + 10 * d)
+        edges = [0.0, 0.25, 0.5, 1.0 - 2.0**-40, 1.0, -0.3, 2.7]
+        x = np.vstack([rng.uniform(0, 1, (40, d)), np.array(edges)[:, None] * np.ones(d)])
+        if d == 2:
+            x[-len(edges):, 1] = edges[::-1]
+        expected = np.array([_mode_values(es, xi) for xi in x.tolist()])
+        got = basis_values_at(es, x)
+        assert got.shape == (x.shape[0], es.size)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
