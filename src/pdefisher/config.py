@@ -439,8 +439,8 @@ def build_experiment(cfg):
     """Resolved config -> dict of live objects for the task runners.
 
     Rules that a builder owns (even step counts, the Simpson window, the
-    cosine design's amplitude, the noise parameters) are checked by running
-    it; its ValueError becomes a ConfigError.
+    cosine design's amplitude, the noise parameters, the Navier-Stokes kmax
+    cap) are checked by running it; its ValueError becomes a ConfigError.
     """
     m, task = cfg["model"], cfg["task"]
     subspace = {"full": FULL, "mean-zero": MEAN_ZERO, "div-free": DIV_FREE}[m["subspace"]]
@@ -466,15 +466,16 @@ def build_experiment(cfg):
         model = ReactionDiffusionModel(es, T=m["T"], reaction=reaction, mesh=mesh)
     else:
         forcing = build_field(es, m["forcing"]) if "forcing" in m else None
-        model = NavierStokesModel(
-            es, viscosity=m["viscosity"], T=m["T"], forcing=forcing, mesh=mesh
-        )
+        with _owner_check("Navier-Stokes model"):
+            model = NavierStokesModel(
+                es, viscosity=m["viscosity"], T=m["T"], forcing=forcing, mesh=mesh
+            )
     theta0 = build_field(es, m["theta0"])
 
     noise_params = {k: v for k, v in cfg["noise"].items() if k != "family"}
-    if "cov" in noise_params:
-        noise_params["cov"] = np.asarray(noise_params["cov"], dtype=float)
     try:
+        if "cov" in noise_params:  # a ragged nesting raises here
+            noise_params["cov"] = np.asarray(noise_params["cov"], dtype=float)
         noise = make_noise(cfg["noise"]["family"], **noise_params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"noise {cfg['noise']['family']!r}: {exc}") from None

@@ -251,13 +251,13 @@ def _checked_mesh(T, mesh):
 class _SpectralModel:
     """ETDRK4 march, solve and linearize shared by the pseudo-spectral models.
 
-    A subclass sets ``lin`` (the diagonal linear part of its state equation)
-    and ``name`` (for the blow-up error), and supplies ``_lift``
-    (coefficients (..., nm) -> states), ``_project`` (states -> coefficients,
-    batched over leading axes), ``_grid(u)`` (the grid values of state u
-    that the nonlinearity and its derivative both need), ``_nonlin(g)`` and
-    ``_dnonlin(g, v)``, the derivative of the nonlinearity at the state with
-    grid values g applied to tangent states v (B, ...).
+    Both models march the coefficient vector itself, (nm,) for the base state
+    and (B, nm) for B tangent states, so every snapshot is a state.  A
+    subclass sets ``lin`` (the diagonal linear part, (nm,)) and ``name`` (for
+    the blow-up error), and supplies ``_grid(u)`` (the grid values of base
+    state u that the nonlinearity and its derivative both need),
+    ``_nonlin(g)`` and ``_dnonlin(g, v)``, the derivative of the nonlinearity
+    at the state with grid values g applied to tangent states v.
     """
 
     def __init__(self, es, T, mesh):
@@ -266,13 +266,13 @@ class _SpectralModel:
         self.mesh = _checked_mesh(T, mesh)
 
     def _march(self, u, v=None):
-        """Base march from state u, co-integrating tangent states v (B, ...) if given."""
+        """Base march from state u, co-integrating tangent states v (B, nm) if given."""
         snaps = np.empty((self.mesh.n_nodes, self.es.size))
-        snaps[0] = self._project(u)
+        snaps[0] = u
         vsnaps = None
         if v is not None:
             vsnaps = np.empty((self.mesh.n_nodes, self.es.size, v.shape[0]))
-            vsnaps[0] = np.moveaxis(self._project(v), 0, -1)
+            vsnaps[0] = v.T
         cache = {}
         grids = []  # the current step's four base-stage grid values
 
@@ -292,13 +292,13 @@ class _SpectralModel:
                     v = _etdrk4_step(v, lambda w: self._dnonlin(next(stages), w), c)
                 if not np.all(np.isfinite(u)):
                     raise RuntimeError(f"{self.name} solve blew up at t={self.mesh.nodes[i0+s+1]:.4g}")
-                snaps[i0 + s + 1] = self._project(u)
+                snaps[i0 + s + 1] = u
                 if v is not None:
-                    vsnaps[i0 + s + 1] = np.moveaxis(self._project(v), 0, -1)
+                    vsnaps[i0 + s + 1] = v.T
         return snaps, vsnaps
 
     def solve(self, theta):
-        snaps, _ = self._march(self._lift(theta.data))
+        snaps, _ = self._march(theta.data)
         return SpaceTimeField(self.es, self.mesh, snaps)
 
     def linearize(self, theta0, h):
@@ -306,7 +306,7 @@ class _SpectralModel:
         or (nm, B) columns (-> SpaceTimeBatch)."""
         single = isinstance(h, FourierCoeffs)
         cols = h.data[:, None] if single else np.asarray(h, dtype=float)
-        _, vsnaps = self._march(self._lift(theta0.data), self._lift(cols.T))
+        _, vsnaps = self._march(theta0.data, cols.T)
         if single:
             return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(vsnaps[:, :, 0]))
         return SpaceTimeBatch(self.es, self.mesh, vsnaps)
@@ -351,27 +351,32 @@ def solve_heat_exact(theta, T, mesh=None):
 
 
 class BumpReaction:
-    """f(u) = A u (1 - u^2) chi(u), chi a C^inf bump supported on [-R, R]."""
+    """f(u) = A u (1 - u^2) chi(u), chi a C^inf bump supported on [-R, R].
+
+    ``cutoff(u)`` evaluates chi and the terms its derivative reuses; ``f`` and
+    ``df`` take them precomputed, so a march that needs both at the same grid
+    values evaluates the cutoff once.
+    """
 
     def __init__(self, amplitude=2.0, radius=2.5):
         self.amplitude = float(amplitude)
         self.radius = float(radius)
 
-    def _chi(self, u):
+    def cutoff(self, u):
         r2 = (u / self.radius) ** 2
         inside = r2 < 1.0 - 2e-3  # chi underflows to exactly 0 beyond this
         g = np.where(inside, 1.0 / np.where(inside, 1.0 - r2, 1.0), 0.0)
         chi = np.where(inside, np.exp(1.0 - g), 0.0)
         return chi, g, inside
 
-    def f(self, u):
+    def f(self, u, cut=None):
         u = np.asarray(u, dtype=float)
-        chi, _, _ = self._chi(u)
+        chi, _, _ = self.cutoff(u) if cut is None else cut
         return self.amplitude * u * (1.0 - u * u) * chi
 
-    def df(self, u):
+    def df(self, u, cut=None):
         u = np.asarray(u, dtype=float)
-        chi, g, inside = self._chi(u)
+        chi, g, inside = self.cutoff(u) if cut is None else cut
         r = self.radius
         gp = np.where(inside, (2.0 * u / r**2) * g * g, 0.0)
         chip = -gp * chi
@@ -379,11 +384,14 @@ class BumpReaction:
 
 
 class ReactionDiffusionModel(_SpectralModel):
-    """u_t = Lap u + f(u); the state is the coefficient vector itself.
+    """u_t = Lap u + f(u); the state is the coefficient vector.
 
-    f is evaluated on the dealiased grid of ``min_grid_points``, whose 3/2
-    rule is exact for quadratic products only; the bump reaction is not a
-    polynomial, so results carry an aliasing error that depends on that grid.
+    The reaction supplies ``cutoff(u)`` (whatever f and f' share at the grid
+    values u), ``f(u, cut)`` and ``df(u, cut)``; each stage's base grid values
+    and their cutoff are computed once, for both.  f is evaluated on the
+    dealiased grid of ``min_grid_points``, whose 3/2 rule is exact for
+    quadratic products only; the bump reaction is not a polynomial, so
+    results carry an aliasing error that depends on that grid.
     """
 
     kind = "rd"
@@ -397,22 +405,19 @@ class ReactionDiffusionModel(_SpectralModel):
         self.reaction = reaction if reaction is not None else BumpReaction()
         self.n = es.min_grid_points(dealias=True)
 
-    @staticmethod
-    def _lift(coeffs):
-        return coeffs
-
-    _project = _lift
-
     def _grid(self, u):
-        return values_from_coeffs(self.es, u, self.n)
+        vals = values_from_coeffs(self.es, u, self.n)
+        return vals, self.reaction.cutoff(vals)
 
-    def _nonlin(self, vals):
-        return coeffs_from_values(self.es, self.reaction.f(vals))
+    def _nonlin(self, g):
+        vals, cut = g
+        return coeffs_from_values(self.es, self.reaction.f(vals, cut))
 
-    def _dnonlin(self, vals, v):
-        """f'(u) v for the base grid values ``vals`` of u and tangent columns v (B, nm)."""
+    def _dnonlin(self, g, v):
+        """f'(u) v for the base grid values and cutoff ``g`` of u and tangent columns v (B, nm)."""
+        vals, cut = g
         tvals = values_from_coeffs(self.es, v, self.n)
-        return coeffs_from_values(self.es, self.reaction.df(vals)[None, ...] * tvals)
+        return coeffs_from_values(self.es, self.reaction.df(vals, cut)[None, ...] * tvals)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +425,33 @@ class ReactionDiffusionModel(_SpectralModel):
 # ---------------------------------------------------------------------------
 
 
+# the largest kmax at which a Navier-Stokes stage on the dense grid maps
+# measured no slower than on the FFTs they replace (see the class docstring)
+_NS_MAX_KMAX = 6
+
+
 class NavierStokesModel(_SpectralModel):
-    """Marched as the rfft2 half spectrum (n, n//2+1) of the vorticity (numpy's
-    unnormalized DFT); stored as velocity coefficients."""
+    """omega_t + u . grad omega = nu Lap omega + curl f, marched in velocity
+    coefficients.
+
+    The state is the divergence-free velocity coefficient vector, (nm,) or
+    (B, nm), as for reaction-diffusion: the curl maps each velocity mode to
+    one vorticity mode of the same |k|, so the linear part is -nu lambda_j and
+    the forcing is its own coefficient vector.  Two real matrices, built once
+    from the half-spectrum codec, carry every transform, so a stage is one
+    matmul each way:
+
+    * ``_to_grid`` (nm, 4 n^2): u1, u2, d omega/dx1 and d omega/dx2 on the
+      dealiased n x n grid of each unit coefficient vector;
+    * ``_from_grid`` (n^2, nm): grid advection a -> the velocity coefficients
+      of -P a (the masked DFT, then the inverse curl), the exact dealiased
+      projection because n >= 3 kmax + 1.
+
+    Both grow as kmax^4 (n ~ 3 kmax, nm ~ 2 kmax^2), while the five FFTs per
+    stage they replace grow as kmax^2 log kmax.  Above kmax 6 a stage on them
+    measured slower (a solve stage 1.7x at kmax 7; a 64-column tangent stage
+    4x at kmax 16, with 104 MiB of maps), so the model refuses larger kmax.
+    """
 
     kind = "ns"
     name = "Navier-Stokes"
@@ -430,48 +459,49 @@ class NavierStokesModel(_SpectralModel):
     def __init__(self, es, viscosity, T=1.0, forcing=None, mesh=None):
         if es.subspace != DIV_FREE:
             raise ValueError("Navier-Stokes needs the divergence-free eigensystem")
+        if es.kmax > _NS_MAX_KMAX:
+            raise ValueError(
+                f"Navier-Stokes supports kmax <= {_NS_MAX_KMAX} (its dense grid maps grow as kmax^4)"
+            )
+        if forcing is not None and forcing.es != es:
+            raise ValueError("forcing must live in the model eigensystem")
         super().__init__(es, T, mesh)
         self.nu = float(viscosity)
-        self.n = es.min_grid_points(dealias=True)
+        self.lin = -self.nu * es.lam
+        self.forcing = forcing.data if forcing is not None and np.any(forcing.data) else None
 
-        n = self.n
+        self.n = n = es.min_grid_points(dealias=True)
         self.kx = np.fft.fftfreq(n, d=1.0 / n)[:, None] * np.ones((1, n // 2 + 1))
         self.ky = np.ones((n, 1)) * np.fft.rfftfreq(n, d=1.0 / n)[None, :]
-        self.lam = 4.0 * np.pi**2 * (self.kx**2 + self.ky**2)
-        self.mask = (np.abs(self.kx) <= es.kmax) & (np.abs(self.ky) <= es.kmax)
-        # vorticity -> streamfunction: -1/lam on the retained modes, 0 at k = 0
-        lam_safe = np.where(self.lam > 0, self.lam, 1.0)
-        self.inv_lap = np.where(self.mask & (self.lam > 0), -1.0 / lam_safe, 0.0)
-        self.lin = -self.nu * self.lam
-
+        lam = 4.0 * np.pi**2 * (self.kx**2 + self.ky**2)
+        # vorticity -> streamfunction: -1/lam, 0 at k = 0
+        self.inv_lap = np.where(lam > 0, -1.0 / np.where(lam > 0, lam, 1.0), 0.0)
         self._two_pi_absk = 2.0 * np.pi * np.sqrt((es.kvecs**2).sum(axis=1).astype(float))
         self._is_cos = es.kind == 1
 
-        if forcing is not None and forcing.es != es:
-            raise ValueError("forcing must live in the model eigensystem")
-        self.forcing_hat = None
-        if forcing is not None and np.any(forcing.data):
-            self.forcing_hat = self._lift(forcing.data)
+        what = self._vorticity_spectrum(np.eye(es.size))
+        psi = self.inv_lap * what
+        ik = 2j * np.pi
+        specs = np.stack([-ik * self.ky * psi, ik * self.kx * psi, ik * self.kx * what, ik * self.ky * what], 1)
+        self._to_grid = np.fft.irfft2(specs, (n, n)).reshape(es.size, 4 * n * n)
+        self._from_grid = -self._velocity_coeffs(np.fft.rfft2(np.eye(n * n).reshape(n * n, n, n)))
 
-    # -- coefficient plumbing (batched over leading axes) ----------------------
+    # -- half-spectrum codec: builds the maps, and serves lattice_divergence ---
 
-    def _curl_coeffs(self, vel_coeffs):
-        """Scalar vorticity (cos, sin) coefficients from div-free velocity coeffs."""
+    def _vorticity_spectrum(self, vel_coeffs):
+        """Velocity coefficients (..., nm) -> numpy-convention (unnormalized) DFT
+        vorticity half spectra (..., n, n//2+1)."""
         w = np.empty_like(vel_coeffs)
         cos_idx = self._is_cos
         # curl(dir * sqrt2 cos) = -2 pi |k| sqrt2 sin ; curl(dir * sqrt2 sin) = +2 pi |k| sqrt2 cos
         w[..., cos_idx] = self._two_pi_absk[~cos_idx] * vel_coeffs[..., ~cos_idx]
         w[..., ~cos_idx] = -self._two_pi_absk[cos_idx] * vel_coeffs[..., cos_idx]
-        return w
-
-    def _lift(self, vel_coeffs):
-        """Velocity coefficients -> numpy-convention DFT vorticity half spectra."""
         n = self.n
-        return coeffs_to_lattice(self.es, self._curl_coeffs(vel_coeffs), n) * (n * n)
+        return coeffs_to_lattice(self.es, w, n) * (n * n)
 
-    def _project(self, what):
+    def _velocity_coeffs(self, what):
         """DFT vorticity half spectra -> div-free velocity coefficients (..., nm);
-        inverts :meth:`_curl_coeffs`."""
+        inverts :meth:`_vorticity_spectrum` on the retained modes."""
         n = self.n
         w = lattice_to_coeffs(self.es, what / (n * n), n)
         out = np.empty_like(w)
@@ -480,30 +510,21 @@ class NavierStokesModel(_SpectralModel):
         out[..., ~cos_idx] = w[..., cos_idx] / self._two_pi_absk[cos_idx]
         return out
 
-    # -- spectral operators ----------------------------------------------------
+    # -- marcher hooks -----------------------------------------------------------
 
-    def _grid(self, what):
-        """Velocity u1, u2 and vorticity gradient wx, wy on the n x n grid."""
-        s = (self.n, self.n)
-        psi = self.inv_lap * what
-        u1 = np.fft.irfft2(-2j * np.pi * self.ky * psi, s)
-        u2 = np.fft.irfft2(2j * np.pi * self.kx * psi, s)
-        wx = np.fft.irfft2(2j * np.pi * self.kx * what, s)
-        wy = np.fft.irfft2(2j * np.pi * self.ky * what, s)
-        return u1, u2, wx, wy
+    def _grid(self, v):
+        """u1, u2, d omega/dx1, d omega/dx2 of state(s) v on the grid, (..., 4, n^2)."""
+        return (v @ self._to_grid).reshape(v.shape[:-1] + (4, -1))
 
     def _nonlin(self, g):
-        u1, u2, wx, wy = g
-        out = np.where(self.mask, -np.fft.rfft2(u1 * wx + u2 * wy), 0.0)
-        if self.forcing_hat is not None:
-            out = out + self.forcing_hat
+        out = (g[0] * g[2] + g[1] * g[3]) @ self._from_grid  # -P(u . grad omega)
+        if self.forcing is not None:
+            out = out + self.forcing
         return out
 
-    def _dnonlin(self, g, vhat):
-        u1, u2, wx, wy = g
-        tu1, tu2, twx, twy = self._grid(vhat)
-        adv = np.fft.rfft2(u1 * twx + u2 * twy + tu1 * wx + tu2 * wy)
-        return np.where(self.mask, -adv, 0.0)
+    def _dnonlin(self, g, v):
+        # -P(u . grad omega' + u' . grad omega) for tangent states v (B, nm)
+        return np.einsum("bip,ip->bp", self._grid(v), g[[2, 3, 0, 1]]) @ self._from_grid
 
     def lattice_divergence(self, field):
         """Max |div u| over lattice coefficients of reconstructed velocity.
@@ -513,7 +534,7 @@ class NavierStokesModel(_SpectralModel):
         """
         worst = 0.0
         for i in range(field.mesh.n_nodes):
-            w_hat = self._lift(field.data[i])
+            w_hat = self._vorticity_spectrum(field.data[i])
             psi = self.inv_lap * w_hat
             u1_hat = -2j * np.pi * self.ky * psi
             u2_hat = 2j * np.pi * self.kx * psi
@@ -524,7 +545,7 @@ class NavierStokesModel(_SpectralModel):
 
     def energy_balance_residual(self, field):
         """|E(T) - E(0) + nu int ||grad u||^2 - int <f,u>| / T (f=0 supported)."""
-        if self.forcing_hat is not None:
+        if self.forcing is not None:
             raise NotImplementedError("energy residual implemented for f = 0")
         energy = 0.5 * field.squared_l2_profile()
         enstrophy = np.einsum("m,tm->t", self.es.lam, field.data**2)

@@ -3,6 +3,7 @@
 traced benchmark run."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -77,3 +78,25 @@ def test_traced_lan_counts_three_evaluations_per_replicate(tmp_path):
     assert counts["kernels.eval.calls"] == 3 * replicates
     assert counts["kernels.eval.points"] == 3 * n * replicates
     assert counts["inference.simulate.calls"] == replicates
+
+
+def test_traced_pushforward_counts(tmp_path):
+    # pushforward-ns's count gate: per K, one march of the K unit tangents
+    # that assemble M, then the m samples in chunks of 64 columns
+    ks, m = [4, 8], 70
+    cfg = {
+        "seed": 5,
+        "workers": 1,
+        "model": {"kind": "ns", "kmax": 2, "T": 0.5, "viscosity": 0.05, "mesh": {"kind": "uniform", "m": 8}},
+        "noise": {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]},
+        "design": {"kind": "uniform"},
+        "numerics": {"n_basis": 8},
+        "task": {
+            "name": "pushforward-bound", "functional": "ns-nonlinearity", "loss": "l2",
+            "t0": 0.125, "t1": 0.5, "m": m, "n_basis_list": ks, "stability_tol": 10.0,
+        },
+    }
+    counts = _traced_counts(tmp_path, cfg)
+    assert counts["forward.linearize.calls"] == len(ks) * (1 + math.ceil(m / 64))
+    assert counts["forward.linearize.cols"] == sum(k + m for k in ks)
+    assert counts.get("kernels.eval.calls", 0) == 0

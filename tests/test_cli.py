@@ -147,6 +147,19 @@ def _bad_s_values(task, s_values, model=None):
 _NS_SMALL = {"kind": "ns", "kmax": 2, "T": 0.5, "mesh": {"m": 8}}
 
 
+def _ns_kmax_above_limit(cfg):
+    # the Navier-Stokes grid maps grow as kmax^4; the model stops at kmax 6
+    cfg["model"] = {**_NS_SMALL, "kmax": 7}
+    cfg["noise"] = {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    cfg["task"] = {"name": "info-matrix"}
+
+
+def _ragged_cov(cfg):
+    cfg["model"] = _NS_SMALL
+    cfg["noise"] = {"family": "gaussian2", "cov": [[0.0], [0.0, 1.0]]}
+    cfg["task"] = {"name": "info-matrix"}
+
+
 def _empty_beta_list(cfg):
     cfg["task"] = {"name": "gaussian-support", "beta_list": [], "k_grid": [4, 8]}
 
@@ -179,6 +192,8 @@ class TestInconsistentConfigs:
             _bad_s_values("ns-diagnostics", [-0.01, 0.01, 0.1, 1.0], _NS_SMALL),
             _empty_beta_list,
             _zero_expected_snorm,
+            _ns_kmax_above_limit,
+            _ragged_cov,
             None,
         ],
         ids=[
@@ -200,6 +215,8 @@ class TestInconsistentConfigs:
             "ns-diagnostics-s-negative",
             "support-empty-beta-list",
             "snorm-expected-zero",
+            "ns-kmax-above-limit",
+            "noise-cov-ragged",
             "config-is-a-directory",
         ],
     )
@@ -265,6 +282,17 @@ class TestReproducibility:
         for name in ("a", "b"):
             out = tmp_path / name
             result = CliRunner().invoke(main, ["snorm", "-c", path, "-o", str(out)])
+            assert result.exit_code == 0, result.output
+            outs.append((out / "report.json").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_ns_pushforward_reports_byte_for_byte(self, tmp_path):
+        # the Navier-Stokes marcher and the pushforward functional run on BLAS matmuls
+        path = _write(tmp_path, "cfg.yaml", _PUSHFORWARD_NS_BASE)
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            result = CliRunner().invoke(main, ["run", "-c", path, "-o", str(out)])
             assert result.exit_code == 0, result.output
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
@@ -579,6 +607,27 @@ _SNORM_BASE = {
     },
 }
 
+# a small Navier-Stokes pushforward bound (Gram assembly, tangent marches and
+# the nonlinearity functional) whose checks pass
+_PUSHFORWARD_NS_BASE = {
+    "seed": 5,
+    "workers": 1,
+    "model": {"kind": "ns", "kmax": 2, "T": 0.5, "viscosity": 0.05, "mesh": {"kind": "uniform", "m": 8}},
+    "noise": {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]},
+    "design": {"kind": "uniform"},
+    "numerics": {"n_basis": 8},
+    "task": {
+        "name": "pushforward-bound",
+        "functional": "ns-nonlinearity",
+        "loss": "l2",
+        "t0": 0.125,
+        "t1": 0.5,
+        "m": 8,
+        "n_basis_list": [4, 8],
+        "stability_tol": 10.0,
+    },
+}
+
 # small magnitudes only, so that no mutation makes a long or large run
 _NUMBERS = [1, 2, 3, 4, 0.25, 0.5, 1.5, -0.5, 0, -1, float("nan"), float("inf"), -float("inf")]
 _STRINGS = [
@@ -656,3 +705,8 @@ class TestExitCodeProperty:
     @given(data=st.data())
     def test_exit_code_contract_snorm(self, data):
         _check_exit_code_contract(_SNORM_BASE, data)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_contract_pushforward_ns(self, data):
+        _check_exit_code_contract(_PUSHFORWARD_NS_BASE, data)

@@ -24,7 +24,7 @@ from pdefisher import (
     solve_heat_exact,
 )
 from pdefisher.forward import _time_stencils
-from pdefisher.spectral import values_from_coeffs
+from pdefisher.spectral import coeffs_from_values, values_from_coeffs
 
 LAM1 = 4 * np.pi**2
 
@@ -77,10 +77,13 @@ class TestHeat:
 
 
 class ZeroReaction:
-    def f(self, u):
+    def cutoff(self, u):
+        return None
+
+    def f(self, u, cut=None):
         return np.zeros_like(u)
 
-    def df(self, u):
+    def df(self, u, cut=None):
         return np.zeros_like(u)
 
 
@@ -123,11 +126,11 @@ class TestReactionDiffusion:
         assert 8.0 < rate < 40.0  # ~2^4 with reference contamination slack
 
     def test_blowup_detection(self, es1):
-        class Explosive:
-            def f(self, u):
+        class Explosive(ZeroReaction):
+            def f(self, u, cut=None):
                 return u**3 + 50.0
 
-            def df(self, u):
+            def df(self, u, cut=None):
                 return 3 * u**2
 
         rd = ReactionDiffusionModel(
@@ -248,9 +251,56 @@ class TestNavierStokesLatticeMaps:
         curl = 2j * np.pi * (
             ns.kx * np.fft.fft2(u[:, 1])[..., :half] - ns.ky * np.fft.fft2(u[:, 0])[..., :half]
         )
-        lifted = ns._lift(c)
+        lifted = ns._vorticity_spectrum(c)
         assert np.abs(lifted - curl).max() <= 1e-13 * np.abs(curl).max()
-        np.testing.assert_allclose(ns._project(lifted), c, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ns._velocity_coeffs(lifted), c, rtol=0, atol=1e-13)
+
+
+def _fft_curl(u):
+    """Vorticity omega = d u2/dx1 - d u1/dx2 of velocity grid values u
+    (..., 2, n, n), and its d/dx1 and d/dx2, by numpy's full complex FFT."""
+    n = u.shape[-1]
+    k = 2j * np.pi * np.fft.fftfreq(n, d=1.0 / n)
+    kx, ky = k[:, None], k[None, :]
+    u_hat = np.fft.fft2(u)
+    w_hat = kx * u_hat[..., 1, :, :] - ky * u_hat[..., 0, :, :]
+    return [np.fft.ifft2(d * w_hat).real for d in (1.0, kx, ky)]
+
+
+class TestNavierStokesGridMaps:
+    """The dense maps the marcher runs on, against grid values and FFT
+    derivatives computed without them."""
+
+    @pytest.mark.parametrize("kmax", [2, 4, 6])
+    def test_to_grid_columns(self, kmax):
+        es = build_eigensystem(2, kmax, DIV_FREE)
+        ns = NavierStokesModel(es, viscosity=0.05, T=0.25, mesh=TimeMesh.uniform(0.25, 4))
+        u = values_from_coeffs(es, np.eye(es.size), ns.n)  # (nm, 2, n, n)
+        _, wx, wy = _fft_curl(u)
+        oracle = np.concatenate([u[:, 0], u[:, 1], wx, wy], axis=1).reshape(es.size, -1)
+        got = ns._to_grid
+        assert got.shape == (es.size, 4 * ns.n**2)
+        assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("kmax", [2, 4, 6])
+    def test_from_grid_projects_advection(self, kmax):
+        es = build_eigensystem(2, kmax, DIV_FREE)
+        scalar = build_eigensystem(2, kmax, "mean-zero")
+        ns = NavierStokesModel(es, viscosity=0.05, T=0.25, mesh=TimeMesh.uniform(0.25, 4))
+        n = ns.n
+        rng = np.random.default_rng(kmax)
+        c = rng.standard_normal((2, es.size))
+        u = values_from_coeffs(es, c, n)
+        _, wx, wy = _fft_curl(u[1])
+        adv = u[0, 0] * wx + u[0, 1] * wy  # u . grad omega, modes up to 2 kmax
+        # the curl as a matrix on the scalar eigensystem, from the FFT curl of
+        # each unit velocity field; its inverse is the inverse curl
+        w = _fft_curl(values_from_coeffs(es, np.eye(es.size), n))[0]
+        curl = coeffs_from_values(scalar, w)  # (nm, nm): row j is the curl of mode j
+        oracle = -np.linalg.solve(curl.T, coeffs_from_values(scalar, adv))
+        got = adv.reshape(-1) @ ns._from_grid
+        assert got.shape == (es.size,)
+        assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 class TestReactionDiffusion2D:
