@@ -7,7 +7,6 @@ the K-trace, never a single bare number.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .spectral import DIV_FREE, coeffs_to_lattice, values_from_coeffs
 
@@ -23,14 +22,13 @@ class GaussianSampleBatch:
 
 def sample_efficient_gaussian(M, m, rng, k=None):
     """Draw L_k^{-T} z with L_k = L[:k, :k] the Cholesky factor of the leading
-    k x k block of M (all of M by default), so the covariance is M_k^{-1}."""
+    k x k block of M (all of M by default), so the covariance is M_k^{-1};
+    L_k^{-1} is the leading block of L^{-1}, and each sample row is z^T L_k^{-1}."""
     k = M.n_basis if k is None else int(k)
     if not 1 <= k <= M.n_basis:
         raise ValueError(f"sample truncation {k} outside 1..{M.n_basis}")
-    L = M.cholesky_lower()[:k, :k]
     z = rng.standard_normal((m, k))
-    samples = solve_triangular(L, z.T, lower=True, trans="T").T
-    return GaussianSampleBatch(samples, k)
+    return GaussianSampleBatch(z @ M.cholesky_lower_inv()[:k, :k], k)
 
 
 def support_diagnostic(
@@ -49,7 +47,7 @@ def support_diagnostic(
         raise ValueError("need nonempty beta and truncation grids")
     if k_grid[0] < 1 or k_grid[-1] > M.n_basis:
         raise ValueError(f"truncation grid must lie in 1..{M.n_basis}, the assembled basis")
-    linv_sq = solve_triangular(M.cholesky_lower(), np.eye(M.n_basis), lower=True) ** 2
+    linv_sq = M.cholesky_lower_inv() ** 2
     cumulative = {}
     report = {
         "kappa": kappa,

@@ -12,11 +12,10 @@ number), and the efficient Gaussian has covariance M^{-1}.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
 
 from .forward import SpaceTimeBatch
 from .noise import fisher_matrix as compute_fisher, raised_cosine_quantile
-from .spectral import DIV_FREE, values_from_coeffs
+from .spectral import values_from_coeffs
 
 _BATCH_LIMIT = 4e7  # snapshot-array entries above which heat assembly streams
 _COND_LIMIT = 1e12  # condition number beyond which results are numerically meaningless
@@ -59,21 +58,6 @@ class DesignMeasure:
         g = 1.0 + self.amplitude * np.cos(2 * np.pi * x[:, self.axis])
         return g / self.T
 
-    def spatial_density_values(self, d, n):
-        """Values of T * lambda on the uniform n^d grid."""
-        if self.is_uniform:
-            return np.ones((n,) * d)
-        ax = np.arange(n) / n
-        g = 1.0 + self.amplitude * np.cos(2 * np.pi * ax)
-        if d == 1:
-            return g if self.axis == 0 else np.ones(n)
-        out = np.ones((n, n))
-        if self.axis == 0:
-            out *= g[:, None]
-        else:
-            out *= g[None, :]
-        return out
-
     def sample(self, rng, n, d):
         """n i.i.d. design points; draw order (t, then x) is part of the contract."""
         t = rng.uniform(0.0, self.T, size=n)
@@ -97,51 +81,41 @@ def _mode_weights(es, fisher):
     return np.einsum("ma,ab,mb->m", es.dirs, fisher.matrix, es.dirs)
 
 
-def spacetime_gram(batch, design, fisher=None, node_weights=None):
-    """Gram matrix G_ij = int <U_i, I_eps U_j> lambda dx dt for a field batch."""
-    es = batch.es
-    w_t = batch.mesh.weights if node_weights is None else node_weights
-    data = batch.data  # (nodes, nm, B)
+def _pointwise_form(es, design, fisher):
+    """B_jl = int <e_j, I_eps e_l> lambda dx on the basis modes, (nm, nm).
+
+    A uniform design gives the exact diagonal; otherwise B is the grid
+    quadrature of the identity's values, exact because the products of
+    retained modes with the band-limited density resolve on that grid.
+    """
     if design.is_uniform:
-        wm = _mode_weights(es, fisher) / design.T
-        scaled = data * np.sqrt(w_t)[:, None, None] * np.sqrt(wm)[None, :, None]
-        flat = scaled.reshape(-1, data.shape[2])
-        g = flat.T @ flat
-    else:
-        n = _quad_grid_points(es, design)
-        gx = design.spatial_density_values(es.d, n) / design.T
-        g = np.zeros((data.shape[2], data.shape[2]))
-        for i in range(data.shape[0]):
-            if w_t[i] == 0.0:
-                continue
-            vals = _component_values(es, data[i].T, n)  # (B, p, grid...)
-            if fisher is not None and es.p == 2:
-                iv = np.einsum("ab,nb...->na...", fisher.matrix, vals)
-            elif fisher is not None:
-                iv = float(fisher.matrix[0, 0]) * vals
-            else:
-                iv = vals
-            prod = np.einsum("ip...,jp...->ij...", vals, iv)
-            g += w_t[i] * (prod * gx).reshape(data.shape[2], data.shape[2], -1).mean(axis=2)
+        return np.diag(_mode_weights(es, fisher) / design.T)
+    n = 2 * es.kmax + design.spatial_band + 2
+    n += n % 2
+    vals = values_from_coeffs(es, np.eye(es.size), n).reshape(es.size, es.p, -1)
+    grid = np.stack(np.meshgrid(*[np.arange(n) / n] * es.d, indexing="ij"), -1)
+    weighted = vals * (design.density(0.0, grid.reshape(-1, es.d)) / n**es.d)
+    if fisher is not None:
+        weighted = np.einsum("ab,jbx->jax", fisher.matrix, weighted)
+    return vals.reshape(es.size, -1) @ weighted.reshape(es.size, -1).T
+
+
+def spacetime_gram(batch, design, fisher=None):
+    """Gram matrix G_ij = int <U_i, I_eps U_j> lambda dx dt for a field batch,
+    accumulated node by node as sum_i w_i V_i^T B V_i over the mesh
+    quadrature, with V_i the batch's coefficients at node i and B the
+    pointwise form."""
+    form = _pointwise_form(batch.es, design, fisher)
+    g = np.zeros((batch.data.shape[2],) * 2)
+    for w, v in zip(batch.mesh.weights, batch.data):
+        g += w * (v.T @ (form @ v))
     return 0.5 * (g + g.T)
 
 
-def _component_values(es, coeff_rows, n):
-    vals = values_from_coeffs(es, coeff_rows, n)
-    if es.subspace == DIV_FREE:
-        return vals  # (B, 2, n, n)
-    return vals[:, None, ...]
-
-
-def _quad_grid_points(es, design):
-    n = 2 * es.kmax + design.spatial_band + 2
-    return n + (n % 2)
-
-
-def spacetime_quadform(field, design, fisher=None, node_weights=None):
+def spacetime_quadform(field, design, fisher=None):
     """int <U, I_eps U> lambda dx dt for a single field."""
     batch = SpaceTimeBatch(field.es, field.mesh, field.data[:, :, None])
-    return float(spacetime_gram(batch, design, fisher, node_weights)[0, 0])
+    return float(spacetime_gram(batch, design, fisher)[0, 0])
 
 
 def l2lambda_norm(field, design):
@@ -155,10 +129,12 @@ def l2lambda_norm(field, design):
 
 
 class InformationMatrix:
-    """K x K Galerkin matrix of the information operator and its lower
-    Cholesky factor L, the only factorization: the truncation M_k = M[:k, :k]
-    has the factor L[:k, :k] and cond(M_k) <= cond(M) (Cauchy interlacing),
-    so L and the checks below serve every k <= K.
+    """K x K Galerkin matrix of the information operator, its lower Cholesky
+    factor L (the only factorization) and L^{-1}, computed once.  The
+    truncation M_k = M[:k, :k] has the factor L[:k, :k] and the inverse
+    factor L^{-1}[:k, :k], and cond(M_k) <= cond(M) (Cauchy interlacing), so
+    both factors and the checks below serve every k <= K; every solve is a
+    product with a leading block of L^{-1}.
     """
 
     def __init__(self, matrix, es, meta=None):
@@ -168,7 +144,7 @@ class InformationMatrix:
         self.n_basis = matrix.shape[0]
         self.meta = dict(meta or {})
         try:
-            self._L = cholesky(matrix, lower=True)
+            self._L = np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 "information matrix is not positive definite at this truncation: "
@@ -183,16 +159,25 @@ class InformationMatrix:
                 f"information matrix condition {self.cond:.2e} exceeds {_COND_LIMIT:.0e}; "
                 "results at this truncation would be numerically meaningless"
             )
+        # L^{-1} is lower-triangular; inv's row pivoting can leave rounding
+        # above the diagonal, which tril sets to its exact zero
+        self._Linv = np.tril(np.linalg.inv(self._L))
 
     def solve(self, rhs):
-        return cho_solve((self._L, True), rhs)
+        """M^{-1} rhs = L^{-T} (L^{-1} rhs)."""
+        return self._Linv.T @ (self._Linv @ rhs)
 
     def cholesky_lower(self):
         return self._L
 
+    def cholesky_lower_inv(self):
+        """L^{-1}, lower-triangular; its leading k x k block is L[:k, :k]^{-1}."""
+        return self._Linv
+
     def inv_quadform(self, psi):
-        """psi^T M^{-1} psi."""
-        return float(psi @ self.solve(psi))
+        """psi^T M^{-1} psi = |L^{-1} psi|^2."""
+        z = self._Linv @ psi
+        return float(z @ z)
 
     def coeff_vector(self, psi):
         """Coefficients of psi in the retained basis; error if psi leaves the span."""
@@ -271,8 +256,8 @@ def lan_norm_direct(model, theta0, h, noise, design):
 def s_norm_truncated(psi, M, k_grid=None):
     """Dual-norm truncation trace psi_K'^T M_K'^{-1} psi_K', nondecreasing in K'.
 
-    It is the partial sum of z_i^2 over i < K' for z = L^{-1} psi (one
-    triangular solve), since (L^{-1} psi)[:K'] = L[:K', :K']^{-1} psi[:K'].
+    It is the partial sum of z_i^2 over i < K' for z = L^{-1} psi, since
+    (L^{-1} psi)[:K'] = L[:K', :K']^{-1} psi[:K'].
 
     Divergence of the trace is the numerical signature of a target outside
     the dual space (infinite efficiency bound).
@@ -283,7 +268,7 @@ def s_norm_truncated(psi, M, k_grid=None):
     k_grid = [int(k) for k in k_grid]
     if not all(1 <= k <= M.n_basis for k in k_grid):
         raise ValueError(f"truncations must lie in 1..{M.n_basis}, got {k_grid}")
-    z = solve_triangular(M.cholesky_lower(), v, lower=True)
+    z = M.cholesky_lower_inv() @ v
     cumulative = np.cumsum(z**2)
     values = [float(cumulative[k - 1]) for k in k_grid]
     return {"k_grid": k_grid, "values": values, "value": values[-1]}
@@ -309,7 +294,7 @@ def orthonormalize_h(M):
     with positive diagonal and H^T M H = I, i.e. Gram-Schmidt of e_1, ..., e_K
     in the M metric, and H[:k, :k] is the basis of every truncation M_k.
     """
-    return solve_triangular(M.cholesky_lower(), np.eye(M.n_basis), lower=True, trans="T")
+    return M.cholesky_lower_inv().T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +305,8 @@ def orthonormalize_h(M):
 def norm_equivalence_diagnostic(model, theta0, design, n_basis_list, trials, kappa, rng):
     """Ratios || I[h] ||_{L2_lambda} / || h ||_{D^-kappa} over random unit
     directions, plus exact extremal bounds from the generalized eigenproblem
-    of (Gram, scale-Gram).  Reported per truncation so stability under
-    refinement is visible.
+    of (Gram, scale-Gram), the eigenvalues of D^{-1/2} G D^{-1/2}.  Reported
+    per truncation so stability under refinement is visible.
     """
     if trials < 10:
         raise ValueError("need at least 10 trial directions")
@@ -334,7 +319,8 @@ def norm_equivalence_diagnostic(model, theta0, design, n_basis_list, trials, kap
     for k in sorted(int(k) for k in n_basis_list):
         gk = G[:k, :k]
         dk = es.tau[:k] ** (-float(kappa))
-        evals = eigh(gk, np.diag(dk), eigvals_only=True)
+        s = dk ** -0.5
+        evals = np.linalg.eigvalsh(s[:, None] * gk * s[None, :])
         z = rng.standard_normal((trials, k))
         hs = z / np.sqrt((z**2 * dk[None, :]).sum(axis=1))[:, None]
         ratios = np.sqrt(np.einsum("nk,kl,nl->n", hs, gk, hs))

@@ -530,7 +530,8 @@ class TestColdStart:
     def _unimported(self, script):
         src = os.path.dirname(os.path.dirname(pdefisher.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        script += "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules))\n"
+        # scipy.linalg is checked too: every solve reads one inverse factor
+        script += f"print(sorted(m for m in {_HEAVY!r} if m in sys.modules))\n"
         out = subprocess.run(
             [sys.executable, "-c", "import sys\n" + script],
             env=env, capture_output=True, text=True, check=True,
@@ -559,6 +560,20 @@ class TestColdStart:
             "assert exc.value.code == 0, exc.value.code\n"
         )
 
+    def test_support_task_leaves_linalg_unimported(self, tmp_path):
+        # builds an RD experiment, assembles M under a cosine design and
+        # samples N(0, M^{-1}) without scipy.linalg
+        path = _write(tmp_path, "cfg.yaml", _SUPPORT_RD_BASE)
+        assert self._unimported(
+            "import pytest\n"
+            "from pdefisher.cli import _execute\n"
+            "with pytest.raises(SystemExit) as exc:\n"
+            f"    _execute(None, {path!r}, {str(tmp_path / 'out')!r}, None, None)\n"
+            "assert exc.value.code == 0, exc.value.code\n"
+        )
+
+
+_HEAVY = ("scipy.stats", "scipy.interpolate", "scipy.linalg")
 
 # a small heat LAN run (cosine design, a few replicates) whose checks pass
 _LAN_BASE = {
@@ -625,6 +640,28 @@ _PUSHFORWARD_NS_BASE = {
         "m": 8,
         "n_basis_list": [4, 8],
         "stability_tol": 10.0,
+    },
+}
+
+# a small RD gaussian-support run under a cosine design (tangent march, the
+# pointwise-form Gram and sampling from the inverse factor) whose checks pass
+_SUPPORT_RD_BASE = {
+    "seed": 6,
+    "workers": 1,
+    "model": {"kind": "rd", "kmax": 8, "T": 0.5, "mesh": {"kind": "uniform", "m": 16}},
+    "noise": {"family": "gaussian", "variance": 1.0},
+    "design": {"kind": "cosine", "amplitude": 0.5},
+    "numerics": {"n_basis": 16},
+    "task": {
+        "name": "gaussian-support",
+        "beta_list": [1.0, 2.0],
+        "k_grid": [4, 8, 16],
+        "kappa": 1.0,
+        "alpha": 0.5,
+        "m_mc": 200,
+        "plateau_tol": 0.02,
+        "growth_min": 0.25,
+        "mc_sigmas": 5.0,
     },
 }
 
@@ -710,3 +747,8 @@ class TestExitCodeProperty:
     @given(data=st.data())
     def test_exit_code_contract_pushforward_ns(self, data):
         _check_exit_code_contract(_PUSHFORWARD_NS_BASE, data)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_contract_support_rd(self, data):
+        _check_exit_code_contract(_SUPPORT_RD_BASE, data)

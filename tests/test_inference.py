@@ -21,7 +21,13 @@ from pdefisher import (
     pairing,
     simulate_dataset,
 )
-from pdefisher.inference import _kolmogorov_sf, _ks_normal, build_influence_field, influence_values
+from pdefisher.inference import (
+    _kolmogorov_sf,
+    _ks_normal,
+    _loglik,
+    build_influence_field,
+    influence_values,
+)
 
 LAM1 = 4 * np.pi**2
 
@@ -130,6 +136,21 @@ class TestLogLikelihoodRatio:
         d = g1 - g0
         exact = float(np.sum(d * (data.y - g0) - 0.5 * d**2))
         assert got == pytest.approx(exact, abs=1e-8)
+
+    def test_rounded_at_the_ratio_scale(self, setup):
+        # oracle: the correctly rounded sum of the per-datum log-densities.
+        # Each log-density sum is about -7,000 at n = 5000 while the ratio is
+        # O(1); differencing the two sums misses by about one ulp of -7,000
+        # (8.0e-13 at this seed)
+        es, model, noise, design, theta0, _ = setup
+        n = 5000
+        rng = np.random.default_rng(6)
+        data = simulate_dataset(model, theta0, design, noise, n, rng)
+        h = FourierCoeffs.unit(es, es.index_of([1], 1))
+        f0, f1 = model.solve(theta0), model.solve(theta0 + (1 / np.sqrt(n)) * h)
+        l1, l0 = _loglik(noise, data, f1), _loglik(noise, data, f0)
+        exact = math.fsum([*l1, *(-l0)])
+        assert abs(log_likelihood_ratio(data, f0, f1, noise) - exact) <= 1e-13
 
     def test_support_escape_counted(self, setup):
         # compact noise + huge shift: -inf ratios occur and are reported

@@ -25,9 +25,10 @@ from pdefisher import (
     s_norm_truncated,
     solve_heat_exact,
 )
-from pdefisher.information import octave_divergence_flag
+from pdefisher.information import octave_divergence_flag, spacetime_gram
+from pdefisher.noise import fisher_matrix
 from pdefisher.noise import raised_cosine_quantile
-from pdefisher.spectral import DIV_FREE, values_from_coeffs
+from pdefisher.spectral import DIV_FREE, basis_values_at, values_from_coeffs
 
 LAM1 = 4 * np.pi**2
 
@@ -159,6 +160,55 @@ class TestAssembly:
             model, theta0, noise, DesignMeasure(0.5, kind="cosine", amplitude=0.0), 9
         )
         np.testing.assert_allclose(Mg.matrix, Mu.matrix, atol=1e-13)
+
+    def test_ns_cosine_gram_vs_dense_grid_oracle(self):
+        # oracle: the same div-free tangent batch evaluated mode by mode at
+        # the points of a dense 32 x 32 grid (basis_values_at), with an
+        # independently coded accumulation of w_i lambda(x) U_a^T F U_b
+        es = build_eigensystem(2, 3, DIV_FREE)
+        mesh = TimeMesh.uniform(0.25, 16)
+        model = NavierStokesModel(es, viscosity=0.05, T=0.25, mesh=mesh)
+        design = DesignMeasure(0.25, kind="cosine", amplitude=0.6, axis=1)
+        fisher = fisher_matrix(make_noise("gaussian2", cov=np.array([[0.5, 0.2], [0.2, 1.1]])))
+        theta0 = _field(es, [([1, 0], 1, 0.4), ([0, 1], 2, 0.3)])
+        batch = model.linearize(theta0, np.eye(es.size, 10))
+        G = spacetime_gram(batch, design, fisher)
+
+        n = 32
+        ax = np.arange(n) / n
+        x = np.array([(a, b) for a in ax for b in ax])
+        phi = basis_values_at(es, x)  # (n^2, nm)
+        lam = design.density(np.zeros(len(x)), x)
+        oracle = np.zeros((10, 10))
+        for w, v in zip(mesh.weights, batch.data):
+            u = np.einsum("xm,mc,mb->xcb", phi, es.dirs, v)  # (n^2, 2, B)
+            fu = np.einsum("cd,xdb->xcb", fisher.matrix, u)
+            oracle += w * np.einsum("x,xca,xcb->ab", lam, u, fu) / len(x)
+        assert np.abs(G - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.abs(oracle - np.diag(np.diag(oracle))).max() > 1e-3 * np.abs(oracle).max()
+
+    def test_heat_cosine_closed_form(self, es1):
+        # U_j = e^{-lam_j t} phi_j, so with lambda = (1 + a cos 2 pi x) / T
+        # M_jl = F / T * (1 - e^{-(lam_j + lam_l) T}) / (lam_j + lam_l)
+        #        * (delta_jl + a int phi_j phi_l cos 2 pi x dx),
+        # where the cosine couples 1 with cos 2 pi x (1/sqrt 2) and each
+        # cos/sin mode with its neighbour in k (1/2)
+        T, a, var = 1.0, 0.5, 0.8
+        model = HeatModel(es1, T=T, mesh=TimeMesh.graded(T, levels=16, steps_per_block=64))
+        design = DesignMeasure(T, kind="cosine", amplitude=a)
+        M = assemble_information_matrix(
+            model, FourierCoeffs.zeros(es1), make_noise("gaussian", variance=var), design, 9
+        )
+        coupling = np.zeros((9, 9))
+        coupling[es1.index_of([0], 0), es1.index_of([1], 1)] = 1 / np.sqrt(2)
+        for k in range(1, 4):
+            for kind in (1, 2):
+                coupling[es1.index_of([k], kind), es1.index_of([k + 1], kind)] = 0.5
+        space = np.eye(9) + a * (coupling + coupling.T)
+        rate = es1.lam[:9, None] + es1.lam[None, :9]
+        time = np.where(rate > 0, -np.expm1(-rate * T) / np.where(rate > 0, rate, 1.0), T)
+        exact = time * space / (var * T)
+        assert np.abs(M.matrix - exact).max() < 1e-10
 
     def test_grid_quadrature_vector_fields(self):
         # same consistency for p=2 with a full noise matrix
