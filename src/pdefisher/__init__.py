@@ -27,7 +27,6 @@ from .forward import (
     SpaceTimeField,
     TimeMesh,
     qmd_remainder_slope,
-    solve_heat_exact,
 )
 from .information import (
     DesignMeasure,

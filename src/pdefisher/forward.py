@@ -340,11 +340,6 @@ class HeatModel:
         return SpaceTimeBatch(self.es, self.mesh, data)
 
 
-def solve_heat_exact(theta, T, mesh=None):
-    model = HeatModel(theta.es, T=T, mesh=mesh)
-    return model.solve(theta)
-
-
 # ---------------------------------------------------------------------------
 # reaction-diffusion
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy import special
 
-from .information import lan_norm, lan_norm_direct, octave_divergence_flag, s_norm_truncated
+from .information import lan_norm, octave_divergence_flag, s_norm_truncated
 from .spectral import FourierCoeffs, pairing
 
 
@@ -128,8 +128,8 @@ def lan_montecarlo(
     n,
     replicates,
     rng_seed,
+    M,
     under="null",
-    M=None,
     workers=1,
 ):
     """Empirical law of the local log-likelihood ratio versus its Gaussian
@@ -143,10 +143,7 @@ def lan_montecarlo(
     field0 = model.solve(theta0)
     theta1 = theta0 + (1.0 / np.sqrt(n)) * h
     field1 = model.solve(theta1)
-    if M is not None:
-        hnorm2 = lan_norm(h, M) ** 2
-    else:
-        hnorm2 = lan_norm_direct(model, theta0, h, noise, design) ** 2
+    hnorm2 = lan_norm(h, M) ** 2
 
     ss = np.random.SeedSequence(rng_seed)
     children = ss.spawn(replicates)

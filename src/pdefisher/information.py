@@ -6,9 +6,10 @@ map in the Laplacian eigenbasis,
     M_ij = < I[e_i], I_eps I[e_j] >_{L2_lambda},
 
 assembled from one linearized solve per basis vector and the mesh time
-quadrature.  The LAN norm is sqrt(h^T M h), the dual norm of a target psi
-is sqrt(psi^T M^{-1} psi) (reported as a truncation trace, never a single
-number), and the efficient Gaussian has covariance M^{-1}.
+quadrature; heat, whose tangent of e_k is e^{-lambda_k t} e_k, is assembled
+in closed form with no march.  The LAN norm is sqrt(h^T M h), the dual norm
+of a target psi is sqrt(psi^T M^{-1} psi) (reported as a truncation trace,
+never a single number), and the efficient Gaussian has covariance M^{-1}.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from .forward import SpaceTimeBatch
 from .noise import fisher_matrix as compute_fisher, raised_cosine_quantile
 from .spectral import values_from_coeffs
 
-_BATCH_LIMIT = 4e7  # snapshot-array entries above which heat assembly streams
 _COND_LIMIT = 1e12  # condition number beyond which results are numerically meaningless
 
 
@@ -189,50 +189,39 @@ class InformationMatrix:
         return out
 
 
-def assemble_information_matrix(model, theta0, noise, design, n_basis, method="auto"):
-    """M_ij = <I[e_i], I_eps I[e_j]>_{L2_lambda} from one linearized solve per
-    basis vector.
+def _tangent_gram(model, theta0, design, fisher, K):
+    """Gram of the tangent fields of e_0..e_{K-1}, sum_i w_i V_i^T B V_i.
 
-    method "batch" materializes all linearized fields; "diagonal-flow" is an
-    algebraically identical reassociation available for the heat model under
-    a uniform design (the propagator is diagonal in the eigenbasis), used
-    automatically for large truncations where the batch would not fit.
+    Heat's tangent of e_k is e^{-lambda_k t} e_k, so its Gram is
+    B[:K, :K] o (D^T W D) with D_ik = e^{-lambda_k t_i}: no march, no batch.
     """
+    es = model.es
+    if model.kind != "heat":
+        return spacetime_gram(model.linearize(theta0, np.eye(es.size, K)), design, fisher)
+    decay = np.exp(-np.outer(model.mesh.nodes, es.lam[:K]))
+    time = (model.mesh.weights[:, None] * decay).T @ decay
+    g = _pointwise_form(es, design, fisher)[:K, :K] * time
+    return 0.5 * (g + g.T)
+
+
+def assemble_information_matrix(model, theta0, noise, design, n_basis):
+    """M_ij = <I[e_i], I_eps I[e_j]>_{L2_lambda}: the tangent Gram under the
+    noise's Fisher matrix, in closed form for heat ("closed-form") and from
+    one linearized solve per basis vector otherwise ("batch")."""
     es = model.es
     if n_basis > es.size:
         raise ValueError(f"n_basis {n_basis} exceeds eigensystem size {es.size}")
-    if noise is not None and noise.p != es.p:
+    if noise.p != es.p:
         raise ValueError("noise dimension does not match field components")
-    fisher = compute_fisher(noise) if noise is not None else None
-
-    if method == "auto":
-        big = model.mesh.n_nodes * es.size * n_basis > _BATCH_LIMIT
-        method = "diagonal-flow" if (
-            big and model.kind == "heat" and design.is_uniform
-        ) else "batch"
-
-    if method == "diagonal-flow":
-        if model.kind != "heat" or not design.is_uniform:
-            raise ValueError("diagonal-flow assembly needs the heat model and a uniform design")
-        wm = _mode_weights(es, fisher) / design.T
-        decay = np.exp(-2.0 * np.outer(model.mesh.nodes, es.lam[:n_basis]))
-        diag = (model.mesh.weights @ decay) * wm[:n_basis]
-        matrix = np.diag(diag)
-    elif method == "batch":
-        cols = np.eye(es.size, n_basis)
-        batch = model.linearize(theta0, cols)
-        matrix = spacetime_gram(batch, design, fisher)
-    else:
-        raise ValueError(f"unknown assembly method {method!r}")
-
+    fisher = compute_fisher(noise)
     meta = {
         "model": model.kind,
-        "noise": getattr(noise, "family", None),
+        "noise": noise.family,
         "design": design.kind,
         "n_basis": n_basis,
-        "method": method,
+        "method": "closed-form" if model.kind == "heat" else "batch",
     }
-    return InformationMatrix(matrix, es, meta)
+    return InformationMatrix(_tangent_gram(model, theta0, design, fisher, n_basis), es, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +300,7 @@ def norm_equivalence_diagnostic(model, theta0, design, n_basis_list, trials, kap
     if trials < 10:
         raise ValueError("need at least 10 trial directions")
     es = model.es
-    n_max = int(max(n_basis_list))
-    cols = np.eye(es.size, n_max)
-    batch = model.linearize(theta0, cols)
-    G = spacetime_gram(batch, design, fisher=None)
+    G = _tangent_gram(model, theta0, design, None, int(max(n_basis_list)))
     out = {"kappa": kappa, "per_k": []}
     for k in sorted(int(k) for k in n_basis_list):
         gk = G[:k, :k]

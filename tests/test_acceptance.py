@@ -59,7 +59,7 @@ def heat9():
     noise = make_noise("gaussian", variance=1.0)
     design = DesignMeasure(1.0)
     theta0 = FourierCoeffs.zeros(es)
-    M = assemble_information_matrix(model, theta0, noise, design, 9, method="batch")
+    M = assemble_information_matrix(model, theta0, noise, design, 9)
     return es, model, noise, design, theta0, M
 
 

@@ -21,7 +21,6 @@ from pdefisher import (
     build_eigensystem,
     qmd_remainder_slope,
     sobolev_norm,
-    solve_heat_exact,
 )
 from pdefisher.forward import _time_stencils
 from pdefisher.spectral import coeffs_from_values, values_from_coeffs
@@ -59,19 +58,19 @@ def _nonlinear_model(kind, es1, es_ns, mesh):
 
 class TestHeat:
     def test_constant_invariant(self, es1):
-        f = solve_heat_exact(_field(es1, [], const=3.0), T=1.0)
+        f = HeatModel(es1, T=1.0).solve(_field(es1, [], const=3.0))
         assert np.allclose(f.data[:, 0], 3.0)
         assert np.abs(f.data[:, 1:]).max() == 0.0
 
     def test_first_mode_decay(self, es1):
-        f = solve_heat_exact(_field(es1, [([1], 1, 1.0)], const=0.0), T=1.0)
+        f = HeatModel(es1, T=1.0).solve(_field(es1, [([1], 1, 1.0)], const=0.0))
         j = es1.index_of([1], 1)
         assert f.data[-1, j] == pytest.approx(np.exp(-LAM1), rel=1e-14)
 
     def test_spacetime_integral_closed_form(self, es1):
         # int_0^1 int u^2 = (1 - e^{-2 lam}) / (2 lam) for theta = e_1
         mesh = TimeMesh.graded(1.0, levels=16, steps_per_block=256)
-        f = solve_heat_exact(_field(es1, [([1], 1, 1.0)]), T=1.0, mesh=mesh)
+        f = HeatModel(es1, T=1.0, mesh=mesh).solve(_field(es1, [([1], 1, 1.0)]))
         exact = (1 - np.exp(-2 * LAM1)) / (2 * LAM1)
         assert f.mesh.weights @ f.squared_l2_profile() == pytest.approx(exact, abs=1e-12)
 
@@ -367,13 +366,13 @@ class TestQmdRemainder:
 
 class TestEvaluateField:
     def test_constant(self, es1):
-        f = solve_heat_exact(_field(es1, [], const=2.5), T=1.0)
+        f = HeatModel(es1, T=1.0).solve(_field(es1, [], const=2.5))
         got = f.evaluate([0.3, 0.9], [[0.1], [0.7]])
         np.testing.assert_allclose(got, 2.5, atol=1e-13)
 
     def test_heat_mode_closed_form(self, es1):
         mesh = TimeMesh.uniform(1.0, 2000)
-        f = solve_heat_exact(_field(es1, [([1], 1, 1.0)]), T=1.0, mesh=mesh)
+        f = HeatModel(es1, T=1.0, mesh=mesh).solve(_field(es1, [([1], 1, 1.0)]))
         rng = np.random.default_rng(8)
         t = rng.uniform(0, 1, 64)
         x = rng.uniform(0, 1, (64, 1))
@@ -383,7 +382,7 @@ class TestEvaluateField:
     def test_nodes_reproduced(self, es1):
         mesh = TimeMesh.uniform(1.0, 32)
         theta = _field(es1, [([1], 1, 0.7), ([2], 2, 0.4)])
-        f = solve_heat_exact(theta, T=1.0, mesh=mesh)
+        f = HeatModel(es1, T=1.0, mesh=mesh).solve(theta)
         x = np.array([[0.25]])
         for i in (0, 7, 32):
             t = mesh.nodes[i]
@@ -411,7 +410,7 @@ class TestEvaluateField:
         np.testing.assert_allclose(f.evaluate(t, x), cubic(t), rtol=0, atol=1e-13)
 
     def test_out_of_range(self, es1):
-        f = solve_heat_exact(_field(es1, [], const=1.0), T=1.0)
+        f = HeatModel(es1, T=1.0).solve(_field(es1, [], const=1.0))
         with pytest.raises(ValueError):
             f.evaluate([1.5], [[0.2]])
 

@@ -23,7 +23,6 @@ from pdefisher import (
     norm_equivalence_diagnostic,
     orthonormalize_h,
     s_norm_truncated,
-    solve_heat_exact,
 )
 from pdefisher.information import octave_divergence_flag, spacetime_gram
 from pdefisher.noise import fisher_matrix
@@ -45,7 +44,7 @@ def heat_setup(es1):
     noise = make_noise("gaussian", variance=1.0)
     design = DesignMeasure(1.0)
     theta0 = FourierCoeffs.zeros(es1)
-    M = assemble_information_matrix(model, theta0, noise, design, 9, method="batch")
+    M = assemble_information_matrix(model, theta0, noise, design, 9)
     return model, noise, design, theta0, M
 
 
@@ -61,13 +60,13 @@ def _field(es, entries, const=0.0):
 class TestL2LambdaNorm:
     def test_constant_field_unit_mass(self, es1):
         design = DesignMeasure(2.0)
-        f = solve_heat_exact(_field(es1, [], const=3.0), T=2.0, mesh=TimeMesh.uniform(2.0, 64))
+        f = HeatModel(es1, T=2.0, mesh=TimeMesh.uniform(2.0, 64)).solve(_field(es1, [], const=3.0))
         assert l2lambda_norm(f, design) == pytest.approx(3.0, rel=1e-12)
 
     def test_heat_mode_closed_form(self, es1):
         design = DesignMeasure(1.0)
         mesh = TimeMesh.graded(1.0, levels=16, steps_per_block=256)
-        f = solve_heat_exact(_field(es1, [([1], 1, 1.0)]), T=1.0, mesh=mesh)
+        f = HeatModel(es1, T=1.0, mesh=mesh).solve(_field(es1, [([1], 1, 1.0)]))
         exact = np.sqrt((1 - np.exp(-2 * LAM1)) / (2 * LAM1))
         assert l2lambda_norm(f, design) == pytest.approx(exact, abs=1e-10)
 
@@ -78,7 +77,7 @@ class TestL2LambdaNorm:
         mesh = TimeMesh.uniform(1.0, 96)
         rng = np.random.default_rng(12)
         theta = FourierCoeffs(es, 0.3 * rng.standard_normal(es.size))
-        f = solve_heat_exact(theta, T=1.0, mesh=mesh)
+        f = HeatModel(es, T=1.0, mesh=mesh).solve(theta)
         n = 256
         x = (np.arange(n) / n).reshape(-1, 1)
         dens = design.density(np.zeros(n), x)  # time-independent
@@ -101,13 +100,41 @@ class TestAssembly:
     def test_noise_scaling(self, es1, heat_setup):
         model, _, design, theta0, M = heat_setup
         noise2 = make_noise("gaussian", variance=4.0)
-        M2 = assemble_information_matrix(model, theta0, noise2, design, 9, method="batch")
+        M2 = assemble_information_matrix(model, theta0, noise2, design, 9)
         np.testing.assert_allclose(M2.matrix, M.matrix / 4.0, atol=1e-14)
 
-    def test_diagonal_flow_path_agrees(self, heat_setup):
-        model, noise, design, theta0, M = heat_setup
-        M2 = assemble_information_matrix(model, theta0, noise, design, 9, method="diagonal-flow")
-        np.testing.assert_allclose(M2.matrix, M.matrix, atol=1e-14)
+    @pytest.mark.parametrize(
+        "amplitude, variance", [(None, 1.0), (0.5, 0.6)], ids=["uniform", "cosine"]
+    )
+    def test_heat_closed_form_vs_generic_gram(self, amplitude, variance):
+        # oracle: the generic sum_i w_i V_i^T B V_i over the tangent batch
+        # that HeatModel.linearize marches; K < nm exercises B's truncation
+        es = build_eigensystem(1, 8)
+        model = HeatModel(es, T=1.0, mesh=TimeMesh.graded(1.0, levels=16, steps_per_block=64))
+        if amplitude is None:
+            design = DesignMeasure(1.0)
+        else:
+            design = DesignMeasure(1.0, kind="cosine", amplitude=amplitude)
+        noise = make_noise("gaussian", variance=variance)
+        theta0 = FourierCoeffs.zeros(es)
+        M = assemble_information_matrix(model, theta0, noise, design, 12)
+        batch = model.linearize(theta0, np.eye(es.size, 12))
+        G = spacetime_gram(batch, design, fisher_matrix(noise))
+        assert M.meta["method"] == "closed-form"
+        assert np.abs(M.matrix - G).max() <= 1e-13 * np.abs(G).max()
+
+    def test_heat_assembly_marches_nothing(self, heat_setup, monkeypatch):
+        model, noise, _, theta0, _ = heat_setup
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("heat assembly must not march tangent fields")
+
+        monkeypatch.setattr(HeatModel, "linearize", refuse)
+        for design in (DesignMeasure(1.0), DesignMeasure(1.0, kind="cosine", amplitude=0.5)):
+            assert assemble_information_matrix(model, theta0, noise, design, 9).cond > 0
+        rng = np.random.default_rng(15)
+        out = norm_equivalence_diagnostic(model, theta0, DesignMeasure(1.0), [4, 9], 10, 1.0, rng)
+        assert len(out["per_k"]) == 2
 
     def test_rd_gram_vs_dense_grid_oracle(self, es1):
         # oracle: same linearized fields, but spatial values on a dense grid
@@ -117,7 +144,7 @@ class TestAssembly:
         noise = make_noise("gaussian", variance=0.7)
         design = DesignMeasure(0.5)
         theta0 = _field(es1, [([1], 1, 0.4)], const=0.3)
-        M = assemble_information_matrix(model, theta0, noise, design, 9, method="batch")
+        M = assemble_information_matrix(model, theta0, noise, design, 9)
         assert np.abs(M.matrix - M.matrix.T).max() < 1e-12
         assert M.eig_min > 0
 
