@@ -6,6 +6,8 @@ set to zero wherever q(y) = 0 (densities whose sqrt belongs to H^1 admit a
 gradient version vanishing on the zero set, so this is consistent).
 """
 
+import functools
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
@@ -36,11 +38,12 @@ class NoiseModel:
     """Base class; concrete families implement pdf/logpdf/sqrt_grad and either
     sample or an exact quantile with its u_range.
 
-    support: None for all of R^p, else per-axis (lo, hi) bounds
+    support: per-axis (lo, hi) bounds of a compactly supported density, None
+    on all of R^p (those families state their quadrature box in quad_domain)
     u_range: CDF image of the finite range that sample inverts over, so that
     no draw is infinite
-    breakpoints: interior kink locations of sqrt(q) per axis (quadrature
-    panels never straddle them)
+    breakpoints: interior kink locations of sqrt(q), the same on every axis
+    (quadrature panels never straddle them)
     """
 
     family = "base"
@@ -59,9 +62,6 @@ class NoiseModel:
     def sqrt_grad(self, y):
         raise NotImplementedError
 
-    def std_scale(self):
-        raise NotImplementedError
-
     def sample(self, rng, n):
         """n i.i.d. draws by exact inversion, one uniform from u_range each."""
         return self.quantile(rng.uniform(*self.u_range, size=n))
@@ -69,18 +69,10 @@ class NoiseModel:
     def params(self):
         return {}
 
-    # -- quadrature helpers ------------------------------------------------
-
-    def quad_halfwidth(self):
-        # truncation of all-space quadratures; families with heavier-than-
-        # Gaussian tails override so the cut mass stays below 1e-13
-        return 12.0 * self.std_scale()
-
     def quad_domain(self):
-        if self.support is not None:
-            return self.support
-        r = self.quad_halfwidth()
-        return [(-r, r)] * self.p
+        """Per-axis (lo, hi) box of every quadrature: the support, which
+        families on all of R^p replace by a box whose cut mass is below 1e-13."""
+        return self.support
 
     def score(self, y):
         """-2 grad sqrt(q) / sqrt(q), zero on {q = 0}."""
@@ -93,93 +85,87 @@ class NoiseModel:
         return np.where(q[..., None] > 0, -2.0 * g / sq[..., None], 0.0)
 
 
-def _panels(lo, hi, breakpoints, n_panels):
-    cuts = [lo] + [b for b in breakpoints if lo < b < hi] + [hi]
-    edges = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        m = max(1, int(round(n_panels * (b - a) / (hi - lo))))
-        edges.append(np.linspace(a, b, m + 1))
-    return edges
-
-
-def _gl_grid_1d(lo, hi, breakpoints, n_panels):
+def _quadrature_nodes(noise, n_panels):
+    """Panel Gauss-Legendre rule on noise.quad_domain(): nodes (n, p) and
+    weights (n,), the tensor product of n_panels panels of _QUAD_NODES nodes
+    per axis, each axis split at the breakpoints first."""
     xg, wg = leggauss(_QUAD_NODES)
     nodes, weights = [], []
-    for edge in _panels(lo, hi, breakpoints, n_panels):
-        a, b = edge[:-1], edge[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        nodes.append((mid[:, None] + half[:, None] * xg[None, :]).ravel())
-        weights.append((half[:, None] * wg[None, :]).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
+    for lo, hi in noise.quad_domain():
+        cuts = [lo] + [b for b in noise.breakpoints if lo < b < hi] + [hi]
+        edges = [lo]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            m = max(1, round(n_panels * (b - a) / (hi - lo)))
+            edges.extend(np.linspace(a, b, m + 1)[1:])
+        edges = np.array(edges)
+        half = 0.5 * np.diff(edges)[:, None]
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        nodes.append((mid + half * xg).ravel())
+        weights.append((half * wg).ravel())
+    y = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1).reshape(-1, noise.p)
+    w = functools.reduce(np.multiply.outer, weights).ravel()
+    return y, w
 
 
-def _fisher_once(noise, n_panels):
-    dom = noise.quad_domain()
-    if noise.p == 1:
-        y, w = _gl_grid_1d(dom[0][0], dom[0][1], noise.breakpoints, n_panels)
-        g = noise.sqrt_grad(y)
-        return np.array([[4.0 * np.sum(w * g * g)]])
-    y1, w1 = _gl_grid_1d(dom[0][0], dom[0][1], (), n_panels)
-    y2, w2 = _gl_grid_1d(dom[1][0], dom[1][1], (), n_panels)
-    yy = np.stack(np.meshgrid(y1, y2, indexing="ij"), axis=-1).reshape(-1, 2)
-    ww = (w1[:, None] * w2[None, :]).ravel()
-    g = noise.sqrt_grad(yy)
-    mat = 4.0 * np.einsum("n,na,nb->ab", ww, g, g)
-    return mat
+def _information_once(noise, n_panels):
+    y, w = _quadrature_nodes(noise, n_panels)
+    g = noise.sqrt_grad(y)  # (n, p): the p = 1 families act elementwise
+    return 4.0 * (w[:, None] * g).T @ g
 
 
-def fisher_matrix(noise):
-    """4 int (grad sqrt q)(grad sqrt q)^T dy, computed once per noise model
-    (later calls return the FisherMatrix cached on the instance)."""
-    if "_fisher" not in vars(noise):
-        noise._fisher = _fisher_quadrature(noise)
-    return noise._fisher
-
-
-def _fisher_quadrature(noise, rel_tol=1e-10, max_doublings=4):
-    """Panel-doubled Gauss-Legendre until the relative change is below rel_tol."""
-    n_panels = 32 if noise.p == 1 else 24
-    prev = _fisher_once(noise, n_panels)
+def _information(noise, rel_tol=1e-10, max_doublings=4):
+    """4 int (grad sqrt q)(grad sqrt q)^T dy as a p x p array, converged once
+    per noise model and cached on the instance: panels doubled from 4 per
+    axis until the relative change is below rel_tol.  Not yet checked for
+    definiteness, so that the H^1 probe also reaches degenerate densities."""
+    if "_info" in vars(noise):
+        return noise._info
+    n_panels = 4
+    prev = _information_once(noise, n_panels)
     for _ in range(max_doublings):
         n_panels *= 2
-        cur = _fisher_once(noise, n_panels)
+        cur = _information_once(noise, n_panels)
         err = np.max(np.abs(cur - prev)) / max(np.max(np.abs(cur)), 1e-300)
         prev = cur
         if err < rel_tol:
-            return FisherMatrix(cur)
+            noise._info = cur
+            return cur
     raise RuntimeError(f"Fisher quadrature did not converge (last rel change {err:.2e})")
 
 
-def sqrt_density_h1_check(noise, eps_grid=None, probe_points=2**17):
+def fisher_matrix(noise):
+    """4 int (grad sqrt q)(grad sqrt q)^T dy as a FisherMatrix; the quadrature
+    runs once per noise model."""
+    return FisherMatrix(_information(noise))
+
+
+def sqrt_density_h1_check(noise):
     """Check sqrt(q) in H^1 and the zero-set gradient convention.
 
-    h1_energy is int |grad sqrt q|^2 from the supplied gradient.  A
-    difference-quotient probe E(eps) = int ((sqrt q(y+eps) - sqrt q(y))/eps)^2
-    must stabilize near h1_energy; boundary jumps (uniform density) make it
-    grow like 1/eps and the model is rejected.
+    h1_energy is int |grad sqrt q|^2 from the supplied gradient, a quarter of
+    the Fisher integral.  A difference-quotient probe
+    E(eps) = int ((sqrt q(y+eps) - sqrt q(y))/eps)^2 must stabilize near
+    h1_energy; boundary jumps (uniform density) make it grow like 1/eps and
+    the model is rejected.  eps and the padding are measured in h, half the
+    quadrature range, so the probe has the same resolution at every scale.
     """
     if noise.p != 1:
         raise ValueError("H1 probe implemented for p = 1 densities")
     dom = noise.quad_domain()[0]
-    lo, hi = dom[0] - 1.0, dom[1] + 1.0
-    y = np.linspace(lo, hi, probe_points)
+    h = 0.5 * (dom[1] - dom[0])
+    y = np.linspace(dom[0] - h, dom[1] + h, 2**17)
     dy = y[1] - y[0]
     sq = np.sqrt(noise.pdf(y))
-    if eps_grid is None:
-        eps_grid = [2.0 ** (-i) for i in range(4, 11)]
+    eps_grid = [h * 2.0 ** (-i) for i in range(4, 11)]
     energies = []
     for eps in eps_grid:
-        shift = int(round(eps / dy))
+        shift = int(round(eps / dy))  # at least 32 steps: dy = 4h / (2^17 - 1)
         eps_eff = shift * dy
         diff = (sq[shift:] - sq[:-shift]) / eps_eff
         energies.append(float(np.sum(diff**2) * dy))
     tail_growth = energies[-1] / max(energies[-3], 1e-300)
 
-    # energy from the supplied gradient: panel quadrature honoring kinks
-    yq, wq = _gl_grid_1d(dom[0], dom[1], noise.breakpoints, 128)
-    gq = noise.sqrt_grad(yq)
-    h1_energy = float(np.sum(wq * gq**2))
+    h1_energy = float(_information(noise)[0, 0] / 4.0)
 
     g = noise.sqrt_grad(y)
     q = noise.pdf(y)
@@ -187,14 +173,14 @@ def sqrt_density_h1_check(noise, eps_grid=None, probe_points=2**17):
     zero_consistency = float(np.max(np.abs(g[zero_set]))) if zero_set.any() else 0.0
 
     # jump mass makes E(eps) double per halving of eps
-    rejected = bool(tail_growth > 1.6) or not np.isfinite(h1_energy)
+    rejected = bool(tail_growth > 1.6)
     if rejected:
         h1_energy = float("inf")
     return {
         "h1_energy": h1_energy,
         "zero_set_consistency": zero_consistency,
         "probe_energies": energies,
-        "probe_eps": list(eps_grid),
+        "probe_eps": eps_grid,
         "rejected": rejected,
     }
 
@@ -239,8 +225,8 @@ class GaussianNoise(NoiseModel):
     def params(self):
         return {"variance": self.variance}
 
-    def std_scale(self):
-        return self.sigma
+    def quad_domain(self):
+        return [(-12.0 * self.sigma, 12.0 * self.sigma)]
 
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
@@ -273,9 +259,6 @@ class BivariateGaussianNoise(NoiseModel):
 
     def params(self):
         return {"cov": self.cov.tolist()}
-
-    def std_scale(self):
-        return float(np.sqrt(np.max(np.diag(self.cov))))
 
     def quad_domain(self):
         r = 12.0 * np.sqrt(np.diag(self.cov))
@@ -313,11 +296,8 @@ class LaplaceNoise(NoiseModel):
     def params(self):
         return {"scale": self.scale}
 
-    def std_scale(self):
-        return float(np.sqrt(2.0) * self.scale)
-
-    def quad_halfwidth(self):
-        return 32.0 * self.scale  # e^-32 tail
+    def quad_domain(self):
+        return [(-32.0 * self.scale, 32.0 * self.scale)]  # e^-32 tail
 
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
@@ -349,11 +329,8 @@ class LogisticNoise(NoiseModel):
     def params(self):
         return {"scale": self.scale}
 
-    def std_scale(self):
-        return float(self.scale * np.pi / np.sqrt(3.0))
-
-    def quad_halfwidth(self):
-        return 34.0 * self.scale
+    def quad_domain(self):
+        return [(-34.0 * self.scale, 34.0 * self.scale)]
 
     def pdf(self, y):
         z = np.asarray(y, dtype=float) / self.scale
@@ -384,10 +361,6 @@ class CosineBumpNoise(NoiseModel):
     def params(self):
         return {}
 
-    def std_scale(self):
-        # variance = 1/3 - 2/pi^2
-        return float(np.sqrt(1.0 / 3.0 - 2.0 / np.pi**2))
-
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
         inside = np.abs(y) <= 1.0
@@ -413,9 +386,6 @@ class UniformNoise(NoiseModel):
 
     def params(self):
         return {}
-
-    def std_scale(self):
-        return float(np.sqrt(1.0 / 12.0))
 
     def pdf(self, y):
         y = np.asarray(y, dtype=float)

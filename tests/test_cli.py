@@ -60,6 +60,30 @@ class TestFisherTask:
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["h1"]["rejected"] is True
 
+    @pytest.mark.parametrize(
+        "noise,energy",
+        [
+            ({"family": "laplace", "scale": 4.0}, 1 / (4 * 4.0**2)),
+            ({"family": "logistic", "scale": 10.0}, 1 / (12 * 10.0**2)),
+            ({"family": "gaussian", "variance": 200.0}, 1 / (4 * 200.0)),
+            ({"family": "gaussian", "variance": 1e-6}, 1 / (4 * 1e-6)),
+        ],
+        ids=["laplace-wide", "logistic-wide", "gaussian-wide", "gaussian-narrow"],
+    )
+    def test_h1_probe_at_any_scale(self, tmp_path, noise, energy):
+        # the probe's steps scale with the density: wide densities used to
+        # round the smallest step to 0 grid points, narrow ones were rejected
+        cfg = _fisher_cfg()
+        cfg["noise"] = noise
+        path = _write(tmp_path, "cfg.yaml", cfg)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["fisher", "-c", path, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        h1 = report["results"]["h1"]
+        assert h1["rejected"] is False
+        assert h1["h1_energy"] == pytest.approx(energy, rel=1e-10)
+
 
 class TestSchemaValidation:
     def test_missing_noise_block_exit_2_no_outputs(self, tmp_path):
@@ -665,6 +689,18 @@ _SUPPORT_RD_BASE = {
     },
 }
 
+# a heat fisher run on Laplace noise (the H^1 probe and the Fisher
+# quadrature) whose checks pass
+_FISHER_BASE = {
+    "seed": 7,
+    "workers": 1,
+    "model": {"kind": "heat", "kmax": 2, "T": 1.0},
+    "noise": {"family": "laplace", "scale": 1.0},
+    "design": {"kind": "uniform"},
+    "numerics": {"n_basis": 5},
+    "task": {"name": "fisher", "tolerance_rel": 1e-8},
+}
+
 # small magnitudes only, so that no mutation makes a long or large run
 _NUMBERS = [1, 2, 3, 4, 0.25, 0.5, 1.5, -0.5, 0, -1, float("nan"), float("inf"), -float("inf")]
 _STRINGS = [
@@ -752,3 +788,8 @@ class TestExitCodeProperty:
     @given(data=st.data())
     def test_exit_code_contract_support_rd(self, data):
         _check_exit_code_contract(_SUPPORT_RD_BASE, data)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_contract_fisher(self, data):
+        _check_exit_code_contract(_FISHER_BASE, data)

@@ -6,26 +6,16 @@ import pytest
 from scipy.special import erfc
 
 from pdefisher import fisher_matrix, make_noise, sqrt_density_h1_check
-from pdefisher.noise import _gl_grid_1d
+from pdefisher.noise import NoiseModel, _quadrature_nodes
 
 
 def validate_noise(noise, tol=1e-8):
-    """Quadrature check of unit mass and zero mean."""
-    dom = noise.quad_domain()
-    if noise.p == 1:
-        y, w = _gl_grid_1d(dom[0][0], dom[0][1], noise.breakpoints, 256)
-        q = noise.pdf(y)
-        mass = float(np.sum(w * q))
-        mean = float(np.sum(w * y * q))
-        return {"mass": mass, "mean": mean, "ok": abs(mass - 1) < tol and abs(mean) < tol}
-    y1, w1 = _gl_grid_1d(dom[0][0], dom[0][1], (), 64)
-    y2, w2 = _gl_grid_1d(dom[1][0], dom[1][1], (), 64)
-    yy = np.stack(np.meshgrid(y1, y2, indexing="ij"), axis=-1).reshape(-1, 2)
-    ww = (w1[:, None] * w2[None, :]).ravel()
-    q = noise.pdf(yy)
-    mass = float(np.sum(ww * q))
-    mean = np.abs(np.einsum("n,na->a", ww * q, yy)).max()
-    return {"mass": mass, "mean": float(mean), "ok": abs(mass - 1) < tol and mean < tol}
+    """Quadrature check of unit mass and zero mean on the finest Fisher level."""
+    y, w = _quadrature_nodes(noise, 64)
+    wq = w * noise.pdf(y).reshape(w.shape)
+    mass = float(np.sum(wq))
+    mean = float(np.abs(wq @ y).max())
+    return {"mass": mass, "mean": mean, "ok": abs(mass - 1) < tol and mean < tol}
 
 
 class TestFisherMatrix:
@@ -84,6 +74,90 @@ class TestFisherMatrix:
             assert abs(est - fm.matrix[0, 0]) < 3 * sigma + 1e-8
 
 
+_SIGMA01 = np.array([[0.6, 0.2], [0.2, 1.1]])  # criterion 01's covariance
+
+# family, parameters, and the closed-form Fisher matrix written out here
+_CLOSED_FORMS = [
+    ("gaussian", {"variance": 0.25}, [[4.0]]),
+    ("laplace", {"scale": 1.7}, [[1.0 / 1.7**2]]),
+    ("logistic", {"scale": 0.7}, [[1.0 / (3 * 0.49)]]),
+    ("cosine_bump", {}, [[np.pi**2]]),
+    ("gaussian2", {"cov": np.eye(2)}, np.eye(2)),
+    ("gaussian2", {"cov": _SIGMA01}, np.linalg.inv(_SIGMA01)),
+]
+
+
+class _Oscillating(NoiseModel):
+    """sqrt(q)' = sin(1e4 y) on [-1, 1]^p: no panel level up to 64 resolves it."""
+
+    family = "oscillating"
+
+    def __init__(self, p):
+        self.p = p
+        self.support = [(-1.0, 1.0)] * p
+
+    def sqrt_grad(self, y):
+        return np.sin(1e4 * y)
+
+
+class _ShiftedLaplace(NoiseModel):
+    """Product of p unit-scale Laplace densities centred at 0.3, so sqrt(q)
+    is kinked off every panel edge on every axis; its Fisher matrix is I_p."""
+
+    family = "shifted_laplace"
+    breakpoints = (0.3,)
+
+    def __init__(self, p):
+        self.p = p
+        self.support = [(-32.0, 32.0)] * p
+
+    def sqrt_grad(self, y):
+        sq = np.sqrt(np.prod(0.5 * np.exp(-np.abs(y - 0.3)), axis=-1, keepdims=True))
+        return -0.5 * np.sign(y - 0.3) * sq
+
+
+def _count_points(noise):
+    """Wrap the instance's sqrt_grad; the returned list holds the number of
+    points it has been evaluated on."""
+    seen = [0]
+    inner = noise.sqrt_grad
+
+    def sqrt_grad(y):
+        seen[0] += len(y)
+        return inner(y)
+
+    noise.sqrt_grad = sqrt_grad
+    return seen
+
+
+class TestFisherQuadrature:
+    @pytest.mark.parametrize("fam,kw,exact", _CLOSED_FORMS, ids=[f"{c[0]}-{i}" for i, c in enumerate(_CLOSED_FORMS)])
+    def test_closed_form(self, fam, kw, exact):
+        exact = np.asarray(exact)
+        got = fisher_matrix(make_noise(fam, **kw)).matrix
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_breakpoints_on_every_axis(self, p):
+        got = fisher_matrix(_ShiftedLaplace(p)).matrix
+        assert np.max(np.abs(got - np.eye(p))) <= 1e-13
+
+    def test_bivariate_point_count(self):
+        # 4 and 8 panels of 24 nodes per axis: 96^2 + 192^2 = 46,080 points
+        noise = make_noise("gaussian2", cov=_SIGMA01)
+        seen = _count_points(noise)
+        fisher_matrix(noise)
+        assert seen[0] < 50_000
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_no_convergence_by_64_panels(self, p):
+        noise = _Oscillating(p)
+        seen = _count_points(noise)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            fisher_matrix(noise)
+        # every level 4, 8, ..., 64 panels was evaluated, and none finer
+        assert seen[0] == sum((24 * n) ** p for n in (4, 8, 16, 32, 64))
+
 class TestScore:
     def test_gaussian(self):
         noise = make_noise("gaussian", variance=1.0)
@@ -128,7 +202,8 @@ class TestSampling:
         noise = make_noise("cosine_bump")
         y = noise.sample(np.random.default_rng(1), 100_000)
         assert np.all(np.abs(y) <= 1.0)
-        assert abs(np.mean(y)) < 3 * noise.std_scale() / np.sqrt(y.size)
+        std = np.sqrt(1.0 / 3.0 - 2.0 / np.pi**2)
+        assert abs(np.mean(y)) < 3 * std / np.sqrt(y.size)
 
     def test_laplace_absolute_moment(self):
         # E|Y| = b
@@ -208,6 +283,8 @@ class TestH1Check:
         assert rep["zero_set_consistency"] == 0.0
         # difference-quotient probe converges to the same energy
         assert rep["probe_energies"][-1] == pytest.approx(np.pi**2 / 4, rel=5e-3)
+        # the bump's half range is 1, so its probe steps are 2^-4 ... 2^-10
+        assert rep["probe_eps"] == [2.0**-i for i in range(4, 11)]
 
     def test_uniform_rejected(self):
         rep = sqrt_density_h1_check(make_noise("uniform"))
