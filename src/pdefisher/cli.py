@@ -6,7 +6,7 @@ machine-readable artifacts into --out:
 * report.json -- resolved config, results, and one {value, tolerance, pass}
   entry per numeric claim; byte-identical across runs with the same
   config+seed (timings live in meta.json)
-* meta.json   -- wall-clock timing and package version
+* meta.json   -- wall-clock timing, peak RSS and package version
 * *.csv       -- trace data (K vs value, s vs remainder, beta vs moment)
 
 Exit codes: 0 all checks pass, 1 a tolerance failed, 2 invalid config,
@@ -16,6 +16,7 @@ Exit codes: 0 all checks pass, 1 a tolerance failed, 2 invalid config,
 import csv
 import json
 import os
+import resource
 import sys
 import time
 
@@ -257,7 +258,10 @@ def _task_pushforward(exp, task, rng):
     checks = []
     if len(estimates) >= 2:
         a, b = estimates[0]["estimate"], estimates[-1]["estimate"]
-        rel = abs(b - a) / abs(b)
+        if b == a:  # also both 0, for a functional flat at theta0
+            rel = 0.0
+        else:
+            rel = abs(b - a) / abs(b) if b != 0 else float("inf")
         checks.append(_check("stability-under-refinement", rel, task["stability_tol"], rel < task["stability_tol"]))
     rows = [("n_basis", "estimate", "stderr")]
     rows += [(e["n_basis"], e["estimate"], e["stderr"]) for e in estimates]
@@ -404,6 +408,7 @@ def _execute(task_name, config_path, out_dir, seed, workers):
         fh.write(dumps_report(report))
     meta = {
         "elapsed_s": time.perf_counter() - t0,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "version": __version__,
     }
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:

@@ -10,10 +10,12 @@ replicate index, so results are reproducible for any worker count.
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import special
 
 from .information import lan_norm, octave_divergence_flag, s_norm_truncated
 from .spectral import FourierCoeffs, pairing
+
+# scipy.special is imported inside the KS test's two functions: the import
+# costs about 0.3 s, and only the LAN task calls them.
 
 
 class Dataset:
@@ -70,6 +72,8 @@ def _ks_normal(sample, mean, sd):
     """Two-sided one-sample Kolmogorov-Smirnov test of ``sample`` against
     N(mean, sd^2): (D, p), D computed as SciPy's ``kstest`` computes it and p
     its default exact p-value P(D_n >= D)."""
+    from scipy import special
+
     x = np.sort(sample)
     n = x.shape[0]
     cdf = special.ndtr((x - mean) / sd)
@@ -87,6 +91,8 @@ def _kolmogorov_sf(n, d):
     power of two to entries below 1, so no product overflows and no rounding
     changes; the scales are added back in logs.
     """
+    from scipy import special
+
     if n * d <= 0.5:
         return 1.0
     if d >= 1.0:

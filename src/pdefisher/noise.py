@@ -10,7 +10,9 @@ import functools
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
+
+# scipy.special is imported inside the two quantiles that need it: the import
+# costs about 0.3 s, and most tasks never draw Gaussian or logistic noise.
 
 _QUAD_NODES = 24
 
@@ -214,7 +216,7 @@ def raised_cosine_quantile(u, a):
 
 class GaussianNoise(NoiseModel):
     family = "gaussian"
-    u_range = tuple(special.ndtr([-14.0, 14.0]))  # +-14 sigma
+    u_range = (float.fromhex("0x1.63f222737e58fp-147"), 1.0)  # ndtr(-+14): +-14 sigma
 
     def __init__(self, variance=1.0):
         if variance <= 0:
@@ -241,7 +243,9 @@ class GaussianNoise(NoiseModel):
         return -0.5 * (y / self.variance) * np.sqrt(self.pdf(y))
 
     def quantile(self, u):
-        return self.sigma * special.ndtri(u)
+        from scipy.special import ndtri
+
+        return self.sigma * ndtri(u)
 
 
 class BivariateGaussianNoise(NoiseModel):
@@ -319,7 +323,7 @@ class LaplaceNoise(NoiseModel):
 
 class LogisticNoise(NoiseModel):
     family = "logistic"
-    u_range = tuple(special.expit([-30.0, 30.0]))  # +-30 scales
+    u_range = (float.fromhex("0x1.a56e0c2ac7cbfp-44"), float.fromhex("0x1.ffffffffffcb6p-1"))  # expit(-+30)
 
     def __init__(self, scale=1.0):
         if scale <= 0:
@@ -347,7 +351,9 @@ class LogisticNoise(NoiseModel):
         return -0.5 * scr * np.sqrt(self.pdf(y))
 
     def quantile(self, u):
-        return self.scale * special.logit(u)
+        from scipy.special import logit
+
+        return self.scale * logit(u)
 
 
 class CosineBumpNoise(NoiseModel):

@@ -2,6 +2,7 @@
 byte-level reproducibility of reports."""
 
 import copy
+import glob
 import json
 import os
 import subprocess
@@ -48,7 +49,8 @@ class TestFisherTask:
         assert report["pass"] is True
         assert report["results"]["fisher"][0][0] == pytest.approx(4.0, rel=1e-8)
         assert "config" in report and report["config"]["seed"] == 1001
-        assert (out / "meta.json").exists()
+        meta = json.loads((out / "meta.json").read_text())
+        assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0
 
     def test_uniform_noise_rejected_fails(self, tmp_path):
         cfg = _fisher_cfg()
@@ -440,6 +442,20 @@ class TestRemainingTasks:
         for c in report["checks"]:
             assert set(c) == {"name", "value", "tolerance", "pass"}
 
+    def test_pushforward_zero_bound(self, tmp_path):
+        # (u.grad)u has derivative 0 at u0 = 0, so both estimates are exactly 0
+        cfg = copy.deepcopy(_PUSHFORWARD_NS_BASE)
+        cfg["model"]["theta0"] = {"modes": [{"k": [1, 0], "kind": "cos", "value": 0.0}]}
+        path = _write(tmp_path, "cfg.yaml", cfg)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "-c", path, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert [e["estimate"] for e in report["results"]["estimates"]] == [0.0, 0.0]
+        assert report["checks"] == [
+            {"name": "stability-under-refinement", "value": 0.0, "tolerance": 10.0, "pass": True}
+        ]
+
     def test_efficiency_divergent_target(self, tmp_path):
         cfg = self._base(
             {
@@ -495,17 +511,30 @@ class TestWorkerInvariance:
         # the replicate threads evaluate fields against the mesh's shared stencils
         self._check(tmp_path, _rd_lan_cfg())
 
+    def test_gaussian_lan_in_fresh_interpreter(self, tmp_path):
+        # in a fresh interpreter nothing before the replicate threads loads
+        # scipy, so the first Gaussian draw imports scipy.special in a thread
+        path = _write(tmp_path, "cfg.yaml", _LAN_BASE)
+        out = tmp_path / "w2"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdefisher.cli", "run", "-c", path, "-o", str(out), "--workers", "2"],
+            env=_fresh_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        two = json.loads((out / "report.json").read_text())
+        self._same_but_workers(self._report(tmp_path, path, 1), two)
+
+    def _report(self, tmp_path, path, workers):
+        out = tmp_path / f"w{workers}"
+        result = CliRunner().invoke(main, ["run", "-c", path, "-o", str(out), "--workers", str(workers)])
+        assert result.exit_code == 0, result.output
+        return json.loads((out / "report.json").read_text())
+
     def _check(self, tmp_path, cfg):
         path = _write(tmp_path, "cfg.yaml", cfg)
-        reports = []
-        for workers in (1, 2):
-            out = tmp_path / f"w{workers}"
-            result = CliRunner().invoke(
-                main, ["run", "-c", path, "-o", str(out), "--workers", str(workers)]
-            )
-            assert result.exit_code == 0, result.output
-            reports.append(json.loads((out / "report.json").read_text()))
-        one, two = reports
+        self._same_but_workers(*(self._report(tmp_path, path, w) for w in (1, 2)))
+
+    def _same_but_workers(self, one, two):
         assert one["results"] == two["results"]
         assert one["checks"] == two["checks"]
         assert (one["config"]["workers"], two["config"]["workers"]) == (1, 2)
@@ -549,55 +578,6 @@ class TestConfigTable:
         defaults = {key: sub["default"] for key, sub in schema.items() if "default" in sub}
         assert resolved["task"] == {"name": name, **defaults}
 
-
-class TestColdStart:
-    def _unimported(self, script):
-        src = os.path.dirname(os.path.dirname(pdefisher.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        # scipy.linalg is checked too: every solve reads one inverse factor
-        script += f"print(sorted(m for m in {_HEAVY!r} if m in sys.modules))\n"
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys\n" + script],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        return out.stdout.strip().splitlines()[-1] == "[]"
-
-    def test_build_leaves_stats_and_interpolate_unimported(self):
-        # scipy.stats and scipy.interpolate together took about a second of
-        # start-up; building an experiment needs neither
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        workload = os.path.join(root, "perfbench", "workloads", "lan-rd.yaml")
-        assert self._unimported(
-            "import pdefisher.cli as cli\n"
-            f"raw = cli.validate_config(cli.load_config({workload!r}))\n"
-            "cli.build_experiment(cli.resolve_config(raw))\n"
-        )
-
-    def test_lan_task_leaves_stats_unimported(self, tmp_path):
-        # the LAN task's KS p-value is computed without scipy.stats
-        path = _write(tmp_path, "cfg.yaml", _rd_lan_cfg())
-        assert self._unimported(
-            "import pytest\n"
-            "from pdefisher.cli import _execute\n"
-            "with pytest.raises(SystemExit) as exc:\n"
-            f"    _execute(None, {path!r}, {str(tmp_path / 'out')!r}, None, None)\n"
-            "assert exc.value.code == 0, exc.value.code\n"
-        )
-
-    def test_support_task_leaves_linalg_unimported(self, tmp_path):
-        # builds an RD experiment, assembles M under a cosine design and
-        # samples N(0, M^{-1}) without scipy.linalg
-        path = _write(tmp_path, "cfg.yaml", _SUPPORT_RD_BASE)
-        assert self._unimported(
-            "import pytest\n"
-            "from pdefisher.cli import _execute\n"
-            "with pytest.raises(SystemExit) as exc:\n"
-            f"    _execute(None, {path!r}, {str(tmp_path / 'out')!r}, None, None)\n"
-            "assert exc.value.code == 0, exc.value.code\n"
-        )
-
-
-_HEAVY = ("scipy.stats", "scipy.interpolate", "scipy.linalg")
 
 # a small heat LAN run (cosine design, a few replicates) whose checks pass
 _LAN_BASE = {
@@ -700,6 +680,119 @@ _FISHER_BASE = {
     "numerics": {"n_basis": 5},
     "task": {"name": "fisher", "tolerance_rel": 1e-8},
 }
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(pdefisher.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+_HEAVY = ("scipy.stats", "scipy.interpolate", "scipy.linalg")
+
+# one small passing run of every task but lan, whose KS test needs scipy.special
+_NO_SCIPY_RUNS = {
+    "fisher": _fisher_cfg(),
+    "qmd-check": TestRemainingTasks()._base({"name": "qmd-check", "s_values": [1e-3, 1e-2, 1e-1, 1.0]}),
+    "norm-equiv": TestRemainingTasks()._base({"name": "norm-equiv", "trials": 40, "n_basis_list": [8, 16]}),
+    "info-matrix": {**_fisher_cfg(), "task": {"name": "info-matrix"}},
+    "snorm": _SNORM_BASE,
+    "gaussian-support": _SUPPORT_RD_BASE,
+    "pushforward-bound": _PUSHFORWARD_NS_BASE,
+    "ns-diagnostics": {
+        "seed": 8,
+        "model": {
+            "kind": "ns", "kmax": 4, "T": 0.5, "viscosity": 0.05, "mesh": {"kind": "uniform", "m": 32},
+            "theta0": {"modes": [
+                {"k": [1, 0], "kind": "cos", "value": 0.4},
+                {"k": [0, 1], "kind": "sin", "value": 0.3},
+                {"k": [1, 1], "kind": "cos", "value": 0.2},
+            ]},
+        },
+        "noise": {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]},
+        "design": {"kind": "uniform"},
+        "numerics": {"n_basis": 8},
+        "task": {"name": "ns-diagnostics"},
+    },
+    "efficiency": {
+        **TestRemainingTasks()._base({"name": "efficiency", "n": 300, "replicates": 100, "ratio_range": [0.7, 1.3]}),
+        "noise": {"family": "laplace", "scale": 1.0},
+    },
+}
+
+
+class TestColdStart:
+    def _loaded(self, script, select):
+        """The modules m with ``select`` true that ``script`` leaves imported in
+        a fresh interpreter."""
+        script += f"print(sorted(m for m in sys.modules if {select}))\n"
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + script],
+            env=_fresh_env(), capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout.strip().splitlines()[-1]
+
+    def _unimported(self, script):
+        # scipy.linalg is checked too: every solve reads one inverse factor
+        return self._loaded(script, f"m in {_HEAVY!r}") == "[]"
+
+    def _task_script(self, tmp_path, cfg):
+        """Runs ``cfg``'s task through the CLI and asserts exit 0."""
+        path = _write(tmp_path, "cfg.yaml", cfg)
+        return (
+            "import pytest\n"
+            "from pdefisher.cli import _execute\n"
+            "with pytest.raises(SystemExit) as exc:\n"
+            f"    _execute(None, {path!r}, {str(tmp_path / 'out')!r}, None, None)\n"
+            "assert exc.value.code == 0, exc.value.code\n"
+        )
+
+    def test_build_leaves_stats_and_interpolate_unimported(self):
+        # scipy.stats and scipy.interpolate together took about a second of
+        # start-up; building an experiment needs neither
+        workload = os.path.join(_ROOT, "perfbench", "workloads", "lan-rd.yaml")
+        assert self._unimported(
+            "import pdefisher.cli as cli\n"
+            f"raw = cli.validate_config(cli.load_config({workload!r}))\n"
+            "cli.build_experiment(cli.resolve_config(raw))\n"
+        )
+
+    def test_lan_task_leaves_stats_unimported(self, tmp_path):
+        # the LAN task's KS p-value is computed without scipy.stats
+        assert self._unimported(self._task_script(tmp_path, _rd_lan_cfg()))
+
+    def test_support_task_leaves_linalg_unimported(self, tmp_path):
+        # builds an RD experiment, assembles M under a cosine design and
+        # samples N(0, M^{-1}) without scipy.linalg
+        assert self._unimported(self._task_script(tmp_path, _SUPPORT_RD_BASE))
+
+    def _scipy_loaded(self, script):
+        # importing scipy.special costs about 0.3 s; only Gaussian and logistic
+        # noise draws and the LAN task's KS test need it
+        return self._loaded(script, "m.startswith('scipy')")
+
+    def test_import_loads_no_scipy(self):
+        assert self._scipy_loaded("import pdefisher\n") == "[]"
+
+    def test_build_loads_no_scipy(self):
+        configs = sorted(glob.glob(os.path.join(_ROOT, "configs", "*.yaml")))
+        configs += sorted(glob.glob(os.path.join(_ROOT, "perfbench", "workloads", "*.yaml")))
+        assert len(configs) == 6
+        assert self._scipy_loaded(
+            "import pdefisher.cli as cli\n"
+            f"for path in {configs!r}:\n"
+            "    cli.build_experiment(cli.resolve_config(cli.validate_config(cli.load_config(path))))\n"
+        ) == "[]"
+
+    @pytest.mark.parametrize("task", sorted(_NO_SCIPY_RUNS))
+    def test_task_loads_no_scipy(self, tmp_path, task):
+        cfg = _NO_SCIPY_RUNS[task]
+        assert cfg["task"]["name"] == task
+        assert self._scipy_loaded(self._task_script(tmp_path, cfg)) == "[]"
+
 
 # small magnitudes only, so that no mutation makes a long or large run
 _NUMBERS = [1, 2, 3, 4, 0.25, 0.5, 1.5, -0.5, 0, -1, float("nan"), float("inf"), -float("inf")]

@@ -3,7 +3,7 @@ conventions, sampling laws, and the sqrt-density H^1 membership probe."""
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, expit, ndtr
 
 from pdefisher import fisher_matrix, make_noise, sqrt_density_h1_check
 from pdefisher.noise import NoiseModel, _quadrature_nodes
@@ -211,6 +211,17 @@ class TestSampling:
         y = noise.sample(np.random.default_rng(2), 100_000)
         sigma = np.std(np.abs(y)) / np.sqrt(y.size)
         assert abs(np.mean(np.abs(y)) - 2.0) < 3 * sigma
+
+    @pytest.mark.parametrize(
+        "fam,image", [("gaussian", ndtr([-14.0, 14.0])), ("logistic", expit([-30.0, 30.0]))], ids=["gaussian", "logistic"]
+    )
+    def test_u_range_equals_scipy_image(self, fam, image):
+        # written as literals so that importing noise loads no scipy; scipy
+        # stays the oracle for their bits
+        u_range = make_noise(fam).u_range
+        assert len(u_range) == 2
+        for got, want in zip(u_range, image):
+            assert got == want
 
     def test_deterministic_given_seed(self):
         noise = make_noise("logistic", scale=1.0)
