@@ -35,7 +35,7 @@ from .config import (
     resolve_config,
     validate_config,
 )
-from .forward import NavierStokesModel, qmd_remainder_slope
+from .forward import REMAINDER_FLOOR, NavierStokesModel, qmd_remainder_slope
 from .gaussian import functional_pushforward_bound, sample_efficient_gaussian, support_diagnostic
 from .inference import efficiency_report, lan_montecarlo
 from .information import (
@@ -108,14 +108,21 @@ def _spanned_field(exp, task, key, M):
     return field
 
 
+def _zero_remainder_check(out, tol):
+    """The check of a model linear along h to rounding (no slope to fit)."""
+    worst = max(out["remainders"])
+    return _check("linear-model-zero-remainder", worst, tol, worst <= tol)
+
+
 def _task_qmd(exp, task, rng):
     model = exp["model"]
     h = build_field(exp["es"], task["h"]) if "h" in task else _default_direction(exp)
+    if not np.any(h.data):
+        raise ConfigError("task.h is zero; the remainder check needs a nonzero direction")
     out = qmd_remainder_slope(model, exp["theta0"], h, task["s_values"])
     checks = []
-    if model.kind == "heat":
-        worst = max(out["remainders"])
-        checks.append(_check("linear-model-zero-remainder", worst, task["linear_rho_tol"], worst <= task["linear_rho_tol"]))
+    if model.kind == "heat" or np.isnan(out["slope"]):
+        checks.append(_zero_remainder_check(out, task["linear_rho_tol"]))
     else:
         err = abs(out["slope"] - task["slope_target"])
         checks.append(_check("remainder-slope", out["slope"], task["slope_tol"], err <= task["slope_tol"]))
@@ -324,8 +331,11 @@ def _task_ns_diagnostics(exp, task, rng):
     h = _default_direction(exp)
     qmd = qmd_remainder_slope(model, exp["theta0"], h, task["s_values"])
     results["linearization_slope"] = qmd["slope"]
-    err = abs(qmd["slope"] - 2.0)
-    checks.append(_check("linearization-slope", qmd["slope"], task["slope_tol"], err <= task["slope_tol"]))
+    if np.isnan(qmd["slope"]):  # linear along h to rounding: no slope to fit
+        checks.append(_zero_remainder_check(qmd, REMAINDER_FLOOR))
+    else:
+        ok = abs(qmd["slope"] - 2.0) <= task["slope_tol"]
+        checks.append(_check("linearization-slope", qmd["slope"], task["slope_tol"], ok))
     return results, checks, {}
 
 

@@ -371,6 +371,8 @@ def _check_consistency(cfg):
         raise ConfigError(f"k_grid goes beyond n_basis {n_basis}")
     if task["name"] == "pushforward-bound" and not 0.0 < task["t0"] < task["t1"] <= m["T"] + 1e-12:
         raise ConfigError(f"pushforward window needs 0 < t0 < t1 <= T, got [{task['t0']}, {task['t1']}]")
+    if task.get("functional") == "ns-nonlinearity" and m["kind"] != "ns":
+        raise ConfigError(f"the ns-nonlinearity functional needs the ns model, not {m['kind']}")
 
 
 def _truncations(cfg):

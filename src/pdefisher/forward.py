@@ -23,8 +23,7 @@ from .spectral import (
     FourierCoeffs,
     basis_values_at,
     coeffs_from_values,
-    coeffs_to_lattice,
-    lattice_to_coeffs,
+    spectrum_from_coeffs,
     values_from_coeffs,
 )
 
@@ -38,7 +37,7 @@ class TimeMesh:
     def __init__(self, nodes, blocks):
         self.nodes = np.asarray(nodes, dtype=float)
         self.blocks = blocks  # list of (first_node_index, n_steps, h)
-        self.weights = self._simpson_weights()
+        self.weights = self.window_weights(0, self.n_nodes - 1)
         self._stencils = self._lagrange_stencils()
 
     @classmethod
@@ -72,16 +71,6 @@ class TimeMesh:
     def n_nodes(self):
         return self.nodes.shape[0]
 
-    def _simpson_weights(self):
-        w = np.zeros_like(self.nodes)
-        for i0, nsteps, h in self.blocks:
-            bw = np.zeros(nsteps + 1)
-            bw[0] = bw[-1] = 1.0
-            bw[1:-1:2] = 4.0
-            bw[2:-1:2] = 2.0
-            w[i0 : i0 + nsteps + 1] += bw * (h / 3.0)
-        return w
-
     def _lagrange_stencils(self):
         """Per interval [nodes[j], nodes[j+1]): the 4 node indices of its cubic
         stencil (centred on the interval, shifted inward at the ends of the
@@ -112,15 +101,14 @@ class TimeMesh:
         sub = self.nodes[i0 : i1 + 1]
         if sub.shape[0] < 3 or (sub.shape[0] - 1) % 2:
             raise ValueError("window needs an even number >= 2 of intervals")
+        # per pair of intervals, the quadratic through its three (possibly
+        # non-equidistant) nodes; a shared even node sums both pairs' ends
+        h0, h1 = np.diff(sub)[::2], np.diff(sub)[1::2]
+        c = (h0 + h1) / 6.0
         w = np.zeros_like(sub)
-        for a in range(0, sub.shape[0] - 2, 2):
-            t0, t1, t2 = sub[a], sub[a + 1], sub[a + 2]
-            # quadratic through three (possibly non-equidistant) nodes
-            h0, h1 = t1 - t0, t2 - t1
-            c = (h0 + h1) / 6.0
-            w[a] += c * (2.0 - h1 / h0)
-            w[a + 1] += c * (h0 + h1) ** 2 / (h0 * h1)
-            w[a + 2] += c * (2.0 - h0 / h1)
+        w[1::2] = c * (h0 + h1) ** 2 / (h0 * h1)
+        w[2::2] += c * (2.0 - h0 / h1)
+        w[:-2:2] += c * (2.0 - h1 / h0)
         return w
 
 
@@ -433,14 +421,14 @@ class NavierStokesModel(_SpectralModel):
     (B, nm), as for reaction-diffusion: the curl maps each velocity mode to
     one vorticity mode of the same |k|, so the linear part is -nu lambda_j and
     the forcing is its own coefficient vector.  Two real matrices, built once
-    from the half-spectrum codec, carry every transform, so a stage is one
-    matmul each way:
+    from spectral's velocity half spectrum of each unit coefficient vector,
+    carry every transform, so a stage is one matmul each way:
 
     * ``_to_grid`` (nm, 4 n^2): u1, u2, d omega/dx1 and d omega/dx2 on the
       dealiased n x n grid of each unit coefficient vector;
     * ``_from_grid`` (n^2, nm): grid advection a -> the velocity coefficients
-      of -P a (the masked DFT, then the inverse curl), the exact dealiased
-      projection because n >= 3 kmax + 1.
+      of -P a (the DFT, then the inverse curl, read at the retained modes),
+      exact because n >= 3 kmax + 1.
 
     Both grow as kmax^4 (n ~ 3 kmax, nm ~ 2 kmax^2), while the five FFTs per
     stage they replace grow as kmax^2 log kmax.  Above kmax 6 a stage on them
@@ -466,46 +454,28 @@ class NavierStokesModel(_SpectralModel):
         self.forcing = forcing.data if forcing is not None and np.any(forcing.data) else None
 
         self.n = n = es.min_grid_points(dealias=True)
-        self.kx = np.fft.fftfreq(n, d=1.0 / n)[:, None] * np.ones((1, n // 2 + 1))
-        self.ky = np.ones((n, 1)) * np.fft.rfftfreq(n, d=1.0 / n)[None, :]
-        lam = 4.0 * np.pi**2 * (self.kx**2 + self.ky**2)
-        # vorticity -> streamfunction: -1/lam, 0 at k = 0
-        self.inv_lap = np.where(lam > 0, -1.0 / np.where(lam > 0, lam, 1.0), 0.0)
-        self._two_pi_absk = 2.0 * np.pi * np.sqrt((es.kvecs**2).sum(axis=1).astype(float))
-        self._is_cos = es.kind == 1
+        k1, k2 = np.fft.fftfreq(n, d=1.0 / n)[:, None], np.fft.rfftfreq(n, d=1.0 / n)
+        # d/dx1 and d/dx2 on the half spectrum, broadcasting to (n, n//2+1)
+        self.ik1, self.ik2 = 2j * np.pi * k1, 2j * np.pi * k2
+        lam = 4.0 * np.pi**2 * (k1**2 + k2**2)
+        # the inverse curl: vorticity -> velocity (-d/dx2, d/dx1) of the
+        # streamfunction Lap^-1 omega = -omega/lam, 0 at k = 0; (2, n, n//2+1)
+        inv_lap = np.where(lam > 0, -1.0 / np.where(lam > 0, lam, 1.0), 0.0)
+        self._inv_curl = np.stack([-self.ik2 * inv_lap, self.ik1 * inv_lap])
 
-        what = self._vorticity_spectrum(np.eye(es.size))
-        psi = self.inv_lap * what
-        ik = 2j * np.pi
-        specs = np.stack([-ik * self.ky * psi, ik * self.kx * psi, ik * self.kx * what, ik * self.ky * what], 1)
-        self._to_grid = np.fft.irfft2(specs, (n, n)).reshape(es.size, 4 * n * n)
-        self._from_grid = -self._velocity_coeffs(np.fft.rfft2(np.eye(n * n).reshape(n * n, n, n)))
+        vel = spectrum_from_coeffs(es, np.eye(es.size), n)
+        w = self._curl(vel)
+        specs = np.stack([vel[:, 0], vel[:, 1], self.ik1 * w, self.ik2 * w], 1)
+        self._to_grid = np.fft.irfft2(specs, (n, n), norm="forward").reshape(es.size, 4 * n * n)
+        # -P a reads the inverse curl of a's DFT at the retained modes only, so
+        # the map is its adjoint: column j is minus the grid values of the
+        # conjugate inverse curl applied to mode j's velocity spectrum, / n^2
+        adj = (self._inv_curl.conj() * vel).sum(axis=1)
+        self._from_grid = -np.fft.irfft2(adj, (n, n), norm="forward").reshape(es.size, n * n).T / (n * n)
 
-    # -- half-spectrum codec: builds the maps, and serves lattice_divergence ---
-
-    def _vorticity_spectrum(self, vel_coeffs):
-        """Velocity coefficients (..., nm) -> numpy-convention (unnormalized) DFT
-        vorticity half spectra (..., n, n//2+1)."""
-        w = np.empty_like(vel_coeffs)
-        cos_idx = self._is_cos
-        # curl(dir * sqrt2 cos) = -2 pi |k| sqrt2 sin ; curl(dir * sqrt2 sin) = +2 pi |k| sqrt2 cos
-        w[..., cos_idx] = self._two_pi_absk[~cos_idx] * vel_coeffs[..., ~cos_idx]
-        w[..., ~cos_idx] = -self._two_pi_absk[cos_idx] * vel_coeffs[..., cos_idx]
-        n = self.n
-        return coeffs_to_lattice(self.es, w, n) * (n * n)
-
-    def _velocity_coeffs(self, what):
-        """DFT vorticity half spectra -> div-free velocity coefficients (..., nm);
-        inverts :meth:`_vorticity_spectrum` on the retained modes."""
-        n = self.n
-        w = lattice_to_coeffs(self.es, what / (n * n), n)
-        out = np.empty_like(w)
-        cos_idx = self._is_cos
-        out[..., cos_idx] = -w[..., ~cos_idx] / self._two_pi_absk[~cos_idx]
-        out[..., ~cos_idx] = w[..., cos_idx] / self._two_pi_absk[cos_idx]
-        return out
-
-    # -- marcher hooks -----------------------------------------------------------
+    def _curl(self, vel):
+        """Vorticity d u2/dx1 - d u1/dx2 of velocity half spectra (..., 2, n, n//2+1)."""
+        return self.ik1 * vel[..., 1, :, :] - self.ik2 * vel[..., 0, :, :]
 
     def _grid(self, v):
         """u1, u2, d omega/dx1, d omega/dx2 of state(s) v on the grid, (..., 4, n^2)."""
@@ -522,21 +492,16 @@ class NavierStokesModel(_SpectralModel):
         return np.einsum("bip,ip->bp", self._grid(v), g[[2, 3, 0, 1]]) @ self._from_grid
 
     def lattice_divergence(self, field):
-        """Max |div u| over lattice coefficients of reconstructed velocity.
+        """Max over nodes of max |div u| / max |u| on the half spectrum, with u
+        rebuilt from the vorticity of each snapshot through the inverse curl
+        the marcher projects with.
 
-        Zero by construction (velocity lives in the div-free basis); exposed
-        as the projection diagnostic.
+        Zero up to rounding by construction (velocity lives in the div-free
+        basis); exposed as the projection diagnostic.
         """
-        worst = 0.0
-        for i in range(field.mesh.n_nodes):
-            w_hat = self._vorticity_spectrum(field.data[i])
-            psi = self.inv_lap * w_hat
-            u1_hat = -2j * np.pi * self.ky * psi
-            u2_hat = 2j * np.pi * self.kx * psi
-            div = 2j * np.pi * (self.kx * u1_hat + self.ky * u2_hat)
-            scale = max(np.abs(u1_hat).max(), np.abs(u2_hat).max(), 1e-300)
-            worst = max(worst, float(np.abs(div).max()) / scale)
-        return worst
+        u = self._inv_curl * self._curl(spectrum_from_coeffs(self.es, field.data, self.n))[:, None]
+        div = np.abs(self.ik1 * u[:, 0] + self.ik2 * u[:, 1]).max(axis=(1, 2))
+        return float((div / np.maximum(np.abs(u).max(axis=(1, 2, 3)), 1e-300)).max())
 
     def energy_balance_residual(self, field):
         """|E(T) - E(0) + nu int ||grad u||^2 - int <f,u>| / T (f=0 supported)."""
@@ -554,9 +519,15 @@ class NavierStokesModel(_SpectralModel):
 # ---------------------------------------------------------------------------
 
 
+# remainders at or below this are rounding, and the slope fit leaves them out
+REMAINDER_FLOOR = 1e-14
+
+
 def qmd_remainder_slope(model, theta0, h, s_grid):
     """Remainders rho(s) = || G(theta0 + s h) - G(theta0) - s I[h] ||_L2 and
-    the log-log slope (2.0 for smooth models, identically 0 for linear ones).
+    the log-log slope (2.0 for smooth models); the slope is NaN when fewer
+    than two remainders exceed REMAINDER_FLOOR, i.e. when the model is linear
+    along h to rounding (always for heat).
     """
     s_grid = np.asarray(sorted(s_grid), dtype=float)
     if s_grid.size < 4:
@@ -570,7 +541,7 @@ def qmd_remainder_slope(model, theta0, h, s_grid):
         val = float(np.sqrt(model.mesh.weights @ np.einsum("tm,tm->t", resid, resid)))
         remainders.append(val / np.sqrt(model.mesh.T))  # uniform design density 1/T
     remainders = np.array(remainders)
-    good = remainders > 1e-14
+    good = remainders > REMAINDER_FLOOR
     slope = float("nan")
     if good.sum() >= 2:
         slope = float(np.polyfit(np.log(s_grid[good]), np.log(remainders[good]), 1)[0])

@@ -8,7 +8,7 @@ the K-trace, never a single bare number.
 
 import numpy as np
 
-from .spectral import DIV_FREE, coeffs_to_lattice, values_from_coeffs
+from .spectral import DIV_FREE, spectrum_from_coeffs, values_from_coeffs
 
 
 class GaussianSampleBatch:
@@ -118,18 +118,6 @@ def _window_sup(batch, i0, i1, oversample=4):
     return sup
 
 
-def _values_and_gradients(model, coeffs):
-    """Velocity values and their d/dx1, d/dx2 on the model grid, each
-    (..., 2, n, n): inverse real FFTs of the half spectra c, 2 pi i kx c and
-    2 pi i ky c."""
-    es, n = model.es, model.n
-    lat = coeffs_to_lattice(es, coeffs[..., None, :] * es.dirs.T, n)
-    return [
-        np.fft.irfft2(spec, (n, n), norm="forward")
-        for spec in (lat, 2j * np.pi * model.kx * lat, 2j * np.pi * model.ky * lat)
-    ]
-
-
 def _ns_nonlinearity_values(base, cols):
     """Values of (U . grad) u0 + (u0 . grad) U for all columns, (B, 2, n^2),
     from the velocity values and gradients of u0, (3, 2, n^2), and of each
@@ -169,9 +157,13 @@ def functional_pushforward_bound(
     m = sample_data.shape[0]
     values = np.empty(m)
     if functional == "ns-nonlinearity":
-        # velocity values and gradients of each unit coefficient vector, so
-        # a field's are one matmul; the base flow's over the window once
-        vg = np.stack(_values_and_gradients(model, np.eye(es.size)), 1).reshape(es.size, -1)
+        # velocity values and d/dx1, d/dx2 of each unit coefficient vector
+        # (inverse FFTs of its half spectra times 1, 2 pi i k1 and 2 pi i k2),
+        # so a field's are one matmul; the base flow's over the window once
+        n = model.n
+        vel = spectrum_from_coeffs(es, np.eye(es.size), n)
+        vg = np.fft.irfft2(np.stack([vel, model.ik1 * vel, model.ik2 * vel], 1), (n, n), norm="forward")
+        vg = vg.reshape(es.size, -1)
         base = (model.solve(theta0).data[i0 : i1 + 1] @ vg).reshape(i1 + 1 - i0, 3, 2, -1)
 
     chunk = 64

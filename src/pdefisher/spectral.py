@@ -259,30 +259,24 @@ def _lattice(es, n):
     return lm
 
 
-def coeffs_to_lattice(es, data, n):
-    """Real coefficients (..., nm) -> rfft half spectrum c(k), (..., [n,] n//2+1).
+def spectrum_from_coeffs(es, data, n):
+    """Real coefficients (..., nm) -> the rfft half spectrum c(k) of their grid
+    values: (..., [n,] n//2+1) for scalar fields, (..., 2, n, n//2+1) for the
+    div-free subspace (one spectrum per velocity component, the coefficients
+    times that component of dirs).
 
     The one realified <-> lattice convention: a cos coefficient u is Re c(k) =
     u/sqrt(2), a sin coefficient Im c(k) = -u/sqrt(2), the constant c(0); the
-    module docstring says where ky < 0 and ky = 0 modes go.  Scalar fields
-    only (the div-free case scales by dirs per component).
+    module docstring says where ky < 0 and ky = 0 modes go.
     """
     lm = _lattice(es, n)
+    data = np.asarray(data, dtype=float)
+    if es.subspace == DIV_FREE:
+        data = data[..., None, :] * es.dirs.T
     batch = data.shape[:-1]
     out = np.zeros(batch + lm.shape, dtype=complex)
     out.reshape(batch + (-1,)).view(float)[..., lm.dst] = data[..., lm.src] * lm.fwd
     return out
-
-
-def lattice_to_coeffs(es, chat, n):
-    """Inverse of :func:`coeffs_to_lattice`: half spectra (..., [n,] n//2+1) -> (..., nm).
-
-    Reads one entry per mode, so it is exact for Hermitian ky = 0 columns.
-    """
-    lm = _lattice(es, n)
-    chat = np.ascontiguousarray(chat, dtype=complex)
-    flat = chat.reshape(chat.shape[: -es.d] + (-1,)).view(float)
-    return flat[..., lm.read] * lm.inv
 
 
 def values_from_coeffs(es, data, n):
@@ -291,21 +285,21 @@ def values_from_coeffs(es, data, n):
     data: (..., nm) real coefficients.  Returns (..., n[, n]) for scalar
     fields and (..., 2, n, n) for the div-free subspace.
     """
-    data = np.asarray(data, dtype=float)
-    if es.subspace == DIV_FREE:
-        data = data[..., None, :] * es.dirs.T
-    lat = coeffs_to_lattice(es, data, n)
+    lat = spectrum_from_coeffs(es, data, n)
     return np.fft.irfftn(lat, s=(n,) * es.d, axes=tuple(range(-es.d, 0)), norm="forward")
 
 
 def coeffs_from_values(es, values):
     """Project grid values onto the retained modes (exact if band-limited).
 
-    values: (..., n[, n]) scalar or (..., 2, n, n) for div-free.
+    values: (..., n[, n]) scalar or (..., 2, n, n) for div-free.  Inverts
+    :func:`spectrum_from_coeffs` after the FFT: one half-spectrum entry is
+    read per mode, so Hermitian ky = 0 columns are exact, and a div-free
+    field's two component coefficients are projected on dirs.
     """
-    n = values.shape[-1]
-    chat = np.fft.rfftn(values, axes=tuple(range(-es.d, 0)), norm="forward")
-    out = lattice_to_coeffs(es, chat, n)
+    lm = _lattice(es, values.shape[-1])
+    chat = np.ascontiguousarray(np.fft.rfftn(values, axes=tuple(range(-es.d, 0)), norm="forward"))
+    out = chat.reshape(chat.shape[: -es.d] + (-1,)).view(float)[..., lm.read] * lm.inv
     if es.subspace == DIV_FREE:
         return out[..., 0, :] * es.dirs[:, 0] + out[..., 1, :] * es.dirs[:, 1]
     return out

@@ -186,6 +186,24 @@ def _ragged_cov(cfg):
     cfg["task"] = {"name": "info-matrix"}
 
 
+def _ns_functional_on(kind):
+    # the nonlinearity functional differentiates the Navier-Stokes advection
+    def mutate(cfg):
+        cfg["model"] = {"kind": kind, "kmax": 4, "T": 1.0, "mesh": {"kind": "uniform", "m": 64}}
+        cfg["task"] = {
+            "name": "pushforward-bound", "functional": "ns-nonlinearity",
+            "t0": 0.25, "t1": 0.5, "m": 8, "n_basis_list": [4, 8],
+        }
+
+    return mutate
+
+
+def _zero_qmd_direction(cfg):
+    cfg["model"] = _NS_SMALL
+    cfg["noise"] = {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    cfg["task"] = {"name": "qmd-check", "h": {"modes": [{"k": [1, 0], "kind": "cos", "value": 0.0}]}}
+
+
 def _empty_beta_list(cfg):
     cfg["task"] = {"name": "gaussian-support", "beta_list": [], "k_grid": [4, 8]}
 
@@ -220,6 +238,9 @@ class TestInconsistentConfigs:
             _zero_expected_snorm,
             _ns_kmax_above_limit,
             _ragged_cov,
+            _ns_functional_on("heat"),
+            _ns_functional_on("rd"),
+            _zero_qmd_direction,
             None,
         ],
         ids=[
@@ -243,6 +264,9 @@ class TestInconsistentConfigs:
             "snorm-expected-zero",
             "ns-kmax-above-limit",
             "noise-cov-ragged",
+            "ns-nonlinearity-on-heat",
+            "ns-nonlinearity-on-rd",
+            "qmd-zero-direction",
             "config-is-a-directory",
         ],
     )
@@ -455,6 +479,36 @@ class TestRemainingTasks:
         assert report["checks"] == [
             {"name": "stability-under-refinement", "value": 0.0, "tolerance": 10.0, "pass": True}
         ]
+
+    @pytest.mark.parametrize(
+        "task, tolerance",
+        [({"name": "qmd-check", "s_values": [1e-3, 1e-2, 1e-1, 1.0]}, 1e-12),
+         ({"name": "ns-diagnostics", "s_values": [1e-3, 1e-2, 1e-1, 1.0]}, 1e-14)],
+        ids=["qmd-check", "ns-diagnostics"],
+    )
+    def test_ns_linear_along_direction(self, tmp_path, task, tolerance):
+        # at kmax 2 the flow from these two modes is linear along cos(1,0) to
+        # rounding, so no remainder exceeds the slope fit's floor: the run
+        # checks the remainders themselves instead of a NaN slope
+        cfg = {
+            "seed": 5,
+            "model": {
+                "kind": "ns", "kmax": 2, "T": 0.5, "mesh": {"kind": "uniform", "m": 32},
+                "theta0": {"modes": [{"k": [1, 0], "kind": "cos", "value": 0.4},
+                                     {"k": [0, 1], "kind": "sin", "value": 0.3}]},
+            },
+            "noise": {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "design": {"kind": "uniform"},
+            "numerics": {"n_basis": 8},
+            "task": task,
+        }
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "-c", _write(tmp_path, "cfg.yaml", cfg), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        last = report["checks"][-1]
+        assert last["name"] == "linear-model-zero-remainder" and last["tolerance"] == tolerance
+        assert 0 < last["value"] <= tolerance
 
     def test_efficiency_divergent_target(self, tmp_path):
         cfg = self._base(

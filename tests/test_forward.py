@@ -236,25 +236,6 @@ class TestNavierStokes:
         assert abs(out["slope"] - 2.0) < 0.2
 
 
-class TestNavierStokesLatticeMaps:
-    """The vorticity lift and velocity projection against the curl of the
-    velocity grid values, differentiated spectrally by numpy's FFT."""
-
-    @pytest.mark.parametrize("kmax", [3, 4, 6])
-    def test_lift_is_curl_and_project_inverts_it(self, kmax):
-        es = build_eigensystem(2, kmax, DIV_FREE)
-        ns = NavierStokesModel(es, viscosity=0.05, T=0.25, mesh=TimeMesh.uniform(0.25, 4))
-        c = np.random.default_rng(kmax).standard_normal((5, es.size))
-        u = values_from_coeffs(es, c, ns.n)  # (5, 2, n, n)
-        half = ns.n // 2 + 1  # the stored ky >= 0 columns
-        curl = 2j * np.pi * (
-            ns.kx * np.fft.fft2(u[:, 1])[..., :half] - ns.ky * np.fft.fft2(u[:, 0])[..., :half]
-        )
-        lifted = ns._vorticity_spectrum(c)
-        assert np.abs(lifted - curl).max() <= 1e-13 * np.abs(curl).max()
-        np.testing.assert_allclose(ns._velocity_coeffs(lifted), c, rtol=0, atol=1e-13)
-
-
 def _fft_curl(u):
     """Vorticity omega = d u2/dx1 - d u1/dx2 of velocity grid values u
     (..., 2, n, n), and its d/dx1 and d/dx2, by numpy's full complex FFT."""
@@ -490,6 +471,42 @@ class TestTimeStencils:
         own = idx == np.arange(mesh.n_nodes)[:, None]
         assert own.sum(axis=1).tolist() == [1] * mesh.n_nodes
         np.testing.assert_array_equal(w, own.astype(float))
+
+
+def _simpson_pairwise(nodes):
+    """Composite Simpson weights one pair of intervals at a time: the
+    quadratic through its three nodes, integrated exactly."""
+    w = [0.0] * len(nodes)
+    for a in range(0, len(nodes) - 2, 2):
+        h0, h1 = nodes[a + 1] - nodes[a], nodes[a + 2] - nodes[a + 1]
+        c = (h0 + h1) / 6.0
+        w[a] += c * (2.0 - h1 / h0)
+        w[a + 1] += c * ((h0 + h1) * (h0 + h1)) / (h0 * h1)
+        w[a + 2] += c * (2.0 - h0 / h1)
+    return w
+
+
+class TestSimpsonWeights:
+    @pytest.mark.parametrize(
+        "mesh", [TimeMesh.graded(1.0, 6, 8), TimeMesh.uniform(0.3, 100)], ids=["graded", "uniform"]
+    )
+    def test_match_pairwise_loop(self, mesh):
+        # bitwise: the vectorised rule does the loop's arithmetic in its order
+        n = mesh.n_nodes
+        assert mesh.weights.tolist() == _simpson_pairwise(mesh.nodes.tolist())
+        for i0, i1 in [(2, n - 1), (4, n - 7)]:
+            assert mesh.window_weights(i0, i1).tolist() == _simpson_pairwise(mesh.nodes[i0 : i1 + 1].tolist())
+
+    def test_graded_mesh_is_blockwise_simpson(self):
+        # power-of-two block lengths make every spacing exact, so each block
+        # gets (h/3)(1, 4, 2, ..., 2, 4, 1) bitwise
+        mesh = TimeMesh.graded(1.0, levels=6, steps_per_block=8)
+        ref = np.zeros(mesh.n_nodes)
+        for i0, nsteps, h in mesh.blocks:
+            bw = np.full(nsteps + 1, 2.0)
+            bw[1::2], bw[0], bw[-1] = 4.0, 1.0, 1.0
+            ref[i0 : i0 + nsteps + 1] += bw * (h / 3.0)
+        np.testing.assert_array_equal(mesh.weights, ref)
 
 
 def _fourier_oracle(es, coeffs, x):

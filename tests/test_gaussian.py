@@ -18,7 +18,8 @@ from pdefisher import (
     sample_efficient_gaussian,
     support_diagnostic,
 )
-from pdefisher.spectral import DIV_FREE
+from pdefisher.gaussian import GaussianSampleBatch
+from pdefisher.spectral import DIV_FREE, values_from_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,14 @@ class TestSupportDiagnostic:
             assert abs(entry["fitted_growth"] - predicted) < 0.3
 
 
+def _fft_gradients(u):
+    """d/dx1 and d/dx2 of grid values u (..., n, n) by numpy's full complex FFT."""
+    n = u.shape[-1]
+    k = 2j * np.pi * np.fft.fftfreq(n, d=1.0 / n)
+    u_hat = np.fft.fft2(u)
+    return [np.fft.ifft2(d * u_hat).real for d in (k[:, None], k[None, :])]
+
+
 class TestPushforward:
     def test_heat_trajectory_closed_form(self, heat_M):
         # theta0 = 0: E||flow(G)||^2_{L2([t0,t1]xOmega)} = sum (M^{-1})_jj int e^{-2 lam t}
@@ -235,3 +244,26 @@ class TestPushforward:
             model, theta0, M, batch, "ns-nonlinearity", "l2", 0.125, 0.375, power=2.0
         )
         assert np.isfinite(out["estimate"]) and out["estimate"] > 0
+
+    def test_ns_nonlinearity_exact_expectation(self, ns_M):
+        # E||dF[G]||^2 over G ~ N(0, M^-1) is sum_j ||dF[L^-T e_j]||^2 (L the
+        # Cholesky factor of M) because dF is linear; here dF[U] = (U.grad)u0
+        # + (u0.grad)U is coded on the model grid with numpy's full complex FFT
+        # and summed with the window's Simpson weights and the grid mean
+        model, theta0, M = ns_M
+        es, K, n = model.es, M.n_basis, model.n
+        t0, t1 = 0.125, 0.375
+        cols = np.linalg.solve(M.cholesky_lower().T, np.eye(K))  # column j is L^-T e_j
+        i0, i1 = model.mesh.window_slice(t0, t1)
+        w = model.mesh.window_weights(i0, i1)
+        u0 = values_from_coeffs(es, model.solve(theta0).data[i0 : i1 + 1], n)  # (nt, 2, n, n)
+        tangent = model.linearize(theta0, np.eye(es.size, K) @ cols).data[i0 : i1 + 1]
+        U = values_from_coeffs(es, tangent.transpose(2, 0, 1), n)  # (K, nt, 2, n, n)
+        (g0x, g0y), (gUx, gUy) = _fft_gradients(u0), _fft_gradients(U)
+        dF = U[:, :, 0:1] * g0x + U[:, :, 1:2] * g0y + u0[:, 0:1] * gUx + u0[:, 1:2] * gUy
+        exact = float(np.sum(w * (dF**2).sum(axis=2).mean(axis=(-2, -1))))
+        out = functional_pushforward_bound(
+            model, theta0, M, GaussianSampleBatch(cols.T, K), "ns-nonlinearity", "l2", t0, t1, power=2.0
+        )
+        assert exact > 0
+        assert K * out["estimate"] == pytest.approx(exact, rel=1e-12, abs=0)
