@@ -7,9 +7,9 @@ numerics objects.
 import contextlib
 import copy
 import json
+import math
 import os
 
-import jsonschema
 import numpy as np
 import yaml
 
@@ -266,19 +266,68 @@ def load_config(path):
     return raw
 
 
+# The Python types of the schema's JSON types. bool subclasses int but is
+# neither a number nor an integer, and an integer key takes only an int: an
+# integral float such as 4.0 would reach range() or an array shape.
+_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "boolean": bool,
+    "integer": int,
+    "number": (int, float),
+}
+
+
+def check_schema(value, schema, path=""):
+    """Raise a ConfigError naming the key path of the first place where
+    ``value`` breaks ``schema``. Implements the keywords the config schemas
+    use: type, enum, minimum, exclusiveMinimum, properties, required,
+    additionalProperties (false only), items, minItems and maxItems;
+    ``default`` is read by resolve_config. Numbers must be finite: YAML's
+    .nan and .inf would pass every bound."""
+
+    def fail(message, where=path):
+        raise ConfigError(f"invalid config: {where or 'config'}: {message}")
+
+    kind = schema["type"]
+    if not isinstance(value, _TYPES[kind]) or (isinstance(value, bool) and kind != "boolean"):
+        fail(f"{value!r} is not of type {kind}")
+    if isinstance(value, float) and not math.isfinite(value):
+        fail(f"{value!r} is not a finite number")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']}")
+    if "minimum" in schema and value < schema["minimum"]:
+        fail(f"{value!r} is below the minimum {schema['minimum']}")
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        fail(f"{value!r} is not above {schema['exclusiveMinimum']}")
+    if kind == "object":
+        prefix = f"{path}." if path else ""
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail("required key is missing", prefix + key)
+        properties = schema.get("properties", {})
+        for key, child in value.items():
+            if key in properties:
+                check_schema(child, properties[key], f"{prefix}{key}")
+            elif schema.get("additionalProperties") is False:
+                fail("unknown key", f"{prefix}{key}")
+    if kind == "array":
+        if "minItems" in schema and len(value) < schema["minItems"]:
+            fail(f"needs at least {schema['minItems']} items, has {len(value)}")
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            fail(f"takes at most {schema['maxItems']} items, has {len(value)}")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                check_schema(item, schema["items"], f"{path}[{i}]")
+
+
 def validate_config(raw):
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-        name = raw["task"].get("name")
-        if name not in TASK_NAMES:
-            raise ConfigError(f"unknown task name {name!r}")
-        jsonschema.validate(raw["task"], TASK_SCHEMAS[name])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}") from None
-    try:  # YAML's .nan and .inf pass the schema's numeric bounds
-        json.dumps(raw, allow_nan=False)
-    except ValueError:
-        raise ConfigError("invalid config: numbers must be finite") from None
+    check_schema(raw, CONFIG_SCHEMA)
+    name = raw["task"]["name"]
+    if name not in TASK_NAMES:
+        raise ConfigError(f"invalid config: task.name: {name!r} is not one of {list(TASK_NAMES)}")
+    check_schema(raw["task"], TASK_SCHEMAS[name], "task")
     return raw
 
 

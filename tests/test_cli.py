@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 import pdefisher
 from pdefisher import cli
 from pdefisher.cli import _execute, main
-from pdefisher.config import CONFIG_SCHEMA, TASK_NAMES, TASK_SCHEMAS, resolve_config, validate_config
+from pdefisher.config import (
+    CONFIG_SCHEMA,
+    TASK_NAMES,
+    TASK_SCHEMAS,
+    ConfigError,
+    check_schema,
+    resolve_config,
+    validate_config,
+)
 
 
 def _write(tmp_path, name, cfg):
@@ -115,6 +123,68 @@ class TestSchemaValidation:
         path = _write(tmp_path, "cfg.yaml", _fisher_cfg())
         result = CliRunner().invoke(main, ["snorm", "-c", path, "-o", str(tmp_path / "o")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # an integer key takes an int only; jsonschema also took 4.0,
+            # which failed downstream with a TypeError at the first four
+            ("model.kmax", 2.0),
+            ("seed", 5.0),
+            ("task.m", 8.0),
+            ("model.mesh.m", 8.0),
+            ("numerics.n_basis", 8.0),
+            ("workers", 1.0),
+            # YAML's .nan and .inf
+            ("model.T", float("nan")),
+            ("task.t1", float("inf")),
+            ("noise.cov[1][1]", -float("inf")),
+        ],
+    )
+    def test_exit_2_names_the_key(self, tmp_path, key, value):
+        cfg = copy.deepcopy(_PUSHFORWARD_NS_BASE)
+        *parents, last = key.replace("[", ".").replace("]", "").split(".")
+        node = cfg
+        for part in parents:
+            node = node[int(part) if part.isdigit() else part]
+        last = int(last) if last.isdigit() else last
+        assert type(node[last]) in (int, float)
+        node[last] = value
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "-c", _write(tmp_path, "cfg.yaml", cfg), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        assert f"invalid config: {key}: " in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mutate, key",
+        [
+            (lambda c: c["model"]["theta0"]["modes"][0].update(value="x"), "model.theta0.modes[0].value"),
+            (lambda c: c["model"]["theta0"]["modes"][0].update(kind="tan"), "model.theta0.modes[0].kind"),
+            (lambda c: c["task"].update(name="bogus"), "task.name"),
+            (lambda c: c["model"]["mesh"].update(m=2), "model.mesh.m"),
+            (lambda c: c["task"]["h"].update(scale_to_lan_norm=0), "task.h.scale_to_lan_norm"),
+            (lambda c: c["model"]["theta0"]["modes"][0].pop("k"), "model.theta0.modes[0].k"),
+            (lambda c: c["model"]["mesh"].update(frobnicate=1), "model.mesh.frobnicate"),
+            (lambda c: c["task"].update(name="snorm", k_grid=[]), "task.k_grid"),
+            (lambda c: c["task"].update(name="efficiency", ratio_range=[0.7, 1.0, 1.3]), "task.ratio_range"),
+            (lambda c: c["model"]["theta0"]["modes"][0]["k"].append(True), "model.theta0.modes[0].k[1]"),
+        ],
+        ids=[
+            "type", "enum", "task-name", "minimum", "exclusive-minimum", "required", "unknown-key",
+            "min-items", "max-items", "array-item",
+        ],
+    )
+    def test_message_names_the_nested_key(self, mutate, key):
+        cfg = copy.deepcopy(_LAN_BASE)
+        mutate(cfg)
+        if cfg["task"]["name"] != "lan":
+            for name in ("n", "replicates", "h", "mean_sigmas", "var_rel_tol", "ks_pmin"):
+                del cfg["task"][name]
+        with pytest.raises(ConfigError) as exc:
+            validate_config(cfg)
+        assert str(exc.value).startswith(f"invalid config: {key}: ")
 
 
 def _odd_uniform_mesh(cfg):
@@ -596,24 +666,27 @@ class TestWorkerInvariance:
         assert one == two
 
 
-def _declared_defaults(schema):
-    """The property schemas, at any depth, that declare a default."""
-    found = []
+def _subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
     for sub in schema.get("properties", {}).values():
-        if "default" in sub:
-            found.append(sub)
-        found += _declared_defaults(sub)
-    return found
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+_ALL_SCHEMAS = (CONFIG_SCHEMA, *TASK_SCHEMAS.values())
 
 
 class TestConfigTable:
     """Each config key is declared once, in the schema, with its default."""
 
     def test_defaults_satisfy_their_own_schema(self):
-        declared = [s for schema in (CONFIG_SCHEMA, *TASK_SCHEMAS.values()) for s in _declared_defaults(schema)]
+        declared = [s for schema in _ALL_SCHEMAS for s in _subschemas(schema) if "default" in s]
         assert declared
         for sub in declared:
             jsonschema.validate(sub["default"], sub)
+            check_schema(sub["default"], sub)
 
     def test_every_task_has_a_runner(self):
         assert set(TASK_NAMES) == set(cli._RUNNERS)
@@ -746,6 +819,10 @@ def _fresh_env():
 
 _HEAVY = ("scipy.stats", "scipy.interpolate", "scipy.linalg")
 
+_SHIPPED_PATHS = sorted(glob.glob(os.path.join(_ROOT, "configs", "*.yaml")))
+_SHIPPED_PATHS += sorted(glob.glob(os.path.join(_ROOT, "perfbench", "workloads", "*.yaml")))
+assert len(_SHIPPED_PATHS) == 6
+
 # one small passing run of every task but lan, whose KS test needs scipy.special
 _NO_SCIPY_RUNS = {
     "fisher": _fisher_cfg(),
@@ -831,15 +908,21 @@ class TestColdStart:
     def test_import_loads_no_scipy(self):
         assert self._scipy_loaded("import pdefisher\n") == "[]"
 
+    # validates and builds the six shipped configs
+    _BUILD_SHIPPED = (
+        "import pdefisher.cli as cli\n"
+        f"for path in {_SHIPPED_PATHS!r}:\n"
+        "    cli.build_experiment(cli.resolve_config(cli.validate_config(cli.load_config(path))))\n"
+    )
+
     def test_build_loads_no_scipy(self):
-        configs = sorted(glob.glob(os.path.join(_ROOT, "configs", "*.yaml")))
-        configs += sorted(glob.glob(os.path.join(_ROOT, "perfbench", "workloads", "*.yaml")))
-        assert len(configs) == 6
-        assert self._scipy_loaded(
-            "import pdefisher.cli as cli\n"
-            f"for path in {configs!r}:\n"
-            "    cli.build_experiment(cli.resolve_config(cli.validate_config(cli.load_config(path))))\n"
-        ) == "[]"
+        assert self._scipy_loaded(self._BUILD_SHIPPED) == "[]"
+
+    def test_build_loads_no_jsonschema(self):
+        # jsonschema, with the attrs, referencing and rpds it imports, took
+        # about 75 ms and 4.7 MiB of start-up
+        families = ("jsonschema", "referencing", "rpds", "attrs")
+        assert self._loaded(self._BUILD_SHIPPED, f"m.split('.')[0] in {families!r}") == "[]"
 
     @pytest.mark.parametrize("task", sorted(_NO_SCIPY_RUNS))
     def test_task_loads_no_scipy(self, tmp_path, task):
@@ -849,7 +932,7 @@ class TestColdStart:
 
 
 # small magnitudes only, so that no mutation makes a long or large run
-_NUMBERS = [1, 2, 3, 4, 0.25, 0.5, 1.5, -0.5, 0, -1, float("nan"), float("inf"), -float("inf")]
+_NUMBERS = [1, 2, 3, 4, 2.0, 4.0, 0.25, 0.5, 1.5, -0.5, 0, -1, float("nan"), float("inf"), -float("inf")]
 _STRINGS = [
     "", "x", "gaussian", "gaussian2", "laplace", "logistic", "cosine_bump", "uniform",
     "heat", "rd", "ns", "graded", "cos", "sin", "cosine", "alternative",
@@ -884,7 +967,8 @@ def _mutate(cfg, data):
     elif op == "replace" and isinstance(old, (int, float)) and not isinstance(old, bool):
         value = data.draw(st.sampled_from(_NUMBERS))
     else:
-        value = data.draw(st.sampled_from(_NUMBERS + _STRINGS + _OTHERS))
+        # a copy: a later "add" into a drawn list would grow _OTHERS' own
+        value = copy.deepcopy(data.draw(st.sampled_from(_NUMBERS + _STRINGS + _OTHERS)))
     if op != "add":
         parent[key] = value
     elif isinstance(parent, dict):
@@ -940,3 +1024,81 @@ class TestExitCodeProperty:
     @given(data=st.data())
     def test_exit_code_contract_fisher(self, data):
         _check_exit_code_contract(_FISHER_BASE, data)
+
+
+# jsonschema as the validator's oracle, with one deliberate difference: an
+# integer key takes an int only, where jsonschema also takes 4.0
+_Draft = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_StrictIntegers = jsonschema.validators.extend(
+    _Draft,
+    type_checker=_Draft.TYPE_CHECKER.redefine(
+        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)
+    ),
+)
+_CONFIG_ORACLE = _StrictIntegers(CONFIG_SCHEMA)
+_TASK_ORACLES = {name: _StrictIntegers(schema) for name, schema in TASK_SCHEMAS.items()}
+
+
+def _oracle_accepts(cfg):
+    """The jsonschema validator's verdict: both schemas, then finite numbers."""
+    if not _CONFIG_ORACLE.is_valid(cfg) or cfg["task"]["name"] not in TASK_SCHEMAS:
+        return False
+    if not _TASK_ORACLES[cfg["task"]["name"]].is_valid(cfg["task"]):
+        return False
+    try:
+        json.dumps(cfg, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
+def _load(path):
+    with open(path) as fh:
+        return yaml.safe_load(fh)
+
+
+_ORACLE_BASES = {
+    "lan": _LAN_BASE,
+    "snorm": _SNORM_BASE,
+    "pushforward-ns": _PUSHFORWARD_NS_BASE,
+    "support-rd": _SUPPORT_RD_BASE,
+    "fisher": _FISHER_BASE,
+    **{os.path.basename(path): _load(path) for path in _SHIPPED_PATHS},
+}
+
+# the keywords check_schema implements
+_KEYWORDS = {
+    "type", "default", "enum", "minimum", "exclusiveMinimum", "properties",
+    "additionalProperties", "required", "items", "minItems", "maxItems",
+}
+
+
+class TestValidatorOracle:
+    @pytest.mark.parametrize("base", list(_ORACLE_BASES.values()), ids=list(_ORACLE_BASES))
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_accepts_what_jsonschema_accepts(self, base, data):
+        cfg = copy.deepcopy(base)
+        for _ in range(data.draw(st.integers(0, 3))):
+            _mutate(cfg, data)
+        try:
+            validate_config(cfg)
+            accepted = True
+        except ConfigError:
+            accepted = False
+        assert accepted == _oracle_accepts(cfg)
+
+    def test_jsonschema_takes_integral_floats(self):
+        # the one difference from the oracle, which the plain draft keeps
+        cfg = copy.deepcopy(_PUSHFORWARD_NS_BASE)
+        cfg["model"]["kmax"] = 2.0
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        assert not _oracle_accepts(cfg)
+
+    def test_schemas_use_only_implemented_keywords(self):
+        for schema in _ALL_SCHEMAS:
+            for sub in _subschemas(schema):
+                assert set(sub) <= _KEYWORDS, sorted(set(sub) - _KEYWORDS)
+                # a type on every value is what makes every number pass the finite check
+                assert sub["type"] in ("object", "array", "string", "boolean", "integer", "number")
+                assert sub.get("additionalProperties", False) is False
