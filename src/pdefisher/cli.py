@@ -203,7 +203,7 @@ def _task_lan(exp, task, rng):
     if "scale_to_lan_norm" in task.get("h", {}):
         h = h * (task["h"]["scale_to_lan_norm"] / norm)
     report = lan_montecarlo(
-        exp["model"], exp["theta0"], h, exp["noise"], exp["design"],
+        exp["model"], h, exp["noise"], exp["design"],
         task["n"], task["replicates"], exp["seed"],
         under=task["under"], M=M, workers=exp["workers"],
     )
@@ -279,7 +279,7 @@ def _task_efficiency(exp, task, rng):
     M = assemble_information_matrix(exp["model"], exp["theta0"], exp["noise"], exp["design"], exp["n_basis"])
     psi = _spanned_field(exp, task, "psi", M)
     report = efficiency_report(
-        exp["model"], psi, exp["theta0"], exp["noise"], exp["design"], M,
+        exp["model"], psi, exp["noise"], exp["design"], M,
         task["n"], task["replicates"], exp["seed"],
         k_grid=task.get("k_grid"), workers=exp["workers"],
     )
@@ -312,10 +312,11 @@ def _task_ns_diagnostics(exp, task, rng):
     results["coefficient_divergence"] = div
     checks.append(_check("divergence-free", div, task["divergence_tol"], div <= task["divergence_tol"]))
 
-    plain = NavierStokesModel(es, viscosity=model.nu, T=model.T, mesh=model.mesh)
-    single = build_field(es, {"modes": [{"k": [1, 0], "kind": "cos", "value": 1.0}]})
-    idx = int(np.argmax(single.data))
-    traj = plain.solve(single)
+    # the decay and energy identities need an unforced flow
+    plain = model if model.forcing is None else NavierStokesModel(es, viscosity=model.nu, T=model.T, mesh=model.mesh)
+    h = _default_direction(exp)  # the single mode cos(2 pi x1), and the qmd direction
+    idx = int(np.argmax(h.data))
+    traj = plain.solve(h)
     lam = es.lam[idx]
     exact = np.exp(-plain.nu * lam * plain.mesh.nodes)
     decay_err = float(np.max(np.abs(traj.data[:, idx] - exact)))
@@ -323,12 +324,11 @@ def _task_ns_diagnostics(exp, task, rng):
     results["single_mode_decay_error"] = max(decay_err, other)
     checks.append(_check("single-mode-decay", max(decay_err, other), task["decay_tol"], max(decay_err, other) <= task["decay_tol"]))
 
-    multi = plain.solve(exp["theta0"])
+    multi = field if plain is model else plain.solve(exp["theta0"])
     resid = plain.energy_balance_residual(multi)
     results["energy_residual_per_unit_time"] = resid
     checks.append(_check("energy-balance", resid, task["energy_tol"], resid <= task["energy_tol"]))
 
-    h = _default_direction(exp)
     qmd = qmd_remainder_slope(model, exp["theta0"], h, task["s_values"])
     results["linearization_slope"] = qmd["slope"]
     if np.isnan(qmd["slope"]):  # linear along h to rounding: no slope to fit

@@ -139,15 +139,16 @@ def _time_stencils(mesh, t):
 
 
 class SpaceTimeField:
-    """Coefficient snapshots of a space-time field on a time mesh."""
+    """Coefficient snapshots on a time mesh; a tangent flow at theta0 carries ``base`` = G(theta0)."""
 
-    def __init__(self, es, mesh, data):
+    def __init__(self, es, mesh, data, base=None):
         data = np.asarray(data, dtype=float)
         if data.shape != (mesh.n_nodes, es.size):
             raise ValueError("snapshot array does not match mesh/eigensystem")
         self.es = es
         self.mesh = mesh
         self.data = data
+        self.base = base
 
     def evaluate(self, t, x):
         """Values at scattered points: exact Fourier sum in space, cubic in time.
@@ -175,12 +176,13 @@ class SpaceTimeField:
 
 
 class SpaceTimeBatch:
-    """Batch of fields sharing mesh and eigensystem; data (n_nodes, nm, B)."""
+    """Fields sharing mesh and eigensystem, data (n_nodes, nm, B); ``base`` as for a field."""
 
-    def __init__(self, es, mesh, data):
+    def __init__(self, es, mesh, data, base=None):
         self.es = es
         self.mesh = mesh
         self.data = data
+        self.base = base
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +292,15 @@ class _SpectralModel:
         return SpaceTimeField(self.es, self.mesh, snaps)
 
     def linearize(self, theta0, h):
-        """Tangent flow at theta0 from h: a FourierCoeffs (-> SpaceTimeField)
-        or (nm, B) columns (-> SpaceTimeBatch)."""
+        """Tangent flow at theta0 from h, a FourierCoeffs (-> SpaceTimeField)
+        or (nm, B) columns (-> SpaceTimeBatch), with its ``base`` G(theta0)."""
         single = isinstance(h, FourierCoeffs)
         cols = h.data[:, None] if single else np.asarray(h, dtype=float)
-        _, vsnaps = self._march(theta0.data, cols.T)
+        snaps, vsnaps = self._march(theta0.data, cols.T)
+        base = SpaceTimeField(self.es, self.mesh, snaps)
         if single:
-            return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(vsnaps[:, :, 0]))
-        return SpaceTimeBatch(self.es, self.mesh, vsnaps)
+            return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(vsnaps[:, :, 0]), base)
+        return SpaceTimeBatch(self.es, self.mesh, vsnaps, base)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +324,11 @@ class HeatModel:
 
     def linearize(self, theta0, h):
         # linear model: the linearization is the flow itself
-        if isinstance(h, FourierCoeffs):
-            return self.solve(h)
         decay = np.exp(-np.outer(self.mesh.nodes, self.es.lam))
-        data = decay[:, :, None] * np.asarray(h)[None, :, :]
-        return SpaceTimeBatch(self.es, self.mesh, data)
+        base = SpaceTimeField(self.es, self.mesh, decay * theta0.data)
+        if isinstance(h, FourierCoeffs):
+            return SpaceTimeField(self.es, self.mesh, decay * h.data, base)
+        return SpaceTimeBatch(self.es, self.mesh, decay[:, :, None] * np.asarray(h)[None, :, :], base)
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +535,11 @@ def qmd_remainder_slope(model, theta0, h, s_grid):
     s_grid = np.asarray(sorted(s_grid), dtype=float)
     if s_grid.size < 4:
         raise ValueError("need at least 4 perturbation sizes")
-    base = model.solve(theta0)
     tangent = model.linearize(theta0, h)
     remainders = []
     for s in s_grid:
         pert = model.solve(theta0 + s * h)
-        resid = pert.data - base.data - s * tangent.data
+        resid = pert.data - tangent.base.data - s * tangent.data
         val = float(np.sqrt(model.mesh.weights @ np.einsum("tm,tm->t", resid, resid)))
         remainders.append(val / np.sqrt(model.mesh.T))  # uniform design density 1/T
     remainders = np.array(remainders)

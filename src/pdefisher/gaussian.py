@@ -159,12 +159,11 @@ def functional_pushforward_bound(
     if functional == "ns-nonlinearity":
         # velocity values and d/dx1, d/dx2 of each unit coefficient vector
         # (inverse FFTs of its half spectra times 1, 2 pi i k1 and 2 pi i k2),
-        # so a field's are one matmul; the base flow's over the window once
+        # so a field's are one matmul
         n = model.n
         vel = spectrum_from_coeffs(es, np.eye(es.size), n)
         vg = np.fft.irfft2(np.stack([vel, model.ik1 * vel, model.ik2 * vel], 1), (n, n), norm="forward")
         vg = vg.reshape(es.size, -1)
-        base = (model.solve(theta0).data[i0 : i1 + 1] @ vg).reshape(i1 + 1 - i0, 3, 2, -1)
 
     chunk = 64
     for start in range(0, m, chunk):
@@ -177,6 +176,7 @@ def functional_pushforward_bound(
             else:
                 vals = _window_sup(batch, i0, i1)
         else:
+            base = (batch.base.data[i0 : i1 + 1] @ vg).reshape(i1 + 1 - i0, 3, 2, -1)
             acc = np.zeros(cols.shape[1])  # l2: the Simpson sum; sup: the running max
             for i in range(i0, i1 + 1):
                 U = (batch.data[i].T @ vg).reshape(cols.shape[1], 3, 2, -1)

@@ -28,24 +28,23 @@ class Dataset:
         self.n = t.shape[0]
 
 
-def simulate_dataset(model, theta, design, noise, n, rng, field=None):
-    """Y_i = G(theta)(t_i, x_i) + eps_i; the forward solve is reused if given."""
+def simulate_dataset(field, design, noise, n, rng):
+    """Y_i = field(t_i, x_i) + eps_i, with field = G(theta) a solved flow."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if field is None:
-        field = model.solve(theta)
-    t, x = design.sample(rng, n, model.es.d)
+    t, x = design.sample(rng, n, field.es.d)
     eps = noise.sample(rng, n)
     y = field.evaluate(t, x) + eps
     return Dataset(t, x, y)
 
 
-def _replicate_map(fn, replicates, workers):
-    """Index-ordered replicate evaluation; results independent of workers."""
+def _replicate_map(fn, replicates, workers, seed):
+    """fn(rng) per replicate, rngs spawned from seed; index-ordered, so independent of workers."""
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(replicates)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            return np.array(list(ex.map(fn, range(replicates))))
-    return np.array([fn(i) for i in range(replicates)])
+            return np.array(list(ex.map(fn, rngs)))
+    return np.array([fn(rng) for rng in rngs])
 
 
 def _loglik(noise, data, field):
@@ -127,7 +126,6 @@ def _kolmogorov_sf(n, d):
 
 def lan_montecarlo(
     model,
-    theta0,
     h,
     noise,
     design,
@@ -138,29 +136,26 @@ def lan_montecarlo(
     under="null",
     workers=1,
 ):
-    """Empirical law of the local log-likelihood ratio versus its Gaussian
-    shift limit N(-+ 0.5 ||h||^2, ||h||^2).
+    """Empirical law of the local log-likelihood ratio at M's theta0 versus
+    its Gaussian shift limit N(-+ 0.5 ||h||^2, ||h||^2).
 
     Under the null the target mean is -0.5 ||h||^2; under the alternative
     (data drawn at theta0 + h/sqrt(N)) it is +0.5 ||h||^2 by contiguity.
     """
     if under not in ("null", "alternative"):
         raise ValueError("under must be 'null' or 'alternative'")
-    field0 = model.solve(theta0)
+    theta0, field0 = M.base_point()
     theta1 = theta0 + (1.0 / np.sqrt(n)) * h
     field1 = model.solve(theta1)
     hnorm2 = lan_norm(h, M) ** 2
 
-    ss = np.random.SeedSequence(rng_seed)
-    children = ss.spawn(replicates)
     gen_field = field0 if under == "null" else field1
 
-    def one(i):
-        rng = np.random.default_rng(children[i])
-        data = simulate_dataset(model, None, design, noise, n, rng, field=gen_field)
+    def one(rng):
+        data = simulate_dataset(gen_field, design, noise, n, rng)
         return log_likelihood_ratio(data, field0, field1, noise)
 
-    values = _replicate_map(one, replicates, workers)
+    values = _replicate_map(one, replicates, workers, rng_seed)
 
     escapes = int(np.sum(np.isneginf(values)))
     finite = values[np.isfinite(values)]
@@ -206,7 +201,8 @@ def influence_values(data, field0, influence_field, noise):
     return np.einsum("na,na->n", scr, infl)
 
 
-def build_influence_field(psi, theta0, M, model):
+def build_influence_field(psi, M, model):
+    theta0, _ = M.base_point()
     psi_bar = M.solve(M.coeff_vector(psi))
     vec = np.zeros(model.es.size)
     vec[: M.n_basis] = psi_bar
@@ -216,7 +212,6 @@ def build_influence_field(psi, theta0, M, model):
 def efficiency_report(
     model,
     psi,
-    theta0,
     noise,
     design,
     M,
@@ -227,25 +222,23 @@ def efficiency_report(
     workers=1,
 ):
     """Truncated lower-bound trace for <psi, theta0> against the Monte-Carlo
-    variance of the influence estimator (heat-type models attain the bound).
+    variance of the influence estimator at M's theta0 (heat-type models
+    attain the bound).
     """
     trace = s_norm_truncated(psi, M, k_grid=k_grid)
     divergent, increments = octave_divergence_flag(trace["k_grid"], trace["values"])
     bound = trace["values"][-1]
 
-    field0 = model.solve(theta0)
-    influence_field = build_influence_field(psi, theta0, M, model)
+    theta0, field0 = M.base_point()
+    influence_field = build_influence_field(psi, M, model)
     truth = pairing(psi, theta0)
-    ss = np.random.SeedSequence(rng_seed)
-    children = ss.spawn(replicates)
 
-    def one(i):
-        rng = np.random.default_rng(children[i])
-        data = simulate_dataset(model, None, design, noise, n, rng, field=field0)
+    def one(rng):
+        data = simulate_dataset(field0, design, noise, n, rng)
         chi = influence_values(data, field0, influence_field, noise)
         return truth + chi.mean()
 
-    estimates = _replicate_map(one, replicates, workers)
+    estimates = _replicate_map(one, replicates, workers, rng_seed)
     mc_var = float(n * estimates.var(ddof=1))
     var_stderr = mc_var * np.sqrt(2.0 / (replicates - 1))
     return {

@@ -134,13 +134,15 @@ class InformationMatrix:
     truncation M_k = M[:k, :k] has the factor L[:k, :k] and the inverse
     factor L^{-1}[:k, :k], and cond(M_k) <= cond(M) (Cauchy interlacing), so
     both factors and the checks below serve every k <= K; every solve is a
-    product with a leading block of L^{-1}.
-    """
+    product with a leading block of L^{-1}.  An assembled M carries its point
+    ``theta0`` and flow ``base`` = G(theta0)."""
 
-    def __init__(self, matrix, es, meta=None):
+    def __init__(self, matrix, es, meta=None, theta0=None, base=None):
         matrix = 0.5 * (matrix + matrix.T)
         self.matrix = matrix
         self.es = es
+        self.theta0 = theta0
+        self.base = base
         self.n_basis = matrix.shape[0]
         self.meta = dict(meta or {})
         try:
@@ -162,6 +164,12 @@ class InformationMatrix:
         # L^{-1} is lower-triangular; inv's row pivoting can leave rounding
         # above the diagonal, which tril sets to its exact zero
         self._Linv = np.tril(np.linalg.inv(self._L))
+
+    def base_point(self):
+        """(theta0, G(theta0)) of the assembly; a matrix built by hand has none."""
+        if self.base is None:
+            raise ValueError("information matrix has no base point: assemble it at theta0")
+        return self.theta0, self.base
 
     def solve(self, rhs):
         """M^{-1} rhs = L^{-T} (L^{-1} rhs)."""
@@ -190,18 +198,19 @@ class InformationMatrix:
 
 
 def _tangent_gram(model, theta0, design, fisher, K):
-    """Gram of the tangent fields of e_0..e_{K-1}, sum_i w_i V_i^T B V_i.
+    """Gram of the tangent fields of e_0..e_{K-1}, sum_i w_i V_i^T B V_i, and G(theta0).
 
     Heat's tangent of e_k is e^{-lambda_k t} e_k, so its Gram is
     B[:K, :K] o (D^T W D) with D_ik = e^{-lambda_k t_i}: no march, no batch.
     """
     es = model.es
     if model.kind != "heat":
-        return spacetime_gram(model.linearize(theta0, np.eye(es.size, K)), design, fisher)
+        batch = model.linearize(theta0, np.eye(es.size, K))
+        return spacetime_gram(batch, design, fisher), batch.base
     decay = np.exp(-np.outer(model.mesh.nodes, es.lam[:K]))
     time = (model.mesh.weights[:, None] * decay).T @ decay
     g = _pointwise_form(es, design, fisher)[:K, :K] * time
-    return 0.5 * (g + g.T)
+    return 0.5 * (g + g.T), model.solve(theta0)
 
 
 def assemble_information_matrix(model, theta0, noise, design, n_basis):
@@ -221,7 +230,8 @@ def assemble_information_matrix(model, theta0, noise, design, n_basis):
         "n_basis": n_basis,
         "method": "closed-form" if model.kind == "heat" else "batch",
     }
-    return InformationMatrix(_tangent_gram(model, theta0, design, fisher, n_basis), es, meta)
+    gram, base = _tangent_gram(model, theta0, design, fisher, n_basis)
+    return InformationMatrix(gram, es, meta, theta0, base)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +310,7 @@ def norm_equivalence_diagnostic(model, theta0, design, n_basis_list, trials, kap
     if trials < 10:
         raise ValueError("need at least 10 trial directions")
     es = model.es
-    G = _tangent_gram(model, theta0, design, None, int(max(n_basis_list)))
+    G, _ = _tangent_gram(model, theta0, design, None, int(max(n_basis_list)))
     out = {"kappa": kappa, "per_k": []}
     for k in sorted(int(k) for k in n_basis_list):
         gk = G[:k, :k]

@@ -95,6 +95,7 @@ class EigenSystem:
             cell = kvecs[:, 0] * (2 * kmax + 1) + kvecs[:, 1] + kmax
         self._table_cols = 2 * cell + (kind == KIND_SIN)
         self._table_amp = np.where(kind == KIND_CONST, 1.0, np.sqrt(2.0))
+        self._lattices = {}  # grid size n -> _LatticeMap, built on first use
 
     @property
     def size(self):
@@ -227,7 +228,6 @@ class _LatticeMap:
     ``src``/``dst``/``fwd`` write it, the d = 2 modes with ky = 0 twice."""
 
     def __init__(self, es, n):
-        self.es = es
         self.shape = (n,) * (es.d - 1) + (n // 2 + 1,)
 
         def offset(k):
@@ -247,15 +247,10 @@ class _LatticeMap:
         self.read, self.inv = self.dst[first], 1.0 / self.fwd[first]
 
 
-_lattice_cache = {}
-
-
 def _lattice(es, n):
-    key = (id(es), n)
-    lm = _lattice_cache.get(key)
-    if lm is None or lm.es is not es:
-        lm = _LatticeMap(es, n)
-        _lattice_cache[key] = lm
+    lm = es._lattices.get(n)
+    if lm is None:
+        lm = es._lattices[n] = _LatticeMap(es, n)
     return lm
 
 

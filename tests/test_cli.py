@@ -4,6 +4,7 @@ byte-level reproducibility of reports."""
 import copy
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdefisher
-from pdefisher import cli
+from pdefisher import cli, forward
 from pdefisher.cli import _execute, main
 from pdefisher.config import (
     CONFIG_SCHEMA,
@@ -664,6 +665,86 @@ class TestWorkerInvariance:
         assert (one["config"]["workers"], two["config"]["workers"]) == (1, 2)
         two["config"]["workers"] = 1
         assert one == two
+
+
+_S4 = [1e-3, 1e-2, 3e-2, 1e-1]
+
+
+class TestBaseMarchCounts:
+    """Each task marches its theta0 once: the _SpectralModel._march calls of
+    one task, counted by wrapping the name from outside as the benchmark's
+    tracer does (a solve, a linearize and an assembly each march once)."""
+
+    _MODELS = {
+        "rd": {
+            "kind": "rd", "kmax": 8, "T": 0.5,
+            "mesh": {"kind": "graded", "levels": 2, "steps_per_block": 4},
+            "theta0": {"constant": 0.5, "modes": [{"k": [1], "kind": "cos", "value": 0.3}]},
+        },
+        "ns": {"kind": "ns", "kmax": 2, "T": 0.5, "viscosity": 0.05, "mesh": {"kind": "uniform", "m": 8}},
+    }
+    _NOISES = {
+        "rd": {"family": "laplace", "scale": 1.0},
+        "ns": {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]},
+    }
+
+    def _marches(self, tmp_path, monkeypatch, kind, task, **model):
+        calls = []
+        march = forward._SpectralModel._march
+
+        def counted(self, u, v=None):
+            calls.append(u)
+            return march(self, u, v)
+
+        monkeypatch.setattr(forward._SpectralModel, "_march", counted)
+        cfg = {
+            "seed": 3, "workers": 1, "model": {**self._MODELS[kind], **model}, "noise": self._NOISES[kind],
+            "design": {"kind": "uniform"}, "numerics": {"n_basis": 8}, "task": task,
+        }
+        path = _write(tmp_path, "cfg.yaml", cfg)
+        result = CliRunner().invoke(main, ["run", "-c", path, "-o", str(tmp_path / "out")])
+        assert result.exit_code in (0, 1), result.output  # a tolerance may fail at this size
+        return len(calls)
+
+    @pytest.mark.parametrize("kind", ["rd", "ns"])
+    @pytest.mark.parametrize(
+        "task, marches",
+        [
+            # assembly, then theta1 = theta0 + h/sqrt(n); G(theta0) is M's
+            ({"name": "lan", "n": 10, "replicates": 10, "ks_pmin": 0.0}, 2),
+            # assembly, then the influence field's tangent; G(theta0) is M's
+            ({"name": "efficiency", "n": 10, "replicates": 10}, 2),
+            # the tangent (with its base flow), then one solve per s
+            ({"name": "qmd-check", "s_values": _S4}, 1 + len(_S4)),
+        ],
+        ids=["lan", "efficiency", "qmd-check"],
+    )
+    def test_task_marches_theta0_once(self, tmp_path, monkeypatch, kind, task, marches):
+        assert self._marches(tmp_path, monkeypatch, kind, task) == marches
+
+    def test_pushforward_marches_per_truncation(self, tmp_path, monkeypatch):
+        # per K: the assembly, then ceil(m / 64) sample chunks, each with its base
+        ks, m = [4, 8], 70
+        task = {
+            "name": "pushforward-bound", "functional": "ns-nonlinearity",
+            "t0": 0.125, "t1": 0.5, "m": m, "n_basis_list": ks, "stability_tol": 10.0,
+        }
+        assert self._marches(tmp_path, monkeypatch, "ns", task) == len(ks) * (1 + math.ceil(m / 64))
+
+    @pytest.mark.parametrize(
+        "forcing, marches",
+        [
+            # theta0, the single mode, then the qmd tangent and one solve per s
+            (None, 3 + len(_S4)),
+            # a forced model also solves theta0 on its unforced copy
+            ({"modes": [{"k": [1, 1], "kind": "cos", "value": 0.1}]}, 4 + len(_S4)),
+        ],
+        ids=["unforced", "forced"],
+    )
+    def test_ns_diagnostics_marches(self, tmp_path, monkeypatch, forcing, marches):
+        model = {} if forcing is None else {"forcing": forcing}
+        task = {"name": "ns-diagnostics", "s_values": _S4}
+        assert self._marches(tmp_path, monkeypatch, "ns", task, **model) == marches
 
 
 def _subschemas(schema):

@@ -75,6 +75,26 @@ class TestHeat:
         assert f.mesh.weights @ f.squared_l2_profile() == pytest.approx(exact, abs=1e-12)
 
 
+class TestBaseFlow:
+    """linearize(theta0, .) carries G(theta0) from the march that gave the
+    tangents; solve is the independent oracle."""
+
+    @pytest.mark.parametrize("kind", ["heat", "rd", "ns"])
+    def test_linearize_base_is_solve(self, kind, es1, es_ns):
+        mesh = TimeMesh.uniform(0.25, 16)
+        if kind == "heat":
+            model, theta0 = HeatModel(es1, T=0.25, mesh=mesh), _field(es1, [([1], 1, 0.4)], const=0.2)
+        else:
+            model, theta0 = _nonlinear_model(kind, es1, es_ns, mesh)
+        ref = model.solve(theta0)
+        single = model.linearize(theta0, FourierCoeffs.unit(model.es, 1))
+        batch = model.linearize(theta0, np.eye(model.es.size, 3))
+        for base in (single.base, batch.base):
+            assert base.es is model.es and base.mesh is mesh
+            assert np.array_equal(base.data, ref.data)
+        assert ref.base is None
+
+
 class ZeroReaction:
     def cutoff(self, u):
         return None

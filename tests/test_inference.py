@@ -11,9 +11,11 @@ from pdefisher import (
     DesignMeasure,
     FourierCoeffs,
     HeatModel,
+    InformationMatrix,
     TimeMesh,
     assemble_information_matrix,
     build_eigensystem,
+    efficiency_report,
     lan_montecarlo,
     lan_norm,
     log_likelihood_ratio,
@@ -40,7 +42,7 @@ def efficient_influence_estimate(psi, data, theta0, M, model, noise):
     first-order unbiased under local shifts.
     """
     field0 = model.solve(theta0)
-    influence_field = build_influence_field(psi, theta0, M, model)
+    influence_field = build_influence_field(psi, M, model)
     chi = influence_values(data, field0, influence_field, noise)
     return float(pairing(psi, theta0) + chi.mean())
 
@@ -64,7 +66,7 @@ class TestSimulateDataset:
         es, model, _, design, theta0, _ = setup
         tiny = make_noise("gaussian", variance=1e-12)
         rng = np.random.default_rng(0)
-        data = simulate_dataset(model, theta0, design, tiny, 2000, rng)
+        data = simulate_dataset(model.solve(theta0), design, tiny, 2000, rng)
         field = model.solve(theta0)
         resid = data.y - field.evaluate(data.t, data.x)
         assert np.std(resid) < 1e-5
@@ -72,7 +74,7 @@ class TestSimulateDataset:
     def test_design_law(self, setup):
         es, model, noise, design, theta0, _ = setup
         rng = np.random.default_rng(1)
-        data = simulate_dataset(model, theta0, design, noise, 20000, rng)
+        data = simulate_dataset(model.solve(theta0), design, noise, 20000, rng)
         assert abs(np.mean(data.t) - 0.5) < 3 * np.std(data.t) / np.sqrt(data.n)
         assert np.all((data.x >= 0) & (data.x < 1))
 
@@ -81,7 +83,7 @@ class TestSimulateDataset:
         es, model, noise, design, _, _ = setup
         theta = FourierCoeffs.unit(es, es.index_of([1], 1))
         rng = np.random.default_rng(2)
-        data = simulate_dataset(model, theta, design, noise, 10000, rng)
+        data = simulate_dataset(model.solve(theta), design, noise, 10000, rng)
         regressor = np.exp(-LAM1 * data.t) * np.sqrt(2) * np.cos(2 * np.pi * data.x[:, 0])
         coef = (regressor @ data.y) / (regressor @ regressor)
         stderr = 1.0 / np.sqrt(regressor @ regressor)
@@ -102,7 +104,7 @@ class TestVectorData:
         theta0 = FourierCoeffs.zeros(es)
         theta0.data[es.index_of([1, 0], 1)] = 0.4
         rng = np.random.default_rng(30)
-        data = simulate_dataset(ns, theta0, design, noise, 300, rng)
+        data = simulate_dataset(ns.solve(theta0), design, noise, 300, rng)
         assert data.y.shape == (300, 2)
         h = FourierCoeffs.unit(es, es.index_of([0, 1], 1))
         f0 = ns.solve(theta0)
@@ -116,7 +118,7 @@ class TestLogLikelihoodRatio:
     def test_zero_direction(self, setup):
         es, model, noise, design, theta0, _ = setup
         rng = np.random.default_rng(3)
-        data = simulate_dataset(model, theta0, design, noise, 500, rng)
+        data = simulate_dataset(model.solve(theta0), design, noise, 500, rng)
         f0 = model.solve(theta0)
         assert log_likelihood_ratio(data, f0, f0, noise) == 0.0
 
@@ -127,7 +129,7 @@ class TestLogLikelihoodRatio:
         h = FourierCoeffs.unit(es, es.index_of([2], 1))
         n = 400
         rng = np.random.default_rng(4)
-        data = simulate_dataset(model, theta0, design, noise, n, rng)
+        data = simulate_dataset(model.solve(theta0), design, noise, n, rng)
         theta1 = theta0 + (1 / np.sqrt(n)) * h
         f0, f1 = model.solve(theta0), model.solve(theta1)
         got = log_likelihood_ratio(data, f0, f1, noise)
@@ -145,7 +147,7 @@ class TestLogLikelihoodRatio:
         es, model, noise, design, theta0, _ = setup
         n = 5000
         rng = np.random.default_rng(6)
-        data = simulate_dataset(model, theta0, design, noise, n, rng)
+        data = simulate_dataset(model.solve(theta0), design, noise, n, rng)
         h = FourierCoeffs.unit(es, es.index_of([1], 1))
         f0, f1 = model.solve(theta0), model.solve(theta0 + (1 / np.sqrt(n)) * h)
         l1, l0 = _loglik(noise, data, f1), _loglik(noise, data, f0)
@@ -159,7 +161,7 @@ class TestLogLikelihoodRatio:
         h = FourierCoeffs(es, np.zeros(es.size))
         h.data[es.index_of([1], 1)] = 3.0  # shift ~0.3 at the cos peaks
         rep = lan_montecarlo(
-            model, theta0, h, bump, design, n=200, replicates=100, rng_seed=5, M=M
+            model, h, bump, design, n=200, replicates=100, rng_seed=5, M=M
         )
         assert rep["support_escapes"] > 0
         assert rep["support_escapes"] < 100  # a mix, not a wipe-out
@@ -172,7 +174,7 @@ class TestLanMonteCarlo:
         h = FourierCoeffs.unit(es, es.index_of([1], 1))
         h = h * (1.0 / lan_norm(h, M))
         rep = lan_montecarlo(
-            model, theta0, h, noise, design, n=2000, replicates=200, rng_seed=6, M=M
+            model, h, noise, design, n=2000, replicates=200, rng_seed=6, M=M
         )
         assert abs(rep["mean"] - (-0.5)) < 3 * rep["mean_stderr"]
         assert abs(rep["var"] - 1.0) < 0.3
@@ -183,7 +185,7 @@ class TestLanMonteCarlo:
         h = FourierCoeffs.unit(es, es.index_of([1], 1))
         h = h * (1.0 / lan_norm(h, M))
         rep = lan_montecarlo(
-            model, theta0, h, noise, design, n=2000, replicates=200, rng_seed=7,
+            model, h, noise, design, n=2000, replicates=200, rng_seed=7,
             M=M, under="alternative",
         )
         assert abs(rep["mean"] - 0.5) < 3 * rep["mean_stderr"]
@@ -192,8 +194,8 @@ class TestLanMonteCarlo:
         es, model, noise, design, theta0, M = setup
         h = FourierCoeffs.unit(es, es.index_of([1], 1))
         h = h * (1.0 / lan_norm(h, M))
-        rep1 = lan_montecarlo(model, theta0, h, noise, design, 500, 50, 8, M=M)
-        rep2 = lan_montecarlo(model, theta0, 2.0 * h, noise, design, 500, 50, 8, M=M)
+        rep1 = lan_montecarlo(model, h, noise, design, 500, 50, 8, M=M)
+        rep2 = lan_montecarlo(model, 2.0 * h, noise, design, 500, 50, 8, M=M)
         assert rep2["target_mean"] == pytest.approx(4 * rep1["target_mean"])
         assert abs(rep2["mean"] - rep2["target_mean"]) < 4 * rep2["mean_stderr"]
 
@@ -202,15 +204,31 @@ class TestLanMonteCarlo:
         es, model, noise, design, theta0, M = setup
         h = FourierCoeffs.unit(es, es.index_of([1], 1))
         h = h * (0.8 / lan_norm(h, M))
-        rep = lan_montecarlo(model, theta0, h, noise, design, 1000, 150, 9, M=M)
+        rep = lan_montecarlo(model, h, noise, design, 1000, 150, 9, M=M)
         assert rep["mean"] + 3 * rep["mean_stderr"] < 0
 
     def test_workers_deterministic(self, setup):
         es, model, noise, design, theta0, M = setup
         h = FourierCoeffs.unit(es, es.index_of([1], 1))
-        a = lan_montecarlo(model, theta0, h, noise, design, 200, 20, 10, M=M, workers=1)
-        b = lan_montecarlo(model, theta0, h, noise, design, 200, 20, 10, M=M, workers=4)
+        a = lan_montecarlo(model, h, noise, design, 200, 20, 10, M=M, workers=1)
+        b = lan_montecarlo(model, h, noise, design, 200, 20, 10, M=M, workers=4)
         assert a["mean"] == b["mean"] and a["var"] == b["var"]
+
+
+class TestBasePointFromM:
+    """The Monte-Carlo tasks read theta0 and G(theta0) from M, so a matrix
+    built by hand, which carries neither, is refused."""
+
+    def test_hand_built_matrix_refused(self, setup):
+        es, model, noise, design, _, M = setup
+        bare = InformationMatrix(M.matrix, es)
+        h = FourierCoeffs.unit(es, 1)
+        with pytest.raises(ValueError, match="no base point"):
+            lan_montecarlo(model, h, noise, design, 10, 2, 0, M=bare)
+        with pytest.raises(ValueError, match="no base point"):
+            efficiency_report(model, h, noise, design, bare, 10, 2, 0)
+        with pytest.raises(ValueError, match="no base point"):
+            build_influence_field(h, bare, model)
 
 
 def _d_grid(n, points=60):
@@ -269,7 +287,7 @@ class TestInfluenceEstimator:
     def test_zero_target(self, setup):
         es, model, noise, design, theta0, M = setup
         rng = np.random.default_rng(11)
-        data = simulate_dataset(model, theta0, design, noise, 200, rng)
+        data = simulate_dataset(model.solve(theta0), design, noise, 200, rng)
         psi = FourierCoeffs.zeros(es)
         est = efficient_influence_estimate(psi, data, theta0, M, model, noise)
         assert est == 0.0
@@ -278,13 +296,13 @@ class TestInfluenceEstimator:
         es, model, noise, design, theta0, M = setup
         psi = FourierCoeffs.unit(es, es.index_of([1], 1))
         field0 = model.solve(theta0)
-        infl = build_influence_field(psi, theta0, M, model)
+        infl = build_influence_field(psi, M, model)
         truth = pairing(psi, theta0)
         ss = np.random.SeedSequence(12)
         ests = []
         for child in ss.spawn(400):
             rng = np.random.default_rng(child)
-            data = simulate_dataset(model, None, design, noise, 500, rng, field=field0)
+            data = simulate_dataset(field0, design, noise, 500, rng)
             chi = influence_values(data, field0, infl, noise)
             ests.append(truth + chi.mean())
         ests = np.array(ests)
@@ -299,9 +317,9 @@ class TestInfluenceEstimator:
         es, model, noise, design, theta0, M = setup
         psi = FourierCoeffs.unit(es, es.index_of([2], 2))
         field0 = model.solve(theta0)
-        infl = build_influence_field(psi, theta0, M, model)
+        infl = build_influence_field(psi, M, model)
         rng = np.random.default_rng(13)
-        data = simulate_dataset(model, None, design, noise, 50000, rng, field=field0)
+        data = simulate_dataset(field0, design, noise, 50000, rng)
         chi = influence_values(data, field0, infl, noise)
         assert abs(chi.mean()) < 3 * chi.std() / np.sqrt(chi.size)
 
@@ -320,9 +338,9 @@ class TestInfluenceEstimator:
         M = assemble_information_matrix(ns, theta0, noise, design, 8)
         psi = FourierCoeffs.unit(es, es.index_of([0, 1], 1))
         field0 = ns.solve(theta0)
-        infl = build_influence_field(psi, theta0, M, ns)
+        infl = build_influence_field(psi, M, ns)
         rng = np.random.default_rng(31)
-        data = simulate_dataset(ns, None, design, noise, 40000, rng, field=field0)
+        data = simulate_dataset(field0, design, noise, 40000, rng)
         chi = influence_values(data, field0, infl, noise)
         assert abs(chi.mean()) < 3 * chi.std() / np.sqrt(chi.size)
 
@@ -344,9 +362,9 @@ class TestInfluenceEstimator:
         theta = theta0 + delta
         field = model.solve(theta)
         field0 = model.solve(theta0)
-        infl = build_influence_field(psi, theta0, M, model)
+        infl = build_influence_field(psi, M, model)
         rng = np.random.default_rng(32)
-        data = simulate_dataset(model, None, design, noise, 200_000, rng, field=field)
+        data = simulate_dataset(field, design, noise, 200_000, rng)
         chi = influence_values(data, field0, infl, noise)
         target = pairing(psi, delta)  # heat is linear: exact identity
         stderr = chi.std() / np.sqrt(chi.size)
@@ -364,8 +382,8 @@ class TestInfluenceEstimator:
         b2 = M2.inv_quadform(M2.coeff_vector(psi))
         assert b2 == pytest.approx(4 * b1, rel=1e-10)
         noise1 = make_noise("gaussian", variance=1.0)
-        rep1 = efficiency_report(model, psi, theta0, noise1, design, M1, 400, 300, 15)
-        rep2 = efficiency_report(model, psi, theta0, noise2, design, M2, 400, 300, 15)
+        rep1 = efficiency_report(model, psi, noise1, design, M1, 400, 300, 15)
+        rep2 = efficiency_report(model, psi, noise2, design, M2, 400, 300, 15)
         assert rep2["mc_variance"] / rep1["mc_variance"] == pytest.approx(4.0, rel=0.35)
 
     def test_local_shift_regularity(self, setup):
@@ -377,14 +395,14 @@ class TestInfluenceEstimator:
         theta = theta0 + (1 / np.sqrt(n)) * h
         field = model.solve(theta)
         field0 = model.solve(theta0)
-        infl = build_influence_field(psi, theta0, M, model)
+        infl = build_influence_field(psi, M, model)
         truthN = pairing(psi, theta)
         truth0 = pairing(psi, theta0)
         ss = np.random.SeedSequence(14)
         vals = []
         for child in ss.spawn(300):
             rng = np.random.default_rng(child)
-            data = simulate_dataset(model, None, design, noise, n, rng, field=field)
+            data = simulate_dataset(field, design, noise, n, rng)
             chi = influence_values(data, field0, infl, noise)
             vals.append(np.sqrt(n) * (truth0 + chi.mean() - truthN))
         vals = np.array(vals)

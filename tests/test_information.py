@@ -136,6 +136,25 @@ class TestAssembly:
         out = norm_equivalence_diagnostic(model, theta0, DesignMeasure(1.0), [4, 9], 10, 1.0, rng)
         assert len(out["per_k"]) == 2
 
+    @pytest.mark.parametrize("kind", ["heat", "rd", "ns"])
+    def test_matrix_carries_its_base_point(self, kind, es1):
+        # oracle: solve(theta0), an independent march of the base flow alone
+        mesh = TimeMesh.uniform(0.25, 16)
+        if kind == "ns":
+            es = build_eigensystem(2, 2, DIV_FREE)
+            model = NavierStokesModel(es, viscosity=0.05, T=0.25, mesh=mesh)
+            theta0 = _field(es, [([1, 0], 1, 0.4), ([0, 1], 2, 0.3)])
+            noise = make_noise("gaussian2", cov=np.eye(2))
+        else:
+            cls = HeatModel if kind == "heat" else ReactionDiffusionModel
+            model = cls(es1, T=0.25, mesh=mesh)
+            theta0 = _field(es1, [([1], 1, 0.4)], const=0.3)
+            noise = make_noise("gaussian", variance=1.0)
+        M = assemble_information_matrix(model, theta0, noise, DesignMeasure(0.25), 6)
+        theta, base = M.base_point()
+        assert theta is M.theta0 is theta0 and base is M.base
+        assert np.array_equal(base.data, model.solve(theta0).data)
+
     def test_rd_gram_vs_dense_grid_oracle(self, es1):
         # oracle: same linearized fields, but spatial values on a dense grid
         # and an independently coded weighted accumulation
