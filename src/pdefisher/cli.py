@@ -8,14 +8,16 @@ machine-readable artifacts into --out:
   config+seed (timings live in meta.json)
 * meta.json   -- wall-clock timing, peak RSS and package version
 * *.csv       -- trace data (K vs value, s vs remainder, beta vs moment)
+* info_matrix.json + info_matrix.bin -- the info-matrix task's dump
 
-Exit codes: 0 all checks pass, 1 a tolerance failed, 2 invalid config,
-3 numerical failure.
+Exit codes: 0 all checks pass, 1 a tolerance failed, 2 invalid config (no
+outputs), 3 numerical failure (failure.json only).
 """
 
 import csv
 import json
 import os
+import pathlib
 import resource
 import sys
 import time
@@ -53,7 +55,8 @@ def _check(name, value, tolerance, ok):
 
 
 # ---------------------------------------------------------------------------
-# task runners: each returns (results dict, checks list, csv dict)
+# task runners: each returns (results dict, checks list, files dict), the
+# files mapping an output name to CSV rows or to bytes
 # ---------------------------------------------------------------------------
 
 
@@ -172,10 +175,13 @@ def _task_info_matrix(exp, task, rng):
         checks.append(_check("heat-off-diagonal-zero", off_err, task["tolerance"], off_err <= task["tolerance"]))
         results["diag_error"] = diag_err
         results["offdiag_max"] = off_err
-    out_csv = {}
+    files = {}
     if task["dump"]:
         results["dump"] = {"header": "info_matrix.json", "binary": "info_matrix.bin"}
-    return results, checks, out_csv, M if task["dump"] else None
+        header = {"n_basis": M.n_basis, "dtype": "<f8", "order": "row-major", "meta": M.meta}
+        files["info_matrix.json"] = json.dumps(header, sort_keys=True, indent=2).encode()
+        files["info_matrix.bin"] = M.matrix.astype("<f8").tobytes()
+    return results, checks, files
 
 
 def _task_snorm(exp, task, rng):
@@ -353,18 +359,6 @@ _RUNNERS = {
 }
 
 
-def _write_matrix_dump(out_dir, M):
-    header = {
-        "n_basis": M.n_basis,
-        "dtype": "<f8",
-        "order": "row-major",
-        "meta": M.meta,
-    }
-    with open(os.path.join(out_dir, "info_matrix.json"), "w") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-    M.matrix.astype("<f8").tofile(os.path.join(out_dir, "info_matrix.bin"))
-
-
 def _execute(task_name, config_path, out_dir, seed, workers):
     """Run one task; ``task_name=None`` takes it from the config."""
     t0 = time.perf_counter()
@@ -383,27 +377,18 @@ def _execute(task_name, config_path, out_dir, seed, workers):
                 f"config task is {raw['task']['name']!r} but the {task_name!r} subcommand was invoked"
             )
         cfg = resolve_config(raw)
-    except (ConfigError, OSError, yaml.YAMLError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-
-    try:
         exp = build_experiment(cfg)
         rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-        outcome = _RUNNERS[task_name](exp, cfg["task"], rng)
-    except ConfigError as exc:
+        results, checks, files = _RUNNERS[task_name](exp, cfg["task"], rng)
+    except (ConfigError, OSError, yaml.YAMLError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     except (RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         payload = {"error": str(exc), "task": task_name, "config": cfg}
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "failure.json"), "w") as fh:
-            fh.write(dumps_report(payload))
+        pathlib.Path(out_dir, "failure.json").write_text(dumps_report(payload))
         sys.exit(3)
-
-    results, checks, csvs = outcome[0], outcome[1], outcome[2]
-    matrix_dump = outcome[3] if len(outcome) > 3 else None
 
     os.makedirs(out_dir, exist_ok=True)
     report = {
@@ -414,20 +399,19 @@ def _execute(task_name, config_path, out_dir, seed, workers):
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(dumps_report(report))
+    pathlib.Path(out_dir, "report.json").write_text(dumps_report(report))
     meta = {
         "elapsed_s": time.perf_counter() - t0,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "version": __version__,
     }
-    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
-    for name, rows in csvs.items():
-        with open(os.path.join(out_dir, name), "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-    if matrix_dump is not None:
-        _write_matrix_dump(out_dir, matrix_dump)
+    pathlib.Path(out_dir, "meta.json").write_text(json.dumps(meta, indent=2))
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            pathlib.Path(out_dir, name).write_bytes(content)
+        else:
+            with open(os.path.join(out_dir, name), "w", newline="") as fh:
+                csv.writer(fh).writerows(content)
 
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
@@ -441,31 +425,20 @@ def main():
     """Fisher-information diagnostics for PDE regression models."""
 
 
-def _add_command(name):
-    @main.command(name=name)
+def _add_command(name, task_name, help=None):
+    """The subcommand ``name``, which runs ``task_name`` (None: the config's)."""
+    @main.command(name=name, help=help)
     @click.option("--config", "-c", "config_path", required=True, type=click.Path())
     @click.option("--out", "-o", "out_dir", default="runs/latest", type=click.Path())
     @click.option("--seed", type=int, default=None, help="override the config seed")
     @click.option("--workers", type=int, default=None, help="override the worker count")
-    def _cmd(config_path, out_dir, seed, workers, _name=name):
-        _execute(_name, config_path, out_dir, seed, workers)
-
-    _cmd.__name__ = f"cmd_{name.replace('-', '_')}"
-    return _cmd
+    def _cmd(config_path, out_dir, seed, workers):
+        _execute(task_name, config_path, out_dir, seed, workers)
 
 
 for _name in TASK_NAMES:
-    _add_command(_name)
-
-
-@main.command(name="run")
-@click.option("--config", "-c", "config_path", required=True, type=click.Path())
-@click.option("--out", "-o", "out_dir", default="runs/latest", type=click.Path())
-@click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
-def run(config_path, out_dir, seed, workers):
-    """Dispatch on the task name inside the config."""
-    _execute(None, config_path, out_dir, seed, workers)
+    _add_command(_name, _name)
+_add_command("run", None, "Dispatch on the task name inside the config.")
 
 
 if __name__ == "__main__":

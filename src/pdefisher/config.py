@@ -9,6 +9,7 @@ import copy
 import json
 import math
 import os
+import re
 
 import numpy as np
 import yaml
@@ -93,7 +94,7 @@ CONFIG_SCHEMA = {
                 "kind": {"type": "string", "enum": ["heat", "rd", "ns"]},
                 "d": {"type": "integer", "enum": [1, 2]},
                 "kmax": {"type": "integer", "minimum": 1},
-                "subspace": {"type": "string", "enum": ["full", "mean-zero"]},
+                "subspace": {"type": "string", "enum": ["full", "mean-zero", "div-free"]},
                 "T": {"type": "number", "exclusiveMinimum": 0},
                 "mesh": _MESH_SPEC,
                 "reaction": {
@@ -222,7 +223,7 @@ TASK_SCHEMAS = {
         functional={"type": "string", "enum": ["trajectory", "ns-nonlinearity"], "default": "trajectory"},
         loss={"type": "string", "enum": ["l2", "sup"], "default": "l2"},
         power={"type": "number", "default": 2.0},
-        t0={"type": "number", "default": 0.1},
+        t0={"type": "number", "exclusiveMinimum": 0, "default": 0.1},
         t1={"type": "number", "default": 0.5},
         m={"type": "integer", "minimum": 2, "default": 2000},
         n_basis_list={**_TRUNCATIONS, "default": [32, 64]},
@@ -258,9 +259,20 @@ class ConfigError(ValueError):
     pass
 
 
+class _Loader(yaml.SafeLoader):
+    """Reads plain 1e-5 and 1.0e200 as numbers, as JSON does (YAML 1.1: strings)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path):
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=_Loader)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     return raw
@@ -376,14 +388,11 @@ def resolve_config(raw):
     cfg.setdefault("workers", os.cpu_count() or 1)
     m = cfg["model"]
     m.setdefault("d", 2 if m["kind"] == "ns" else 1)
+    m.setdefault("subspace", "div-free" if m["kind"] == "ns" else "full")
     if m["kind"] == "ns":
-        if m["d"] != 2:
-            raise ConfigError("Navier-Stokes requires d=2")
-        m["subspace"] = "div-free"
         m.setdefault("viscosity", 0.05)
         m.setdefault("theta0", copy.deepcopy(_DEFAULT_THETA0["ns"]))
     else:
-        m.setdefault("subspace", "full")
         key = "scalar" if m["d"] == 1 else "scalar2d"
         m.setdefault("theta0", copy.deepcopy(_DEFAULT_THETA0[key]))
     if m["kind"] == "rd":
@@ -407,6 +416,8 @@ def _check_consistency(cfg):
     express and no builder checks; build_experiment runs the builders that
     check the others, so each fails before the task starts."""
     m, design, task = cfg["model"], cfg["design"], cfg["task"]
+    if (m["subspace"] == "div-free") != (m["kind"] == "ns"):
+        raise ConfigError(f"subspace {m['subspace']!r} on {m['kind']}: ns is div-free, heat and rd are not")
     if design["kind"] == "cosine" and design["axis"] >= m["d"]:
         raise ConfigError(f"cosine design axis {design['axis']} is not an axis of d={m['d']}")
     if cfg["noise"]["family"] == "uniform" and task["name"] != "fisher":
@@ -418,8 +429,6 @@ def _check_consistency(cfg):
     n_basis = cfg["numerics"]["n_basis"]
     if task["name"] in ("snorm", "efficiency") and max(task.get("k_grid", [0])) > n_basis:
         raise ConfigError(f"k_grid goes beyond n_basis {n_basis}")
-    if task["name"] == "pushforward-bound" and not 0.0 < task["t0"] < task["t1"] <= m["T"] + 1e-12:
-        raise ConfigError(f"pushforward window needs 0 < t0 < t1 <= T, got [{task['t0']}, {task['t1']}]")
     if task.get("functional") == "ns-nonlinearity" and m["kind"] != "ns":
         raise ConfigError(f"the ns-nonlinearity functional needs the ns model, not {m['kind']}")
 
@@ -453,15 +462,11 @@ def _owner_check(what):
 def build_field(es, spec):
     """FourierCoeffs from a {constant, modes, unit_index, preset} spec."""
     data = np.zeros(es.size)
-    if spec is None:
-        raise ConfigError("missing field spec")
-    if "preset" in spec:
-        if spec["preset"] == "log-divergent":
-            # in L^2 but outside the dual space: psi_j = (1+lam_j)^(-1/2) j^(-1/2)
-            j = np.arange(1, es.size + 1, dtype=float)
-            data = (1.0 + es.lam) ** (-0.5) * j ** (-0.5)
-            return FourierCoeffs(es, data)
-        raise ConfigError(f"unknown preset {spec['preset']!r}")
+    if "preset" in spec:  # the schema's one preset, log-divergent
+        # in L^2 but outside the dual space: psi_j = (1+lam_j)^(-1/2) j^(-1/2)
+        j = np.arange(1, es.size + 1, dtype=float)
+        data = (1.0 + es.lam) ** (-0.5) * j ** (-0.5)
+        return FourierCoeffs(es, data)
     if "unit_index" in spec:
         if spec["unit_index"] >= es.size:
             raise ConfigError(f"unit_index {spec['unit_index']} outside the {es.size} retained modes")
@@ -489,13 +494,15 @@ def _build_mesh(T, spec):
 def build_experiment(cfg):
     """Resolved config -> dict of live objects for the task runners.
 
-    Rules that a builder owns (even step counts, the Simpson window, the
-    cosine design's amplitude, the noise parameters, the Navier-Stokes kmax
-    cap) are checked by running it; its ValueError becomes a ConfigError.
+    Rules that a builder owns (Navier-Stokes in d=2, even step counts, the
+    pushforward window on the mesh, the cosine design's amplitude, the noise
+    parameters, the Navier-Stokes kmax cap) are checked by running it; its
+    ValueError becomes a ConfigError.
     """
     m, task = cfg["model"], cfg["task"]
     subspace = {"full": FULL, "mean-zero": MEAN_ZERO, "div-free": DIV_FREE}[m["subspace"]]
-    es = build_eigensystem(m["d"], m["kmax"], subspace)
+    with _owner_check("eigensystem"):
+        es = build_eigensystem(m["d"], m["kmax"], subspace)
     worst = max(_truncations(cfg), default=0)
     if worst > es.size:
         raise ConfigError(f"truncation {worst} exceeds the {es.size} modes of the eigensystem")

@@ -90,9 +90,8 @@ class TimeMesh:
         """Node index range covering [t0, t1]; endpoints must be nodes."""
         i0 = int(np.argmin(np.abs(self.nodes - t0)))
         i1 = int(np.argmin(np.abs(self.nodes - t1)))
-        if abs(self.nodes[i0] - t0) > rtol * max(1.0, self.T) or abs(
-            self.nodes[i1] - t1
-        ) > rtol * max(1.0, self.T):
+        tol = rtol * max(1.0, self.T)
+        if abs(self.nodes[i0] - t0) > tol or abs(self.nodes[i1] - t1) > tol:
             raise ValueError("window endpoints must coincide with mesh nodes")
         return i0, i1
 

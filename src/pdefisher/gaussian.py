@@ -130,19 +130,21 @@ def _ns_nonlinearity_values(base, cols):
 def functional_pushforward_bound(
     model, theta0, M, samples, functional, loss, t0, t1, power=2.0
 ):
-    """Monte-Carlo estimate of E || dF[G] ||^power over the sample batch.
+    """Monte-Carlo estimate of E || dF[G] ||^power over the sample batch at
+    M's theta0 (a theta0 of another value raises).
 
     functional: "trajectory" (the linearized flow restricted to positive
     times) or "ns-nonlinearity" (derivative of u -> (u.grad)u).
-    loss: "l2" (space-time L^2 on [t0,t1] x Omega) or "sup".
+    loss: "l2" (space-time L^2 on [t0,t1] x Omega) or "sup"; the mesh checks
+    the window [t0, t1] (window_slice, window_weights).
     """
     if t0 <= 0.0:
         raise ValueError(
             "t0 must be strictly positive: the smoothing that makes the "
             "pushforward bound finite is only available at positive times"
         )
-    if t1 <= t0 or t1 > model.T + 1e-12:
-        raise ValueError("need 0 < t0 < t1 <= T")
+    if not np.array_equal(theta0.data, M.base_point()[0].data):
+        raise ValueError("theta0 is not the point M was assembled at")
     if functional not in ("trajectory", "ns-nonlinearity"):
         raise ValueError(f"unknown functional {functional!r}")
     if loss not in ("l2", "sup"):

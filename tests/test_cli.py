@@ -26,6 +26,7 @@ from pdefisher.config import (
     TASK_SCHEMAS,
     ConfigError,
     check_schema,
+    load_config,
     resolve_config,
     validate_config,
 )
@@ -95,6 +96,36 @@ class TestFisherTask:
         assert h1["rejected"] is False
         assert h1["h1_energy"] == pytest.approx(energy, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "noise",
+        [{"family": "gaussian2", "cov": [[1.0, 0.3], [0.3, 0.5]]}, {"family": "cosine_bump"}],
+        ids=["gaussian2", "cosine_bump"],
+    )
+    def test_matches_analytic(self, tmp_path, noise):
+        # the quadrature Fisher matrix against the precision matrix and pi^2
+        cfg = {**_fisher_cfg(), "noise": noise}
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "-c", _write(tmp_path, "cfg.yaml", cfg), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        check = report["checks"][-1]
+        assert check["name"] == "matches-analytic" and check["pass"] is True
+        assert check["value"] <= 1e-8
+
+    def test_numerical_failure_exit_3(self, tmp_path):
+        # at scale 1e200 the Fisher matrix 1/(3 scale^2) underflows to 0
+        cfg = {**_fisher_cfg(), "noise": {"family": "logistic", "scale": 1.0e200}}
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "-c", _write(tmp_path, "cfg.yaml", cfg), "-o", str(out)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        assert "numerical failure: " in result.output
+        assert sorted(os.listdir(out)) == ["failure.json"]
+        failure = json.loads((out / "failure.json").read_text())
+        assert set(failure) == {"error", "task", "config"}
+        assert failure["task"] == "fisher"
+        assert failure["config"] == resolve_config(validate_config(cfg))
+
 
 class TestSchemaValidation:
     def test_missing_noise_block_exit_2_no_outputs(self, tmp_path):
@@ -119,6 +150,13 @@ class TestSchemaValidation:
         path = _write(tmp_path, "cfg.yaml", cfg)
         result = CliRunner().invoke(main, ["fisher", "-c", path, "-o", str(tmp_path / "o")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("text", ["1e-5", "1E-5", "1e+5", "1.0e200", "-.5e3", "2e0"])
+    def test_exponent_numbers_load_as_numbers(self, tmp_path, text):
+        # JSON reads these as numbers, YAML 1.1 as strings; the loader as numbers
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"a": {text}, "b": "{text}"}}')
+        assert load_config(str(path)) == {"a": float(text), "b": text}
 
     def test_subcommand_task_mismatch(self, tmp_path):
         path = _write(tmp_path, "cfg.yaml", _fisher_cfg())
@@ -283,6 +321,50 @@ def _zero_expected_snorm(cfg):
     cfg["task"] = {"name": "snorm", "expected": 0}
 
 
+def _config_a_list(cfg):
+    return [cfg]  # replaces the whole config
+
+
+def _cosine_axis_beyond_d(cfg):
+    cfg["design"] = {"kind": "cosine", "axis": 1}  # heat in d=1
+
+
+def _uniform_noise_on(task):
+    def mutate(cfg):
+        cfg["noise"] = {"family": "uniform"}
+        cfg["task"] = {"name": task}
+
+    return mutate
+
+
+def _bivariate_noise_on_heat(cfg):
+    cfg["noise"] = {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    cfg["task"] = {"name": "info-matrix"}
+
+
+def _heat_closed_form_on_rd(cfg):
+    cfg["model"] = {"kind": "rd", "kmax": 4, "T": 0.5, "mesh": {"m": 8}}
+    cfg["task"] = {"name": "info-matrix", "check_heat_closed_form": True}
+
+
+def _ns_diagnostics_on_heat(cfg):
+    cfg["task"] = {"name": "ns-diagnostics"}
+
+
+def _ns_model(**model):
+    def mutate(cfg):
+        cfg["model"] = {**_NS_SMALL, **model}
+        cfg["noise"] = {"family": "gaussian2", "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        cfg["task"] = {"name": "info-matrix"}
+
+    return mutate
+
+
+def _heat_div_free(cfg):
+    cfg["model"]["d"] = 2
+    cfg["model"]["subspace"] = "div-free"
+
+
 class TestInconsistentConfigs:
     """Invalid or inconsistent configs: exit 2 and no outputs."""
 
@@ -313,6 +395,16 @@ class TestInconsistentConfigs:
             _ns_functional_on("rd"),
             _zero_qmd_direction,
             None,
+            _config_a_list,
+            _cosine_axis_beyond_d,
+            _uniform_noise_on("info-matrix"),
+            _bivariate_noise_on_heat,
+            _heat_closed_form_on_rd,
+            _ns_diagnostics_on_heat,
+            _ns_model(d=1),
+            _ns_model(subspace="full"),
+            _ns_model(subspace="mean-zero"),
+            _heat_div_free,
         ],
         ids=[
             "odd-uniform-mesh",
@@ -339,6 +431,16 @@ class TestInconsistentConfigs:
             "ns-nonlinearity-on-rd",
             "qmd-zero-direction",
             "config-is-a-directory",
+            "config-is-a-list",
+            "cosine-axis-beyond-d",
+            "uniform-noise-on-info-matrix",
+            "bivariate-noise-on-heat",
+            "heat-closed-form-on-rd",
+            "ns-diagnostics-on-heat",
+            "ns-d-1",
+            "ns-subspace-full",
+            "ns-subspace-mean-zero",
+            "heat-subspace-div-free",
         ],
     )
     def test_exit_2_no_outputs(self, tmp_path, mutate):
@@ -346,13 +448,39 @@ class TestInconsistentConfigs:
             path = str(tmp_path)
         else:
             cfg = _fisher_cfg()
-            mutate(cfg)
+            cfg = mutate(cfg) or cfg
             path = _write(tmp_path, "cfg.yaml", cfg)
         out = tmp_path / "out"
         result = CliRunner().invoke(main, ["run", "-c", path, "-o", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)  # not an uncaught error
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (_ns_model(d=1), "eigensystem: divergence-free subspace requires d=2"),
+            (_ns_model(subspace="full"), "subspace 'full' on ns: "),
+            (_heat_div_free, "subspace 'div-free' on heat: "),
+            (_pushforward_window(0.25, 1.5), "pushforward window [0.25, 1.5]: window endpoints must coincide"),
+            (_pushforward_window(0.5, 0.25), "pushforward window [0.5, 0.25]: window needs an even number"),
+            (_heat_closed_form_on_rd, "closed-form check needs the heat model"),
+            (_ns_diagnostics_on_heat, "ns-diagnostics requires the Navier-Stokes model"),
+            (_bivariate_noise_on_heat, "has 2 component(s) but the heat field has 1"),
+        ],
+        ids=[
+            "ns-d-1", "ns-subspace-full", "heat-subspace-div-free", "pushforward-t1-above-T",
+            "pushforward-t1-below-t0", "heat-closed-form-on-rd", "ns-diagnostics-on-heat",
+            "bivariate-noise-on-heat",
+        ],
+    )
+    def test_message_names_the_rule(self, tmp_path, mutate, message):
+        # each rule is checked in one place, and its message says which
+        cfg = _fisher_cfg()
+        mutate(cfg)
+        result = CliRunner().invoke(main, ["run", "-c", _write(tmp_path, "cfg.yaml", cfg), "-o", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "config error: " in result.output and message in result.output
 
     @pytest.mark.parametrize(
         "override", [["--seed", "-1"], ["--workers", "0"]], ids=["seed-negative", "workers-zero"]
@@ -772,6 +900,16 @@ class TestConfigTable:
     def test_every_task_has_a_runner(self):
         assert set(TASK_NAMES) == set(cli._RUNNERS)
 
+    def test_commands_share_their_options(self):
+        # run and every task subcommand take the same options, with the same help
+        def options(name):
+            return [(p.name, p.opts, p.required, p.default, p.help) for p in main.commands[name].params]
+
+        assert set(main.commands) == {"run", *TASK_NAMES}
+        assert options("run")[-1][-1] == "override the worker count"
+        for name in TASK_NAMES:
+            assert options(name) == options("run")
+
     @pytest.mark.parametrize("name", TASK_NAMES)
     def test_resolve_fills_defaults_once(self, name):
         cfg = _fisher_cfg()
@@ -781,6 +919,7 @@ class TestConfigTable:
         elif name == "qmd-check":
             cfg["model"] = {"kind": "rd", "kmax": 4, "T": 0.5, "mesh": {"kind": "graded"}}
         resolved = resolve_config(validate_config(cfg))
+        validate_config(resolved)  # a report's config block is a config
         assert resolve_config(resolved) == resolved
         schema = TASK_SCHEMAS[name]["properties"]
         defaults = {key: sub["default"] for key, sub in schema.items() if "default" in sub}
@@ -933,6 +1072,23 @@ _NO_SCIPY_RUNS = {
         "noise": {"family": "laplace", "scale": 1.0},
     },
 }
+
+
+class TestReportConfigReruns:
+    """A report's config block, written out as JSON, is a config that runs
+    again to the same report."""
+
+    def _report(self, path, out):
+        result = CliRunner().invoke(main, ["run", "-c", str(path), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        return (out / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("path", _SHIPPED_PATHS, ids=os.path.basename)
+    def test_shipped_config_reruns_byte_for_byte(self, tmp_path, path):
+        first = self._report(path, tmp_path / "first")
+        again = tmp_path / "config.json"
+        again.write_text(json.dumps(json.loads(first)["config"]))
+        assert self._report(again, tmp_path / "again") == first
 
 
 class TestColdStart:

@@ -221,21 +221,35 @@ class TestPushforward:
             )
 
     @pytest.mark.parametrize(
-        "functional, t0, t1",
-        [("trajectory", 0.25, 0.75), ("ns-nonlinearity", 0.125, 0.375)],
-        ids=["heat-trajectory", "ns-nonlinearity"],
+        "fixture, functional, t0, t1",
+        [
+            ("heat_M", "trajectory", 0.25, 0.75),
+            ("ns_M", "trajectory", 0.125, 0.375),  # the velocity's magnitude
+            ("ns_M", "ns-nonlinearity", 0.125, 0.375),
+        ],
+        ids=["heat-trajectory", "ns-trajectory", "ns-nonlinearity"],
     )
-    def test_sup_loss_bounded_by_values(self, request, functional, t0, t1):
-        if functional == "trajectory":  # heat flow from theta0 = 0
-            es, model, M = request.getfixturevalue("heat_M")
+    def test_sup_loss_bounded_by_values(self, request, fixture, functional, t0, t1):
+        if fixture == "heat_M":  # heat flow from theta0 = 0
+            es, model, M = request.getfixturevalue(fixture)
             theta0 = FourierCoeffs.zeros(es)
         else:
-            model, theta0, M = request.getfixturevalue("ns_M")
+            model, theta0, M = request.getfixturevalue(fixture)
         batch = sample_efficient_gaussian(M, 50, np.random.default_rng(9))
         l2 = functional_pushforward_bound(model, theta0, M, batch, functional, "l2", t0, t1, power=1.0)
         sup = functional_pushforward_bound(model, theta0, M, batch, functional, "sup", t0, t1, power=1.0)
         # ||.||_L2 over a window of measure < 1 is below the sup
         assert l2["estimate"] <= sup["estimate"]
+
+    def test_theta0_other_than_M_rejected(self, heat_M):
+        # M was assembled at theta0 = 0, so the flow marched from 0.1 is not its
+        es, model, M = heat_M
+        batch = sample_efficient_gaussian(M, 10, np.random.default_rng(8))
+        theta0 = FourierCoeffs.zeros(es)
+        functional_pushforward_bound(model, theta0, M, batch, "trajectory", "l2", 0.25, 0.75)
+        theta0.data[0] = 0.1
+        with pytest.raises(ValueError, match="assembled at"):
+            functional_pushforward_bound(model, theta0, M, batch, "trajectory", "l2", 0.25, 0.75)
 
     def test_ns_nonlinearity_functional(self, ns_M):
         model, theta0, M = ns_M
