@@ -11,7 +11,8 @@ machine-readable artifacts into --out:
 * info_matrix.json + info_matrix.bin -- the info-matrix task's dump
 
 Exit codes: 0 all checks pass, 1 a tolerance failed, 2 invalid config (no
-outputs), 3 numerical failure (failure.json only).
+outputs) or an --out that cannot be written, 3 numerical failure
+(failure.json only).
 """
 
 import csv
@@ -313,14 +314,15 @@ def _task_ns_diagnostics(exp, task, rng):
     results = {}
     checks = []
 
-    field = model.solve(exp["theta0"])
+    h = _default_direction(exp)  # the single mode cos(2 pi x1), and the qmd direction
+    tangent = model.linearize(exp["theta0"], h)
+    field = tangent.base  # G(theta0), for the divergence and energy checks
     div = model.lattice_divergence(field)
     results["coefficient_divergence"] = div
     checks.append(_check("divergence-free", div, task["divergence_tol"], div <= task["divergence_tol"]))
 
     # the decay and energy identities need an unforced flow
     plain = model if model.forcing is None else NavierStokesModel(es, viscosity=model.nu, T=model.T, mesh=model.mesh)
-    h = _default_direction(exp)  # the single mode cos(2 pi x1), and the qmd direction
     idx = int(np.argmax(h.data))
     traj = plain.solve(h)
     lam = es.lam[idx]
@@ -335,7 +337,7 @@ def _task_ns_diagnostics(exp, task, rng):
     results["energy_residual_per_unit_time"] = resid
     checks.append(_check("energy-balance", resid, task["energy_tol"], resid <= task["energy_tol"]))
 
-    qmd = qmd_remainder_slope(model, exp["theta0"], h, task["s_values"])
+    qmd = qmd_remainder_slope(model, exp["theta0"], h, task["s_values"], tangent)
     results["linearization_slope"] = qmd["slope"]
     if np.isnan(qmd["slope"]):  # linear along h to rounding: no slope to fit
         checks.append(_zero_remainder_check(qmd, REMAINDER_FLOOR))
@@ -357,6 +359,25 @@ _RUNNERS = {
     "efficiency": _task_efficiency,
     "ns-diagnostics": _task_ns_diagnostics,
 }
+
+
+def _write_outputs(out_dir, files):
+    """Write each file (text, bytes or CSV rows) into out_dir, created if
+    missing; an out_dir that cannot be written exits 2, naming it."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, content in files.items():
+            path = pathlib.Path(out_dir, name)
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            elif isinstance(content, str):
+                path.write_text(content)
+            else:
+                with open(path, "w", newline="") as fh:
+                    csv.writer(fh).writerows(content)
+    except OSError as exc:
+        click.echo(f"output error: cannot write to {out_dir}: {exc}", err=True)
+        sys.exit(2)
 
 
 def _execute(task_name, config_path, out_dir, seed, workers):
@@ -386,11 +407,9 @@ def _execute(task_name, config_path, out_dir, seed, workers):
     except (RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         payload = {"error": str(exc), "task": task_name, "config": cfg}
-        os.makedirs(out_dir, exist_ok=True)
-        pathlib.Path(out_dir, "failure.json").write_text(dumps_report(payload))
+        _write_outputs(out_dir, {"failure.json": dumps_report(payload)})
         sys.exit(3)
 
-    os.makedirs(out_dir, exist_ok=True)
     report = {
         "schema_version": 1,
         "task": task_name,
@@ -399,19 +418,12 @@ def _execute(task_name, config_path, out_dir, seed, workers):
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    pathlib.Path(out_dir, "report.json").write_text(dumps_report(report))
     meta = {
         "elapsed_s": time.perf_counter() - t0,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "version": __version__,
     }
-    pathlib.Path(out_dir, "meta.json").write_text(json.dumps(meta, indent=2))
-    for name, content in files.items():
-        if isinstance(content, bytes):
-            pathlib.Path(out_dir, name).write_bytes(content)
-        else:
-            with open(os.path.join(out_dir, name), "w", newline="") as fh:
-                csv.writer(fh).writerows(content)
+    _write_outputs(out_dir, {"report.json": dumps_report(report), "meta.json": json.dumps(meta, indent=2), **files})
 
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"

@@ -21,6 +21,7 @@ from .forward import (
     ReactionDiffusionModel,
     TimeMesh,
 )
+from .gaussian import check_functional
 from .information import DesignMeasure
 from .noise import make_noise
 from .spectral import DIV_FREE, FULL, MEAN_ZERO, FourierCoeffs, build_eigensystem
@@ -429,8 +430,6 @@ def _check_consistency(cfg):
     n_basis = cfg["numerics"]["n_basis"]
     if task["name"] in ("snorm", "efficiency") and max(task.get("k_grid", [0])) > n_basis:
         raise ConfigError(f"k_grid goes beyond n_basis {n_basis}")
-    if task.get("functional") == "ns-nonlinearity" and m["kind"] != "ns":
-        raise ConfigError(f"the ns-nonlinearity functional needs the ns model, not {m['kind']}")
 
 
 def _truncations(cfg):
@@ -495,9 +494,9 @@ def build_experiment(cfg):
     """Resolved config -> dict of live objects for the task runners.
 
     Rules that a builder owns (Navier-Stokes in d=2, even step counts, the
-    pushforward window on the mesh, the cosine design's amplitude, the noise
-    parameters, the Navier-Stokes kmax cap) are checked by running it; its
-    ValueError becomes a ConfigError.
+    pushforward window on the mesh and its functional on the model, the
+    cosine design's amplitude, the noise parameters, the Navier-Stokes kmax
+    cap) are checked by running it; its ValueError becomes a ConfigError.
     """
     m, task = cfg["model"], cfg["task"]
     subspace = {"full": FULL, "mean-zero": MEAN_ZERO, "div-free": DIV_FREE}[m["subspace"]]
@@ -528,6 +527,9 @@ def build_experiment(cfg):
             model = NavierStokesModel(
                 es, viscosity=m["viscosity"], T=m["T"], forcing=forcing, mesh=mesh
             )
+    if task["name"] == "pushforward-bound":
+        with _owner_check("pushforward functional"):
+            check_functional(model, task["functional"], task["loss"])
     theta0 = build_field(es, m["theta0"])
 
     noise_params = {k: v for k, v in cfg["noise"].items() if k != "family"}

@@ -525,16 +525,22 @@ class NavierStokesModel(_SpectralModel):
 REMAINDER_FLOOR = 1e-14
 
 
-def qmd_remainder_slope(model, theta0, h, s_grid):
+def qmd_remainder_slope(model, theta0, h, s_grid, tangent=None):
     """Remainders rho(s) = || G(theta0 + s h) - G(theta0) - s I[h] ||_L2 and
     the log-log slope (2.0 for smooth models); the slope is NaN when fewer
     than two remainders exceed REMAINDER_FLOOR, i.e. when the model is linear
     along h to rounding (always for heat).
+
+    ``tangent`` is ``model.linearize(theta0, h)`` if the caller has marched
+    it already (its first snapshots must be h and, in its base, theta0).
     """
     s_grid = np.asarray(sorted(s_grid), dtype=float)
     if s_grid.size < 4:
         raise ValueError("need at least 4 perturbation sizes")
-    tangent = model.linearize(theta0, h)
+    if tangent is None:
+        tangent = model.linearize(theta0, h)
+    elif not (np.array_equal(tangent.data[0], h.data) and np.array_equal(tangent.base.data[0], theta0.data)):
+        raise ValueError("tangent is not the linearization at theta0 along h")
     remainders = []
     for s in s_grid:
         pert = model.solve(theta0 + s * h)

@@ -127,6 +127,17 @@ def _ns_nonlinearity_values(base, cols):
     return U[:, 0:1] * g0x + U[:, 1:2] * g0y + u0[0] * gUx + u0[1] * gUy
 
 
+def check_functional(model, functional, loss):
+    """Raise ValueError unless the pushforward bound takes this functional and
+    loss on ``model`` (config.build_experiment runs it before a task starts)."""
+    if functional not in ("trajectory", "ns-nonlinearity"):
+        raise ValueError(f"unknown functional {functional!r}")
+    if loss not in ("l2", "sup"):
+        raise ValueError(f"unknown loss {loss!r}")
+    if functional == "ns-nonlinearity" and model.kind != "ns":
+        raise ValueError(f"the ns-nonlinearity functional needs the ns model, not {model.kind}")
+
+
 def functional_pushforward_bound(
     model, theta0, M, samples, functional, loss, t0, t1, power=2.0
 ):
@@ -145,12 +156,7 @@ def functional_pushforward_bound(
         )
     if not np.array_equal(theta0.data, M.base_point()[0].data):
         raise ValueError("theta0 is not the point M was assembled at")
-    if functional not in ("trajectory", "ns-nonlinearity"):
-        raise ValueError(f"unknown functional {functional!r}")
-    if loss not in ("l2", "sup"):
-        raise ValueError(f"unknown loss {loss!r}")
-    if functional == "ns-nonlinearity" and model.kind != "ns":
-        raise ValueError("the nonlinearity functional needs the Navier-Stokes model")
+    check_functional(model, functional, loss)
 
     es = model.es
     i0, i1 = model.mesh.window_slice(t0, t1)

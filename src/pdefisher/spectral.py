@@ -20,7 +20,9 @@ ky >= 0).  The cos and sin coefficients of wavevector k are the real and
 imaginary parts of one entry; a d = 2 mode with ky < 0 is stored conjugated
 at -k, and one with ky = 0 at both +-kx, since irfft2 needs that column
 Hermitian.  Dealiased grids (3/2 rule, n >= 3 kmax + 1) are rounded up to the
-next even n with no prime factor above 7, where the FFTs are fast.
+next even n with no prime factor above 7, where the FFTs are fast.  Small
+scalar grids skip the FFTs: each keeps the FFT path's two matrices and
+transforms by one matmul (DENSE_MAX_ENTRIES).
 """
 
 import numpy as np
@@ -106,8 +108,9 @@ class EigenSystem:
 
         With ``dealias`` the grid resolves exact products of two retained
         fields (3/2-rule: n >= 3*kmax + 1), and n is also 7-smooth (no prime
-        factor above 7), so the FFTs the marchers run on it are fast.  The
-        rule is exact only for quadratic products: a nonlinearity that is not
+        factor above 7), so the FFTs are fast on the grids too large for
+        dense maps (DENSE_MAX_ENTRIES), where a scalar marcher runs them.
+        The rule is exact only for quadratic products: a nonlinearity that is not
         a polynomial of degree 2 (RD's bump reaction) aliases on any grid, and
         its results move with n (3.4e-9 relative for an RD tangent march
         between n = 194 and 196).
@@ -221,13 +224,27 @@ class FourierCoeffs:
 # ---------------------------------------------------------------------------
 
 
+# The one dense-or-FFT choice: a scalar grid whose maps hold at most this
+# many entries each (nm * n^d) transforms by one matmul each way.  An RD
+# stage's round trip on 128 columns (1 BLAS thread) measured faster dense at
+# d = 1 kmax 72 (32,480 entries: 0.45 vs 0.52 ms) and slower at kmax 76
+# (36,720: 0.54 vs 0.46 ms); ROADMAP item 10 has the table.
+DENSE_MAX_ENTRIES = 32768
+
+
 class _LatticeMap:
     """Where each eigensystem entry lives in the rfft half spectrum, as offsets
     into its flattened float64 view (entry p: real part at 2p, imaginary at
     2p + 1).  ``read``/``inv`` take each coefficient off the half spectrum;
-    ``src``/``dst``/``fwd`` write it, the d = 2 modes with ky = 0 twice."""
+    ``src``/``dst``/``fwd`` write it, the d = 2 modes with ky = 0 twice.
+
+    A scalar grid of at most DENSE_MAX_ENTRIES map entries also holds the
+    FFT path's own matrices, built once: ``to_grid`` (nm, n^d), the grid
+    values of each unit coefficient vector, and ``from_grid`` (n^d, nm), the
+    coefficients of each unit grid vector; otherwise both are None."""
 
     def __init__(self, es, n):
+        self.n = n
         self.shape = (n,) * (es.d - 1) + (n // 2 + 1,)
 
         def offset(k):
@@ -246,12 +263,41 @@ class _LatticeMap:
         first = np.r_[True, np.diff(self.src) > 0]  # a mirror row follows its mode
         self.read, self.inv = self.dst[first], 1.0 / self.fwd[first]
 
+        self.to_grid = self.from_grid = None
+        points = n**es.d
+        if es.subspace != DIV_FREE and es.size * points <= DENSE_MAX_ENTRIES:
+            self.to_grid = _fft_values(es, self, np.eye(es.size)).reshape(es.size, points)
+            self.from_grid = _fft_coeffs(es, self, np.eye(points).reshape((points,) + (n,) * es.d))
+
 
 def _lattice(es, n):
     lm = es._lattices.get(n)
     if lm is None:
         lm = es._lattices[n] = _LatticeMap(es, n)
     return lm
+
+
+def _spectrum(es, lm, data):
+    data = np.asarray(data, dtype=float)
+    if es.subspace == DIV_FREE:
+        data = data[..., None, :] * es.dirs.T
+    batch = data.shape[:-1]
+    out = np.zeros(batch + lm.shape, dtype=complex)
+    out.reshape(batch + (-1,)).view(float)[..., lm.dst] = data[..., lm.src] * lm.fwd
+    return out
+
+
+def _fft_values(es, lm, data):
+    lat = _spectrum(es, lm, data)
+    return np.fft.irfftn(lat, s=(lm.n,) * es.d, axes=tuple(range(-es.d, 0)), norm="forward")
+
+
+def _fft_coeffs(es, lm, values):
+    chat = np.ascontiguousarray(np.fft.rfftn(values, axes=tuple(range(-es.d, 0)), norm="forward"))
+    out = chat.reshape(chat.shape[: -es.d] + (-1,)).view(float)[..., lm.read] * lm.inv
+    if es.subspace == DIV_FREE:
+        return out[..., 0, :] * es.dirs[:, 0] + out[..., 1, :] * es.dirs[:, 1]
+    return out
 
 
 def spectrum_from_coeffs(es, data, n):
@@ -264,24 +310,24 @@ def spectrum_from_coeffs(es, data, n):
     u/sqrt(2), a sin coefficient Im c(k) = -u/sqrt(2), the constant c(0); the
     module docstring says where ky < 0 and ky = 0 modes go.
     """
-    lm = _lattice(es, n)
-    data = np.asarray(data, dtype=float)
-    if es.subspace == DIV_FREE:
-        data = data[..., None, :] * es.dirs.T
-    batch = data.shape[:-1]
-    out = np.zeros(batch + lm.shape, dtype=complex)
-    out.reshape(batch + (-1,)).view(float)[..., lm.dst] = data[..., lm.src] * lm.fwd
-    return out
+    return _spectrum(es, _lattice(es, n), data)
 
 
 def values_from_coeffs(es, data, n):
     """Evaluate fields on the uniform n^d grid.
 
     data: (..., nm) real coefficients.  Returns (..., n[, n]) for scalar
-    fields and (..., 2, n, n) for the div-free subspace.
+    fields and (..., 2, n, n) for the div-free subspace.  A scalar grid of
+    at most DENSE_MAX_ENTRIES = nm * n^d map entries (the RD grid up to kmax
+    72 in d = 1, kmax 5 in d = 2) is one matmul with its ``to_grid``, the
+    matrix of the inverse FFT of :func:`spectrum_from_coeffs`; larger grids
+    and the div-free subspace run that FFT.
     """
-    lat = spectrum_from_coeffs(es, data, n)
-    return np.fft.irfftn(lat, s=(n,) * es.d, axes=tuple(range(-es.d, 0)), norm="forward")
+    lm = _lattice(es, n)
+    if lm.to_grid is None:
+        return _fft_values(es, lm, data)
+    data = np.asarray(data, dtype=float)
+    return (data @ lm.to_grid).reshape(data.shape[:-1] + (n,) * es.d)
 
 
 def coeffs_from_values(es, values):
@@ -290,14 +336,15 @@ def coeffs_from_values(es, values):
     values: (..., n[, n]) scalar or (..., 2, n, n) for div-free.  Inverts
     :func:`spectrum_from_coeffs` after the FFT: one half-spectrum entry is
     read per mode, so Hermitian ky = 0 columns are exact, and a div-free
-    field's two component coefficients are projected on dirs.
+    field's two component coefficients are projected on dirs.  On the grids
+    where :func:`values_from_coeffs` is dense this is one matmul with
+    ``from_grid``, the matrix of the same FFT path.
     """
     lm = _lattice(es, values.shape[-1])
-    chat = np.ascontiguousarray(np.fft.rfftn(values, axes=tuple(range(-es.d, 0)), norm="forward"))
-    out = chat.reshape(chat.shape[: -es.d] + (-1,)).view(float)[..., lm.read] * lm.inv
-    if es.subspace == DIV_FREE:
-        return out[..., 0, :] * es.dirs[:, 0] + out[..., 1, :] * es.dirs[:, 1]
-    return out
+    if lm.from_grid is None:
+        return _fft_coeffs(es, lm, values)
+    batch = values.shape[: values.ndim - es.d]
+    return values.reshape(batch + (-1,)) @ lm.from_grid
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,28 @@ class TestFisherTask:
         assert failure["task"] == "fisher"
         assert failure["config"] == resolve_config(validate_config(cfg))
 
+    @pytest.mark.parametrize(
+        "noise, out_name",
+        [
+            ({"family": "gaussian", "variance": 0.25}, "a-file"),
+            ({"family": "gaussian", "variance": 0.25}, "a-file/sub"),
+            ({"family": "logistic", "scale": 1.0e200}, "a-file"),  # the exit-3 path's failure.json
+        ],
+        ids=["out-is-a-file", "out-under-a-file", "failure-json-unwritable"],
+    )
+    def test_unwritable_out_exit_2(self, tmp_path, noise, out_name):
+        (tmp_path / "a-file").write_text("kept\n")
+        out = tmp_path / out_name
+        path = _write(tmp_path, "cfg.yaml", {**_fisher_cfg(), "noise": noise})
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdefisher.cli", "run", "-c", path, "-o", str(out)],
+            env=_fresh_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"output error: cannot write to {out}: " in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert (tmp_path / "a-file").read_text() == "kept\n"
+
 
 class TestSchemaValidation:
     def test_missing_noise_block_exit_2_no_outputs(self, tmp_path):
@@ -467,11 +489,13 @@ class TestInconsistentConfigs:
             (_heat_closed_form_on_rd, "closed-form check needs the heat model"),
             (_ns_diagnostics_on_heat, "ns-diagnostics requires the Navier-Stokes model"),
             (_bivariate_noise_on_heat, "has 2 component(s) but the heat field has 1"),
+            (_ns_functional_on("heat"), "pushforward functional: the ns-nonlinearity functional needs the ns model, not heat"),
+            (_ns_functional_on("rd"), "pushforward functional: the ns-nonlinearity functional needs the ns model, not rd"),
         ],
         ids=[
             "ns-d-1", "ns-subspace-full", "heat-subspace-div-free", "pushforward-t1-above-T",
             "pushforward-t1-below-t0", "heat-closed-form-on-rd", "ns-diagnostics-on-heat",
-            "bivariate-noise-on-heat",
+            "bivariate-noise-on-heat", "ns-nonlinearity-on-heat", "ns-nonlinearity-on-rd",
         ],
     )
     def test_message_names_the_rule(self, tmp_path, mutate, message):
@@ -862,10 +886,10 @@ class TestBaseMarchCounts:
     @pytest.mark.parametrize(
         "forcing, marches",
         [
-            # theta0, the single mode, then the qmd tangent and one solve per s
-            (None, 3 + len(_S4)),
+            # the qmd tangent (its base is G(theta0)), the single mode, one solve per s
+            (None, 2 + len(_S4)),
             # a forced model also solves theta0 on its unforced copy
-            ({"modes": [{"k": [1, 1], "kind": "cos", "value": 0.1}]}, 4 + len(_S4)),
+            ({"modes": [{"k": [1, 1], "kind": "cos", "value": 0.1}]}, 3 + len(_S4)),
         ],
         ids=["unforced", "forced"],
     )

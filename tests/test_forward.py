@@ -364,6 +364,21 @@ class TestQmdRemainder:
         out = qmd_remainder_slope(rd, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
         assert np.all(np.diff(out["normalized"]) > 0)  # decreasing toward s -> 0
 
+    def test_given_tangent(self, es1):
+        # a tangent the caller marched gives the same remainders; one from
+        # another point or direction is refused
+        rd = ReactionDiffusionModel(
+            es1, T=0.25, reaction=BumpReaction(), mesh=TimeMesh.uniform(0.25, 16)
+        )
+        theta0 = _field(es1, [([1], 1, 0.4)], const=0.3)
+        h = _field(es1, [([1], 2, 1.0)])
+        s = [1e-3, 1e-2, 3e-2, 1e-1]
+        own = qmd_remainder_slope(rd, theta0, h, s)
+        assert qmd_remainder_slope(rd, theta0, h, s, rd.linearize(theta0, h)) == own
+        for other in (rd.linearize(theta0 * 2.0, h), rd.linearize(theta0, h * 2.0)):
+            with pytest.raises(ValueError, match="not the linearization"):
+                qmd_remainder_slope(rd, theta0, h, s, other)
+
 
 class TestEvaluateField:
     def test_constant(self, es1):

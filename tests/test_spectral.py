@@ -14,6 +14,7 @@ from pdefisher import (
     pairing,
     sobolev_norm,
 )
+from pdefisher import spectral
 from pdefisher.spectral import (
     KIND_CONST,
     KIND_COS,
@@ -312,3 +313,82 @@ class TestBasisValuesAt:
         got = basis_values_at(es, x)
         assert got.shape == (x.shape[0], es.size)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def _grid_points(d, n):
+    """The n^d grid points in the row-major order of a (n[, n]) value array."""
+    axes = np.meshgrid(*([np.arange(n) / n] * d), indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
+class TestDenseOrFFT:
+    """A scalar grid of at most spectral.DENSE_MAX_ENTRIES map entries
+    (nm * n^d) transforms by the dense pair built from the FFT path;
+    larger grids and the div-free subspace run the FFTs.  Both paths against
+    basis_values_at at the grid points, and the dense one against the FFTs
+    on the same input."""
+
+    # (d, kmax, subspace, dense) on the RD grid of min_grid_points(dealias=True)
+    CASES = [
+        (1, 32, FULL, True),  # lan-rd and criterion 06
+        (1, 64, FULL, True),  # support-rd
+        (1, 72, MEAN_ZERO, True),  # the largest dense kmax in d = 1 (32,480 entries)
+        (1, 76, FULL, False),
+        (1, 256, FULL, False),  # the criteria's kmax, and a K = 512 RD case
+        (2, 5, FULL, True),
+        (2, 6, MEAN_ZERO, False),
+        (2, 4, DIV_FREE, False),
+    ]
+    IDS = ["d1-k32", "d1-k64", "d1-k72", "d1-k76", "d1-k256", "d2-k5", "d2-k6", "d2-k4-div-free"]
+
+    @staticmethod
+    def _grid(d, kmax, subspace):
+        es = build_eigensystem(d, kmax, subspace)
+        return es, es.min_grid_points(dealias=True)
+
+    @pytest.mark.parametrize("d, kmax, subspace, dense", CASES, ids=IDS)
+    def test_path_taken(self, d, kmax, subspace, dense):
+        es, n = self._grid(d, kmax, subspace)
+        lm = spectral._lattice(es, n)
+        assert (lm.to_grid is not None) == dense
+        assert (lm.from_grid is not None) == dense
+        if dense:
+            assert lm.to_grid.shape == (es.size, n**d) and lm.from_grid.shape == (n**d, es.size)
+
+    @pytest.mark.parametrize("d, kmax, subspace, dense", CASES, ids=IDS)
+    def test_grid_values_match_basis_values_at(self, d, kmax, subspace, dense):
+        es, n = self._grid(d, kmax, subspace)
+        basis = basis_values_at(es, _grid_points(d, n))  # (n^d, nm)
+        rng = np.random.default_rng(kmax + 10 * d)
+        for data in (rng.standard_normal(es.size), rng.standard_normal((3, es.size))):
+            vals = values_from_coeffs(es, data, n)
+            if subspace == DIV_FREE:
+                assert vals.shape == data.shape[:-1] + (2,) + (n,) * d
+                per_point = (data[..., None, :] * basis) @ es.dirs  # (..., n^d, 2)
+                expected = np.swapaxes(per_point, -1, -2).reshape(vals.shape)
+            else:
+                assert vals.shape == data.shape[:-1] + (n,) * d
+                expected = (data @ basis.T).reshape(vals.shape)
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(coeffs_from_values(es, vals), data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "d, kmax, subspace",
+        [c[:3] for c in CASES if c[3]],
+        ids=[i for i, c in zip(IDS, CASES) if c[3]],
+    )
+    def test_dense_matches_fft(self, d, kmax, subspace):
+        es, n = self._grid(d, kmax, subspace)
+        lm = spectral._lattice(es, n)
+        rng = np.random.default_rng(kmax)
+        for shape in ((), (9,), (2, 5)):
+            data = rng.standard_normal(shape + (es.size,))
+            dense, fft = values_from_coeffs(es, data, n), spectral._fft_values(es, lm, data)
+            assert dense.shape == fft.shape
+            assert np.abs(dense - fft).max() <= 1e-13 * np.abs(fft).max()
+            # grid values that are not band-limited: the projections agree too
+            vals = rng.standard_normal(shape + (n,) * d)
+            dense, fft = coeffs_from_values(es, vals), spectral._fft_coeffs(es, lm, vals)
+            assert dense.shape == fft.shape
+            assert np.abs(dense - fft).max() <= 1e-13 * np.abs(fft).max()
