@@ -23,7 +23,7 @@ from .spectral import (
     FourierCoeffs,
     basis_values_at,
     coeffs_from_values,
-    spectrum_from_coeffs,
+    derivative,
     values_from_coeffs,
 )
 
@@ -421,16 +421,18 @@ class NavierStokesModel(_SpectralModel):
 
     The state is the divergence-free velocity coefficient vector, (nm,) or
     (B, nm), as for reaction-diffusion: the curl maps each velocity mode to
-    one vorticity mode of the same |k|, so the linear part is -nu lambda_j and
-    the forcing is its own coefficient vector.  Two real matrices, built once
-    from spectral's velocity half spectrum of each unit coefficient vector,
-    carry every transform, so a stage is one matmul each way:
+    one vorticity mode of the same |k| on the scalar twin ``es.scalar``, so
+    the linear part is -nu lambda_j and the forcing is its own coefficient
+    vector.  Two real matrices, built once from spectral's coefficient
+    derivatives and the twin's grid transforms, carry every transform, so a
+    stage is one matmul each way:
 
     * ``_to_grid`` (nm, 4 n^2): u1, u2, d omega/dx1 and d omega/dx2 on the
-      dealiased n x n grid of each unit coefficient vector;
+      dealiased n x n grid of each unit coefficient vector, omega the
+      coefficient curl d u2/dx1 - d u1/dx2;
     * ``_from_grid`` (n^2, nm): grid advection a -> the velocity coefficients
-      of -P a (the DFT, then the inverse curl, read at the retained modes),
-      exact because n >= 3 kmax + 1.
+      of -P a: a's projection on the twin times the inverse curl curl^T /
+      lambda (<curl e_j, curl e_l> = lambda_j delta_jl), exact as n >= 3 kmax + 1.
 
     Both grow as kmax^4 (n ~ 3 kmax, nm ~ 2 kmax^2), while the five FFTs per
     stage they replace grow as kmax^2 log kmax.  Above kmax 6 a stage on them
@@ -456,28 +458,17 @@ class NavierStokesModel(_SpectralModel):
         self.forcing = forcing.data if forcing is not None and np.any(forcing.data) else None
 
         self.n = n = es.min_grid_points(dealias=True)
-        k1, k2 = np.fft.fftfreq(n, d=1.0 / n)[:, None], np.fft.rfftfreq(n, d=1.0 / n)
-        # d/dx1 and d/dx2 on the half spectrum, broadcasting to (n, n//2+1)
-        self.ik1, self.ik2 = 2j * np.pi * k1, 2j * np.pi * k2
-        lam = 4.0 * np.pi**2 * (k1**2 + k2**2)
-        # the inverse curl: vorticity -> velocity (-d/dx2, d/dx1) of the
-        # streamfunction Lap^-1 omega = -omega/lam, 0 at k = 0; (2, n, n//2+1)
-        inv_lap = np.where(lam > 0, -1.0 / np.where(lam > 0, lam, 1.0), 0.0)
-        self._inv_curl = np.stack([-self.ik2 * inv_lap, self.ik1 * inv_lap])
+        twin, eye = es.scalar, np.eye(es.size)
+        curl = self._curl(eye)  # row j: the vorticity of unit state j
+        u1, u2 = eye * es.dirs[:, 0], eye * es.dirs[:, 1]
+        fields = np.stack([u1, u2, derivative(twin, curl, 0), derivative(twin, curl, 1)], 1)
+        self._to_grid = values_from_coeffs(twin, fields, n).reshape(es.size, 4 * n * n)
+        self._from_grid = -coeffs_from_values(twin, np.eye(n * n).reshape(n * n, n, n)) @ curl.T / es.lam
 
-        vel = spectrum_from_coeffs(es, np.eye(es.size), n)
-        w = self._curl(vel)
-        specs = np.stack([vel[:, 0], vel[:, 1], self.ik1 * w, self.ik2 * w], 1)
-        self._to_grid = np.fft.irfft2(specs, (n, n), norm="forward").reshape(es.size, 4 * n * n)
-        # -P a reads the inverse curl of a's DFT at the retained modes only, so
-        # the map is its adjoint: column j is minus the grid values of the
-        # conjugate inverse curl applied to mode j's velocity spectrum, / n^2
-        adj = (self._inv_curl.conj() * vel).sum(axis=1)
-        self._from_grid = -np.fft.irfft2(adj, (n, n), norm="forward").reshape(es.size, n * n).T / (n * n)
-
-    def _curl(self, vel):
-        """Vorticity d u2/dx1 - d u1/dx2 of velocity half spectra (..., 2, n, n//2+1)."""
-        return self.ik1 * vel[..., 1, :, :] - self.ik2 * vel[..., 0, :, :]
+    def _curl(self, v):
+        """Vorticity d u2/dx1 - d u1/dx2 of states v (..., nm), on the scalar twin."""
+        es = self.es
+        return derivative(es, v, 0) * es.dirs[:, 1] - derivative(es, v, 1) * es.dirs[:, 0]
 
     def _grid(self, v):
         """u1, u2, d omega/dx1, d omega/dx2 of state(s) v on the grid, (..., 4, n^2)."""
@@ -494,16 +485,17 @@ class NavierStokesModel(_SpectralModel):
         return np.einsum("bip,ip->bp", self._grid(v), g[[2, 3, 0, 1]]) @ self._from_grid
 
     def lattice_divergence(self, field):
-        """Max over nodes of max |div u| / max |u| on the half spectrum, with u
-        rebuilt from the vorticity of each snapshot through the inverse curl
-        the marcher projects with.
+        """Max over nodes of max |div u| / max |u| over the twin coefficients
+        of u's components, with u rebuilt from the vorticity of each snapshot
+        through the inverse curl the marcher projects with (curl^T / lambda).
 
-        Zero up to rounding by construction (velocity lives in the div-free
-        basis); exposed as the projection diagnostic.
+        Zero up to rounding for any state, since the velocity lives in the
+        div-free basis: it checks the spectral algebra, not the march.
         """
-        u = self._inv_curl * self._curl(spectrum_from_coeffs(self.es, field.data, self.n))[:, None]
-        div = np.abs(self.ik1 * u[:, 0] + self.ik2 * u[:, 1]).max(axis=(1, 2))
-        return float((div / np.maximum(np.abs(u).max(axis=(1, 2, 3)), 1e-300)).max())
+        curl = self._curl(np.eye(self.es.size))
+        u = (self._curl(field.data) @ curl.T / self.es.lam)[..., None] * self.es.dirs  # (nodes, nm, 2)
+        div = np.abs(derivative(self.es.scalar, u[..., 0], 0) + derivative(self.es.scalar, u[..., 1], 1)).max(axis=1)
+        return float((div / np.maximum(np.abs(u).max(axis=(1, 2)), 1e-300)).max())
 
     def energy_balance_residual(self, field):
         """|E(T) - E(0) + nu int ||grad u||^2 - int <f,u>| / T (f=0 supported)."""

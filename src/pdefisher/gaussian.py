@@ -8,7 +8,7 @@ the K-trace, never a single bare number.
 
 import numpy as np
 
-from .spectral import DIV_FREE, spectrum_from_coeffs, values_from_coeffs
+from .spectral import DIV_FREE, derivative, values_from_coeffs
 
 
 class GaussianSampleBatch:
@@ -142,7 +142,8 @@ def functional_pushforward_bound(
     model, theta0, M, samples, functional, loss, t0, t1, power=2.0
 ):
     """Monte-Carlo estimate of E || dF[G] ||^power over the sample batch at
-    M's theta0 (a theta0 of another value raises).
+    M's theta0 (a theta0 of another value raises).  M must be assembled on
+    ``model``: the ns-nonlinearity functional reads G(theta0) off its base.
 
     functional: "trajectory" (the linearized flow restricted to positive
     times) or "ns-nonlinearity" (derivative of u -> (u.grad)u).
@@ -165,13 +166,12 @@ def functional_pushforward_bound(
     m = sample_data.shape[0]
     values = np.empty(m)
     if functional == "ns-nonlinearity":
-        # velocity values and d/dx1, d/dx2 of each unit coefficient vector
-        # (inverse FFTs of its half spectra times 1, 2 pi i k1 and 2 pi i k2),
-        # so a field's are one matmul
-        n = model.n
-        vel = spectrum_from_coeffs(es, np.eye(es.size), n)
-        vg = np.fft.irfft2(np.stack([vel, model.ik1 * vel, model.ik2 * vel], 1), (n, n), norm="forward")
-        vg = vg.reshape(es.size, -1)
+        # u, du/dx1 and du/dx2 of each unit coefficient vector on the model's
+        # grid, so a field's are one matmul; G(theta0)'s once, off M's base
+        eye = np.eye(es.size)
+        fields = np.stack([eye, derivative(es, eye, 0), derivative(es, eye, 1)], 1)
+        vg = values_from_coeffs(es, fields, model.n).reshape(es.size, -1)
+        base = (M.base.data[i0 : i1 + 1] @ vg).reshape(i1 + 1 - i0, 3, 2, -1)
 
     chunk = 64
     for start in range(0, m, chunk):
@@ -184,7 +184,6 @@ def functional_pushforward_bound(
             else:
                 vals = _window_sup(batch, i0, i1)
         else:
-            base = (batch.base.data[i0 : i1 + 1] @ vg).reshape(i1 + 1 - i0, 3, 2, -1)
             acc = np.zeros(cols.shape[1])  # l2: the Simpson sum; sup: the running max
             for i in range(i0, i1 + 1):
                 U = (batch.data[i].T @ vg).reshape(cols.shape[1], 3, 2, -1)

@@ -198,10 +198,12 @@ class InformationMatrix:
 
 
 def _tangent_gram(model, theta0, design, fisher, K):
-    """Gram of the tangent fields of e_0..e_{K-1}, sum_i w_i V_i^T B V_i, and G(theta0).
+    """Gram of the tangent fields of e_0..e_{K-1}, sum_i w_i V_i^T B V_i, and
+    the G(theta0) marched next to them.
 
     Heat's tangent of e_k is e^{-lambda_k t} e_k, so its Gram is
-    B[:K, :K] o (D^T W D) with D_ik = e^{-lambda_k t_i}: no march, no batch.
+    B[:K, :K] o (D^T W D) with D_ik = e^{-lambda_k t_i}: no march, no batch
+    and no G(theta0) (None).
     """
     es = model.es
     if model.kind != "heat":
@@ -210,7 +212,7 @@ def _tangent_gram(model, theta0, design, fisher, K):
     decay = np.exp(-np.outer(model.mesh.nodes, es.lam[:K]))
     time = (model.mesh.weights[:, None] * decay).T @ decay
     g = _pointwise_form(es, design, fisher)[:K, :K] * time
-    return 0.5 * (g + g.T), model.solve(theta0)
+    return 0.5 * (g + g.T), None
 
 
 def assemble_information_matrix(model, theta0, noise, design, n_basis):
@@ -231,6 +233,7 @@ def assemble_information_matrix(model, theta0, noise, design, n_basis):
         "method": "closed-form" if model.kind == "heat" else "batch",
     }
     gram, base = _tangent_gram(model, theta0, design, fisher, n_basis)
+    base = model.solve(theta0) if base is None else base  # heat marches nothing
     return InformationMatrix(gram, es, meta, theta0, base)
 
 

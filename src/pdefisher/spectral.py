@@ -14,15 +14,18 @@ Eigenpairs are ordered by nondecreasing eigenvalue, ties broken
 lexicographically on the wavevector and then cos before sin, so index maps
 are reproducible across runs.
 
-Grid transforms are real-to-complex: a field's DFT lives in the rfft half
+Only this module knows the Fourier layout.  Derivatives are coefficient
+algebra (:func:`derivative`); a div-free field's velocity components are
+scalar fields on its twin ``es.scalar``, the coefficients times dirs.  Scalar
+grid transforms are real-to-complex: a field's DFT lives in the rfft half
 spectrum, shape (n//2+1,) in d = 1 and (n, n//2+1) in d = 2 (last component
 ky >= 0).  The cos and sin coefficients of wavevector k are the real and
 imaginary parts of one entry; a d = 2 mode with ky < 0 is stored conjugated
 at -k, and one with ky = 0 at both +-kx, since irfft2 needs that column
 Hermitian.  Dealiased grids (3/2 rule, n >= 3 kmax + 1) are rounded up to the
 next even n with no prime factor above 7, where the FFTs are fast.  Small
-scalar grids skip the FFTs: each keeps the FFT path's two matrices and
-transforms by one matmul (DENSE_MAX_ENTRIES).
+grids skip the FFTs: each keeps the FFT path's two matrices and transforms by
+one matmul (DENSE_MAX_ENTRIES).
 """
 
 import numpy as np
@@ -77,9 +80,10 @@ class EigenSystem:
     lam   : (nm,) eigenvalues 4 pi^2 |k|^2, nondecreasing
     tau   : (nm,) scale weights (1 + lam on scalar scales, lam on div-free)
     dirs  : (nm, 2) unit vectors k_perp/|k| for the div-free subspace, else None
+    scalar: for div-free, the mean-zero twin it transforms through, else None
     """
 
-    def __init__(self, d, kmax, subspace, kvecs, kind, lam, tau, dirs=None, p=1):
+    def __init__(self, d, kmax, subspace, kvecs, kind, lam, tau, dirs=None, p=1, scalar=None):
         self.d = d
         self.kmax = kmax
         self.subspace = subspace
@@ -89,6 +93,7 @@ class EigenSystem:
         self.tau = tau
         self.dirs = dirs
         self.p = p
+        self.scalar = scalar
         # where basis_values_at reads each mode: an offset into the float64
         # view of its per-point table of e^{2 pi i k.x}, and the amplitude
         if d == 1:
@@ -170,7 +175,8 @@ def build_eigensystem(d, kmax, subspace=FULL):
         tau = lam.copy()
         norms = np.sqrt((kvecs**2).sum(axis=1)).astype(float)
         dirs = np.stack([-kvecs[:, 1] / norms, kvecs[:, 0] / norms], axis=1)
-        es = EigenSystem(d, kmax, subspace, kvecs, kind, lam, tau, dirs=dirs, p=2)
+        twin = build_eigensystem(d, kmax, MEAN_ZERO)
+        es = EigenSystem(d, kmax, subspace, kvecs, kind, lam, tau, dirs=dirs, p=2, scalar=twin)
     else:
         tau = 1.0 + lam
         es = EigenSystem(d, kmax, subspace, kvecs, kind, lam, tau, p=1)
@@ -233,15 +239,18 @@ DENSE_MAX_ENTRIES = 32768
 
 
 class _LatticeMap:
-    """Where each eigensystem entry lives in the rfft half spectrum, as offsets
-    into its flattened float64 view (entry p: real part at 2p, imaginary at
-    2p + 1).  ``read``/``inv`` take each coefficient off the half spectrum;
-    ``src``/``dst``/``fwd`` write it, the d = 2 modes with ky = 0 twice.
+    """Where each scalar eigensystem entry lives in the rfft half spectrum, as
+    offsets into its flattened float64 view (entry p: real part at 2p,
+    imaginary at 2p + 1).  ``read``/``inv`` take each coefficient off the half
+    spectrum; ``src``/``dst``/``fwd`` write it, the d = 2 modes with ky = 0
+    twice.  The one realified <-> lattice convention: a cos coefficient u is
+    Re c(k) = u/sqrt(2), a sin coefficient Im c(k) = -u/sqrt(2), the constant
+    c(0).
 
-    A scalar grid of at most DENSE_MAX_ENTRIES map entries also holds the
-    FFT path's own matrices, built once: ``to_grid`` (nm, n^d), the grid
-    values of each unit coefficient vector, and ``from_grid`` (n^d, nm), the
-    coefficients of each unit grid vector; otherwise both are None."""
+    A grid of at most DENSE_MAX_ENTRIES map entries also holds the FFT path's
+    own matrices, built once: ``to_grid`` (nm, n^d), the grid values of each
+    unit coefficient vector, and ``from_grid`` (n^d, nm), the coefficients of
+    each unit grid vector; otherwise both are None."""
 
     def __init__(self, es, n):
         self.n = n
@@ -265,7 +274,7 @@ class _LatticeMap:
 
         self.to_grid = self.from_grid = None
         points = n**es.d
-        if es.subspace != DIV_FREE and es.size * points <= DENSE_MAX_ENTRIES:
+        if es.size * points <= DENSE_MAX_ENTRIES:
             self.to_grid = _fft_values(es, self, np.eye(es.size)).reshape(es.size, points)
             self.from_grid = _fft_coeffs(es, self, np.eye(points).reshape((points,) + (n,) * es.d))
 
@@ -277,56 +286,35 @@ def _lattice(es, n):
     return lm
 
 
-def _spectrum(es, lm, data):
-    data = np.asarray(data, dtype=float)
-    if es.subspace == DIV_FREE:
-        data = data[..., None, :] * es.dirs.T
-    batch = data.shape[:-1]
-    out = np.zeros(batch + lm.shape, dtype=complex)
-    out.reshape(batch + (-1,)).view(float)[..., lm.dst] = data[..., lm.src] * lm.fwd
-    return out
-
-
 def _fft_values(es, lm, data):
-    lat = _spectrum(es, lm, data)
+    batch = data.shape[:-1]
+    lat = np.zeros(batch + lm.shape, dtype=complex)
+    lat.reshape(batch + (-1,)).view(float)[..., lm.dst] = data[..., lm.src] * lm.fwd
     return np.fft.irfftn(lat, s=(lm.n,) * es.d, axes=tuple(range(-es.d, 0)), norm="forward")
 
 
 def _fft_coeffs(es, lm, values):
     chat = np.ascontiguousarray(np.fft.rfftn(values, axes=tuple(range(-es.d, 0)), norm="forward"))
-    out = chat.reshape(chat.shape[: -es.d] + (-1,)).view(float)[..., lm.read] * lm.inv
-    if es.subspace == DIV_FREE:
-        return out[..., 0, :] * es.dirs[:, 0] + out[..., 1, :] * es.dirs[:, 1]
-    return out
-
-
-def spectrum_from_coeffs(es, data, n):
-    """Real coefficients (..., nm) -> the rfft half spectrum c(k) of their grid
-    values: (..., [n,] n//2+1) for scalar fields, (..., 2, n, n//2+1) for the
-    div-free subspace (one spectrum per velocity component, the coefficients
-    times that component of dirs).
-
-    The one realified <-> lattice convention: a cos coefficient u is Re c(k) =
-    u/sqrt(2), a sin coefficient Im c(k) = -u/sqrt(2), the constant c(0); the
-    module docstring says where ky < 0 and ky = 0 modes go.
-    """
-    return _spectrum(es, _lattice(es, n), data)
+    return chat.reshape(chat.shape[: -es.d] + (-1,)).view(float)[..., lm.read] * lm.inv
 
 
 def values_from_coeffs(es, data, n):
     """Evaluate fields on the uniform n^d grid.
 
     data: (..., nm) real coefficients.  Returns (..., n[, n]) for scalar
-    fields and (..., 2, n, n) for the div-free subspace.  A scalar grid of
-    at most DENSE_MAX_ENTRIES = nm * n^d map entries (the RD grid up to kmax
-    72 in d = 1, kmax 5 in d = 2) is one matmul with its ``to_grid``, the
-    matrix of the inverse FFT of :func:`spectrum_from_coeffs`; larger grids
-    and the div-free subspace run that FFT.
+    fields and (..., 2, n, n) for the div-free subspace, whose velocity
+    components are the scalar twin's fields with coefficients data * dirs.
+    A grid of at most DENSE_MAX_ENTRIES = nm * n^d map entries (the dealiased
+    grid up to kmax 72 in d = 1 and kmax 5 in d = 2, div-free included) is
+    one matmul with its ``to_grid``, the matrix of the inverse FFT of the half
+    spectrum; larger grids run that FFT.
     """
+    data = np.asarray(data, dtype=float)
+    if es.dirs is not None:  # the velocity components, on the twin
+        data, es = data[..., None, :] * es.dirs.T, es.scalar
     lm = _lattice(es, n)
     if lm.to_grid is None:
         return _fft_values(es, lm, data)
-    data = np.asarray(data, dtype=float)
     return (data @ lm.to_grid).reshape(data.shape[:-1] + (n,) * es.d)
 
 
@@ -334,17 +322,33 @@ def coeffs_from_values(es, values):
     """Project grid values onto the retained modes (exact if band-limited).
 
     values: (..., n[, n]) scalar or (..., 2, n, n) for div-free.  Inverts
-    :func:`spectrum_from_coeffs` after the FFT: one half-spectrum entry is
-    read per mode, so Hermitian ky = 0 columns are exact, and a div-free
-    field's two component coefficients are projected on dirs.  On the grids
-    where :func:`values_from_coeffs` is dense this is one matmul with
+    :func:`values_from_coeffs` after the FFT: one half-spectrum entry is read
+    per mode, so Hermitian ky = 0 columns are exact, and a div-free field's two
+    component projections on the scalar twin are contracted with dirs.  On the
+    grids where :func:`values_from_coeffs` is dense this is one matmul with
     ``from_grid``, the matrix of the same FFT path.
     """
-    lm = _lattice(es, values.shape[-1])
+    scalar = es if es.dirs is None else es.scalar
+    lm = _lattice(scalar, values.shape[-1])
     if lm.from_grid is None:
-        return _fft_coeffs(es, lm, values)
-    batch = values.shape[: values.ndim - es.d]
-    return values.reshape(batch + (-1,)) @ lm.from_grid
+        out = _fft_coeffs(scalar, lm, values)
+    else:
+        batch = values.shape[: values.ndim - scalar.d]
+        out = values.reshape(batch + (-1,)) @ lm.from_grid
+    if es.dirs is not None:
+        return out[..., 0, :] * es.dirs[:, 0] + out[..., 1, :] * es.dirs[:, 1]
+    return out
+
+
+def derivative(es, data, axis):
+    """d/dx_axis of the fields ``data`` (..., nm) as coefficients in the same
+    basis: a cos coefficient becomes 2 pi k_axis times its sin partner's, a
+    sin coefficient -2 pi k_axis times its cos partner's, the constant 0.  On
+    div-free it differentiates the velocity, as a cos/sin pair shares dirs.
+    """
+    sign = np.where(es.kind == KIND_COS, 1, np.where(es.kind == KIND_SIN, -1, 0))
+    partner = np.arange(es.size) + sign  # a sin mode follows its cos mode
+    return np.asarray(data, dtype=float)[..., partner] * (sign * TWO_PI * es.kvecs[:, axis])
 
 
 # ---------------------------------------------------------------------------

@@ -555,3 +555,24 @@ class TestNormEquivalence:
             assert entry["ratio_max"] / entry["ratio_min"] < 20
         growth = out["per_k"][-1]["ratio_max"] / out["per_k"][0]["ratio_max"] - 1
         assert growth < 0.10
+
+    def test_heat_solves_only_where_m_is_assembled(self, monkeypatch):
+        # heat's Gram is closed form and marches nothing: norm-equiv needs no
+        # base flow, and an assembled M solves theta0 once for its own
+        calls = []
+        solve = HeatModel.solve
+
+        def counted(self, theta):
+            calls.append(theta)
+            return solve(self, theta)
+
+        monkeypatch.setattr(HeatModel, "solve", counted)
+        es = build_eigensystem(1, 4)
+        model = HeatModel(es, T=1.0, mesh=TimeMesh.uniform(1.0, 16))
+        theta0 = _field(es, [([1], 1, 0.4)], const=0.3)
+        design = DesignMeasure(1.0)
+        norm_equivalence_diagnostic(model, theta0, design, [4, 9], 10, 1.0, np.random.default_rng(0))
+        assert len(calls) == 0
+        M = assemble_information_matrix(model, theta0, make_noise("gaussian", variance=1.0), design, 9)
+        assert len(calls) == 1 and calls[0] is theta0
+        np.testing.assert_array_equal(M.base.data, solve(model, theta0).data)

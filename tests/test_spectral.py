@@ -1,6 +1,8 @@
 """Eigensystem, transform, and norm checks against independent oracles."""
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +80,18 @@ class TestEigenSystem:
         assert cos.size == np.count_nonzero(es.kind == KIND_SIN) > 0
         np.testing.assert_array_equal(es.kind[cos + 1], KIND_SIN)
         np.testing.assert_array_equal(es.kvecs[cos + 1], es.kvecs[cos])
+
+    @pytest.mark.parametrize("kmax", [1, 2, 4, 6, 9])
+    def test_div_free_scalar_twin(self, kmax):
+        # the div-free system transforms through the mean-zero system of its
+        # kmax, whose modes must be its own, in the same order
+        es = build_eigensystem(2, kmax, DIV_FREE)
+        twin = es.scalar
+        assert (twin.d, twin.kmax, twin.subspace, twin.p) == (2, kmax, MEAN_ZERO, 1)
+        np.testing.assert_array_equal(twin.kvecs, es.kvecs)
+        np.testing.assert_array_equal(twin.kind, es.kind)
+        np.testing.assert_array_equal(twin.lam, es.lam)
+        assert twin.scalar is None and build_eigensystem(1, kmax, FULL).scalar is None
 
     def test_dealiased_grid_is_smallest_even_7_smooth(self):
         # oracle: brute-force search over even n >= max(8, 3k+1) divisible by
@@ -323,10 +337,10 @@ def _grid_points(d, n):
 
 class TestDenseOrFFT:
     """A scalar grid of at most spectral.DENSE_MAX_ENTRIES map entries
-    (nm * n^d) transforms by the dense pair built from the FFT path;
-    larger grids and the div-free subspace run the FFTs.  Both paths against
-    basis_values_at at the grid points, and the dense one against the FFTs
-    on the same input."""
+    (nm * n^d) transforms by the dense pair built from the FFT path; larger
+    grids run the FFTs, and a div-free system takes its scalar twin's path.
+    Both paths against basis_values_at at the grid points, and the dense one
+    against the FFTs on the same input."""
 
     # (d, kmax, subspace, dense) on the RD grid of min_grid_points(dealias=True)
     CASES = [
@@ -337,9 +351,10 @@ class TestDenseOrFFT:
         (1, 256, FULL, False),  # the criteria's kmax, and a K = 512 RD case
         (2, 5, FULL, True),
         (2, 6, MEAN_ZERO, False),
-        (2, 4, DIV_FREE, False),
+        (2, 4, DIV_FREE, True),  # pushforward-ns and ns_diagnostics, on the twin's maps
+        (2, 6, DIV_FREE, False),
     ]
-    IDS = ["d1-k32", "d1-k64", "d1-k72", "d1-k76", "d1-k256", "d2-k5", "d2-k6", "d2-k4-div-free"]
+    IDS = ["d1-k32", "d1-k64", "d1-k72", "d1-k76", "d1-k256", "d2-k5", "d2-k6", "d2-k4-div-free", "d2-k6-div-free"]
 
     @staticmethod
     def _grid(d, kmax, subspace):
@@ -349,7 +364,7 @@ class TestDenseOrFFT:
     @pytest.mark.parametrize("d, kmax, subspace, dense", CASES, ids=IDS)
     def test_path_taken(self, d, kmax, subspace, dense):
         es, n = self._grid(d, kmax, subspace)
-        lm = spectral._lattice(es, n)
+        lm = spectral._lattice(es.scalar or es, n)  # div-free: its twin's grid
         assert (lm.to_grid is not None) == dense
         assert (lm.from_grid is not None) == dense
         if dense:
@@ -380,15 +395,77 @@ class TestDenseOrFFT:
     )
     def test_dense_matches_fft(self, d, kmax, subspace):
         es, n = self._grid(d, kmax, subspace)
-        lm = spectral._lattice(es, n)
+        twin = es.scalar or es  # a div-free field's components run on the twin's grid
+        lm = spectral._lattice(twin, n)
+        comps = (2,) if subspace == DIV_FREE else ()
         rng = np.random.default_rng(kmax)
         for shape in ((), (9,), (2, 5)):
             data = rng.standard_normal(shape + (es.size,))
-            dense, fft = values_from_coeffs(es, data, n), spectral._fft_values(es, lm, data)
+            split = data[..., None, :] * es.dirs.T if comps else data
+            dense, fft = values_from_coeffs(es, data, n), spectral._fft_values(twin, lm, split)
             assert dense.shape == fft.shape
             assert np.abs(dense - fft).max() <= 1e-13 * np.abs(fft).max()
             # grid values that are not band-limited: the projections agree too
-            vals = rng.standard_normal(shape + (n,) * d)
-            dense, fft = coeffs_from_values(es, vals), spectral._fft_coeffs(es, lm, vals)
+            vals = rng.standard_normal(shape + comps + (n,) * d)
+            dense, fft = coeffs_from_values(es, vals), spectral._fft_coeffs(twin, lm, vals)
+            if comps:
+                fft = fft[..., 0, :] * es.dirs[:, 0] + fft[..., 1, :] * es.dirs[:, 1]
             assert dense.shape == fft.shape
             assert np.abs(dense - fft).max() <= 1e-13 * np.abs(fft).max()
+
+
+def _fft_gradient(vals, axis, d):
+    """d/dx_axis of periodic grid values (..., n[, n]) on the unit torus, by
+    numpy's full complex FFT."""
+    n = vals.shape[-1]
+    k = 2j * np.pi * np.fft.fftfreq(n, d=1.0 / n)
+    k = k.reshape((n,) + (1,) * (d - 1 - axis))  # broadcast along the axis
+    axes = tuple(range(-d, 0))
+    return np.fft.ifftn(k * np.fft.fftn(vals, axes=axes), axes=axes).real
+
+
+class TestDerivative:
+    """spectral.derivative (coefficient algebra on cos/sin partners) against
+    the FFT gradient of grid values built from basis_values_at, so neither
+    side uses the codec."""
+
+    @pytest.mark.parametrize(
+        "d, kmax, subspace",
+        [(1, 7, FULL), (1, 32, MEAN_ZERO), (2, 5, MEAN_ZERO), (2, 3, FULL), (2, 4, DIV_FREE)],
+        ids=["d1-full", "d1-mean-zero", "d2-mean-zero", "d2-full", "d2-div-free"],
+    )
+    def test_matches_fft_gradient(self, d, kmax, subspace):
+        es = build_eigensystem(d, kmax, subspace)
+        n = es.min_grid_points()
+        basis = basis_values_at(es, _grid_points(d, n))  # (n^d, nm)
+        comps = (2,) if subspace == DIV_FREE else ()
+
+        def grid(data):  # (..., [2,] n[, n]) by the per-point mode sum
+            if comps:
+                per_point = (data[..., None, :] * basis) @ es.dirs  # (..., n^d, 2)
+                return np.swapaxes(per_point, -1, -2).reshape(data.shape[:-1] + comps + (n,) * d)
+            return (data @ basis.T).reshape(data.shape[:-1] + (n,) * d)
+
+        rng = np.random.default_rng(kmax + 10 * d)
+        for data in (rng.standard_normal(es.size), rng.standard_normal((3, es.size))):
+            for axis in range(d):
+                got = spectral.derivative(es, data, axis)
+                assert got.shape == data.shape
+                oracle = _fft_gradient(grid(data), axis, d)
+                np.testing.assert_allclose(grid(got), oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+
+    def test_constant_goes_to_zero(self):
+        es = build_eigensystem(1, 5, FULL)
+        assert es.kind[0] == KIND_CONST
+        np.testing.assert_array_equal(spectral.derivative(es, np.eye(es.size)[0], 0), 0.0)
+        data = np.random.default_rng(1).standard_normal(es.size)
+        assert spectral.derivative(es, data, 0)[0] == 0.0
+
+
+def test_fourier_layout_lives_in_spectral():
+    # every FFT call in the package goes through spectral, so the half
+    # spectrum layout and the FFT normalisation are decided in one module
+    src = pathlib.Path(spectral.__file__).parent
+    pattern = re.compile(r"\b(np|numpy)\.fft\b|from\s+numpy\s+import\s+.*\bfft\b|import\s+numpy\.fft")
+    users = sorted(p.name for p in src.glob("*.py") if pattern.search(p.read_text()))
+    assert users == ["spectral.py"]
