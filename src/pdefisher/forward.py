@@ -21,13 +21,15 @@ import numpy as np
 from .spectral import (
     DIV_FREE,
     FourierCoeffs,
-    basis_values_at,
     coeffs_from_values,
     derivative,
+    point_table,
+    table_layout,
     values_from_coeffs,
 )
 
-# points per block of scattered evaluation; bounds the (chunk, 4, nm) gather
+# points per block of scattered evaluation; bounds the per-call working set,
+# the block's point table and one stencil row's gather, each (block, 2 cells)
 _CHUNK = 2048
 
 
@@ -148,26 +150,36 @@ class SpaceTimeField:
         self.mesh = mesh
         self.data = data
         self.base = base
+        self._layout = None  # data in the point table's columns, on first evaluate
 
     def evaluate(self, t, x):
         """Values at scattered points: exact Fourier sum in space, cubic in time.
 
-        t: (nq,), x: (nq, d).  Returns (nq,) for scalar fields and (nq, 2)
-        for divergence-free ones.
+        t: (nq,) in [0, T], x: (nq, d).  Returns (nq,) for scalar fields and
+        (nq, 2) for divergence-free ones.  The snapshots are laid out once in
+        the point table's columns (``spectral.table_layout``) and contracted
+        with it, one gathered stencil row at a time.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if np.any(t < -1e-12) or np.any(t > self.mesh.T + 1e-12):
-            raise ValueError("evaluation time outside [0, T]")
+        if t.ndim != 1 or x.shape != (t.shape[0], self.es.d):
+            raise ValueError(f"need t (nq,) and x (nq, {self.es.d}), got {t.shape} and {x.shape}")
+        if not np.all((t >= -1e-12) & (t <= self.mesh.T + 1e-12)):
+            raise ValueError("evaluation time outside [0, T] or not finite")
+        if self._layout is None:  # threads racing here build equal arrays
+            self._layout = table_layout(self.es, self.data)
+        coeffs, comps = self._layout
         idx, w = _time_stencils(self.mesh, t)
-        vector = self.es.subspace == DIV_FREE
-        out = np.empty((t.shape[0], 2) if vector else t.shape[0])
+        out = np.empty((t.shape[0], comps.shape[1]))
         for start in range(0, t.shape[0], _CHUNK):
             sl = slice(start, start + _CHUNK)
-            vals = np.einsum("qa,qam->qm", w[sl], np.take(self.data, idx[sl], axis=0))
-            vals *= basis_values_at(self.es, x[sl])
-            out[sl] = vals @ self.es.dirs if vector else vals.sum(1)
-        return out
+            table = point_table(self.es, x[sl])
+            row, vals = np.empty_like(table), np.empty((len(table), 4, comps.shape[1]))
+            for a in range(4):  # one stencil row at a time, into one buffer ("clip": unbuffered)
+                np.take(coeffs, idx[sl, a], axis=0, out=row, mode="clip")
+                vals[:, a] = np.multiply(row, table, out=row) @ comps
+            out[sl] = np.einsum("qap,qa->qp", vals, w[sl])
+        return out if self.es.dirs is not None else out[:, 0]
 
     def squared_l2_profile(self):
         """Spatial L^2 norm squared at every node (Parseval)."""

@@ -94,15 +94,14 @@ class EigenSystem:
         self.dirs = dirs
         self.p = p
         self.scalar = scalar
-        # where basis_values_at reads each mode: an offset into the float64
-        # view of its per-point table of e^{2 pi i k.x}, and the amplitude
-        if d == 1:
-            cell = kvecs[:, 0]
-        else:
-            cell = kvecs[:, 0] * (2 * kmax + 1) + kvecs[:, 1] + kmax
+        # where each mode lives in point_table: its column in the float64
+        # view of the per-point table of e^{2 pi i k.x}, and its amplitude
+        cell = kvecs[:, 0] if d == 1 else kvecs[:, 0] * (2 * kmax + 1) + kvecs[:, 1] + kmax
         self._table_cols = 2 * cell + (kind == KIND_SIN)
         self._table_amp = np.where(kind == KIND_CONST, 1.0, np.sqrt(2.0))
         self._lattices = {}  # grid size n -> _LatticeMap, built on first use
+        keys = zip(map(tuple, kvecs.tolist()), kind.tolist())
+        self._lookup = scalar._lookup if scalar is not None else {key: j for j, key in enumerate(keys)}
 
     @property
     def size(self):
@@ -158,6 +157,12 @@ def build_eigensystem(d, kmax, subspace=FULL):
     if d not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d}")
 
+    if subspace == DIV_FREE:  # the mean-zero twin's modes along k_perp/|k|
+        twin = build_eigensystem(d, kmax, MEAN_ZERO)
+        k = twin.kvecs
+        dirs = np.stack([-k[:, 1], k[:, 0]], axis=1) / np.sqrt((k**2).sum(axis=1))[:, None]
+        return EigenSystem(d, kmax, subspace, k, twin.kind, twin.lam, twin.lam, dirs=dirs, p=2, scalar=twin)
+
     rows = []  # (lam, kvec, kind)
     if subspace == FULL:
         rows.append((0.0, (0,) * d, KIND_CONST))
@@ -170,21 +175,7 @@ def build_eigensystem(d, kmax, subspace=FULL):
     kvecs = np.array([r[1] for r in rows], dtype=np.int64).reshape(len(rows), d)
     kind = np.array([r[2] for r in rows], dtype=np.int8)
     lam = np.array([r[0] for r in rows])
-
-    if subspace == DIV_FREE:
-        tau = lam.copy()
-        norms = np.sqrt((kvecs**2).sum(axis=1)).astype(float)
-        dirs = np.stack([-kvecs[:, 1] / norms, kvecs[:, 0] / norms], axis=1)
-        twin = build_eigensystem(d, kmax, MEAN_ZERO)
-        es = EigenSystem(d, kmax, subspace, kvecs, kind, lam, tau, dirs=dirs, p=2, scalar=twin)
-    else:
-        tau = 1.0 + lam
-        es = EigenSystem(d, kmax, subspace, kvecs, kind, lam, tau, p=1)
-
-    es._lookup = {
-        (tuple(int(c) for c in kvecs[j]), int(kind[j])): j for j in range(len(rows))
-    }
-    return es
+    return EigenSystem(d, kmax, subspace, kvecs, kind, lam, 1.0 + lam)
 
 
 class FourierCoeffs:
@@ -389,34 +380,46 @@ def sobolev_norm(u, s, es=None):
     return float(np.sqrt(np.sum(es.tau**s * data**2)))
 
 
+def point_table(es, x):
+    """e^{2 pi i k.x} at points x (nq, d) for cells k = 0..kmax (d = 1) or
+    (0..kmax) x (-kmax..kmax), as a float64 view (nq, 2 cells): per axis one
+    exponential z, powers z^(m+j) = z^m z^j (doubling m) as rows over the
+    points, ky < 0 by conjugation, d = 2 cells by an outer product, one transpose."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    nq, kmax = x.shape[0], es.kmax
+    pw = np.empty((es.d, kmax + 1, nq), dtype=complex)
+    pw[:, 0] = 1.0
+    pw[:, 1] = np.exp(TWO_PI * 1j * x.T)
+    m = 1
+    while m < kmax:
+        j = min(m, kmax - m)
+        np.multiply(pw[:, 1 : j + 1], pw[:, m : m + 1], out=pw[:, m + 1 : m + j + 1])
+        m += j
+    if es.d == 2:
+        pw = pw[0, :, None] * np.concatenate([pw[1, :0:-1].conj(), pw[1]])
+    return np.ascontiguousarray(pw.reshape(-1, nq).T).view(float)
+
+
+def table_layout(es, data):
+    """Fields data (..., nm) laid out for :func:`point_table`: ``coeffs``
+    (..., 2 cells), each times its amplitude (sqrt(2); 1 for the constant) in
+    its mode's column, and ``comps`` (2 cells, p), each used column's dirs
+    (div-free) or 1, so ``(point_table(es, x) * coeffs) @ comps`` is the
+    fields' values at x.  Unused columns hold 0 in both."""
+    width = 2 * (es.kmax + 1) * (2 * es.kmax + 1) ** (es.d - 1)
+    coeffs, comps = np.zeros(np.shape(data)[:-1] + (width,)), np.zeros((width, es.p))
+    coeffs[..., es._table_cols] = np.asarray(data, dtype=float) * es._table_amp
+    comps[es._table_cols] = 1.0 if es.dirs is None else es.dirs
+    return coeffs, comps
+
+
 def basis_values_at(es, x):
     """Evaluate all basis functions at scattered points x of shape (nq, d).
 
     Returns (nq, nm) for scalar subspaces; vector values for div-free are
-    dirs[m] * result[:, m].  No mode costs a cosine: per point and axis one
-    complex exponential z = e^{2 pi i x_a}, then the powers z^0..z^kmax by
-    products of blocks (z^(m+j) = z^m z^j, doubling m).  In d = 2 the second
-    axis covers -kmax..kmax by conjugation and the table is the outer product
-    of the two axes.  A wavevector's cos and sin modes are the real and
-    imaginary parts of its entry, adjacent in the table's float64 view as in
-    the eigensystem order, so one gather and the amplitudes (sqrt(2); 1 for
-    the constant, the real part of k = 0) give every column.
+    dirs[m] * result[:, m].  The tests' oracle view of :func:`point_table`,
+    which evaluation contracts: its columns in mode order, times amplitudes.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    nq, kmax = x.shape[0], es.kmax
-    pw = np.empty((nq, es.d, kmax + 1), dtype=complex)
-    pw[..., 0] = 1.0
-    pw[..., 1] = np.exp(TWO_PI * 1j * x)
-    m = 1
-    while m < kmax:
-        j = min(m, kmax - m)
-        np.multiply(pw[..., 1 : j + 1], pw[..., m : m + 1], out=pw[..., m + 1 : m + j + 1])
-        m += j
-    if es.d == 1:
-        table = pw[:, 0]
-    else:
-        ky = np.concatenate([pw[:, 1, :0:-1].conj(), pw[:, 1]], axis=1)  # ky = -kmax..kmax
-        table = (pw[:, 0, :, None] * ky[:, None, :]).reshape(nq, -1)
-    out = table.view(float)[:, es._table_cols]
+    out = point_table(es, x)[:, es._table_cols]
     out *= es._table_amp
     return out

@@ -3,7 +3,10 @@ and the directional-derivative (remainder slope) diagnostics."""
 
 import bisect
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from pdefisher import (
     qmd_remainder_slope,
     sobolev_norm,
 )
+from pdefisher import forward
 from pdefisher.forward import _time_stencils
 from pdefisher.spectral import coeffs_from_values, values_from_coeffs
 
@@ -430,6 +434,23 @@ class TestEvaluateField:
         with pytest.raises(ValueError):
             f.evaluate([1.5], [[0.2]])
 
+    def test_nan_time_rejected(self, es1):
+        f = HeatModel(es1, T=1.0).solve(_field(es1, [], const=1.0))
+        with pytest.raises(ValueError, match="outside"):
+            f.evaluate([0.5, np.nan], [[0.2], [0.4]])
+
+    def test_x_of_one_axis_on_a_2d_field_rejected(self):
+        # (nq, 1) would broadcast onto both axes: values on the diagonal
+        es = build_eigensystem(2, 3)
+        f = HeatModel(es, T=1.0).solve(_field(es, [([1, 1], 1, 1.0)]))
+        with pytest.raises(ValueError, match=r"x \(nq, 2\)"):
+            f.evaluate([0.2, 0.5, 0.7], [[0.1], [0.4], [0.9]])
+
+    def test_length_mismatch_rejected(self, es1):
+        f = HeatModel(es1, T=1.0).solve(_field(es1, [([1], 1, 1.0)]))
+        with pytest.raises(ValueError, match=r"x \(nq, 1\)"):
+            f.evaluate([0.2, 0.5, 0.7], [[0.1], [0.4]])
+
     def test_vector_field_evaluation(self, es_ns):
         ns = NavierStokesModel(es_ns, viscosity=0.05, T=0.5, mesh=TimeMesh.uniform(0.5, 64))
         j = es_ns.index_of([1, 0], 1)
@@ -561,25 +582,65 @@ def _fourier_oracle(es, coeffs, x):
 
 class TestEvaluateExact:
     """evaluate against the definition: 4-point Lagrange in time, explicit
-    Fourier sum in space.  2100 points cross the 2048-point chunk boundary."""
+    Fourier sum in space.  Mean-zero systems leave table columns unused; kmax
+    1, 16 and 33 give no, a full and a partial last block of powers; the
+    points cross a block boundary, and the times include 0, T and every
+    mesh node."""
 
     @pytest.mark.parametrize(
         "d, kmax, subspace",
-        [(1, 5, "full"), (2, 3, "full"), (2, 3, DIV_FREE)],
-        ids=["d1-scalar", "d2-scalar", "d2-div-free"],
+        [
+            (1, 5, "full"), (1, 6, "mean-zero"), (1, 1, "full"), (1, 16, "full"), (1, 33, "mean-zero"),
+            (2, 3, "full"), (2, 4, "mean-zero"), (2, 1, "full"), (2, 3, DIV_FREE),
+        ],
+        ids=[
+            "d1-scalar", "d1-mean-zero", "d1-k1", "d1-k16", "d1-k33-mean-zero",
+            "d2-scalar", "d2-mean-zero", "d2-k1", "d2-div-free",
+        ],
     )
     def test_matches_definition(self, d, kmax, subspace):
         es = build_eigensystem(d, kmax, subspace)
         mesh = TimeMesh.graded(1.0, levels=5, steps_per_block=4)
-        rng = np.random.default_rng(20 + d)
+        rng = np.random.default_rng(20 + d + kmax)
         f = SpaceTimeField(es, mesh, rng.standard_normal((mesh.n_nodes, es.size)))
-        t = rng.uniform(0, 1, 2100)
-        x = rng.uniform(0, 1, (2100, d))
+        n = forward._CHUNK + 52
+        t = np.concatenate([[0.0, 1.0], mesh.nodes, rng.uniform(0, 1, n - 2 - mesh.n_nodes)])
+        x = rng.uniform(0, 1, (n, d))
         expected = np.array([
             _fourier_oracle(es, _lagrange_oracle(mesh.nodes, f.data, ti), xi)
             for ti, xi in zip(t, x)
         ])
         np.testing.assert_allclose(f.evaluate(t, x), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    @pytest.mark.parametrize("subspace", ["full", DIV_FREE])
+    def test_fresh_field_from_threads_at_once(self, subspace, threads):
+        # the layout is built on first use: threads racing to build it (more
+        # than the cores, switching often) all get the serial values
+        es = build_eigensystem(2, 3, subspace)
+        mesh = TimeMesh.graded(1.0, levels=5, steps_per_block=4)
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((mesh.n_nodes, es.size))
+        t, x = rng.uniform(0, 1, 700), rng.uniform(0, 1, (700, 2))
+        serial = SpaceTimeField(es, mesh, data).evaluate(t, x)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                f = SpaceTimeField(es, mesh, data)
+                barrier = threading.Barrier(threads, timeout=10)
+
+                def run(f=f, barrier=barrier):
+                    barrier.wait()
+                    return f.evaluate(t, x)
+
+                with ThreadPoolExecutor(max_workers=threads) as ex:
+                    futures = [ex.submit(run) for _ in range(threads)]
+                    results = [fut.result(timeout=30) for fut in futures]
+                for got in results:
+                    np.testing.assert_array_equal(got, serial)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSmoothing:

@@ -463,9 +463,18 @@ class TestDerivative:
 
 
 def test_fourier_layout_lives_in_spectral():
-    # every FFT call in the package goes through spectral, so the half
-    # spectrum layout and the FFT normalisation are decided in one module
+    # every FFT call, every read of the point table's column layout and every
+    # table of e^{2 pi i k.x} at points (which needs the wavevectors or a
+    # complex exponential of x) go through spectral, so the half spectrum
+    # layout, the FFT normalisation and the point table are decided in one
+    # module
     src = pathlib.Path(spectral.__file__).parent
-    pattern = re.compile(r"\b(np|numpy)\.fft\b|from\s+numpy\s+import\s+.*\bfft\b|import\s+numpy\.fft")
-    users = sorted(p.name for p in src.glob("*.py") if pattern.search(p.read_text()))
-    assert users == ["spectral.py"]
+    patterns = {
+        "fft": r"\b(np|numpy)\.fft\b|from\s+numpy\s+import\s+.*\bfft\b|import\s+numpy\.fft",
+        "table layout": r"\b_table_(cols|amp)\b",
+        "wavevectors": r"\.kvecs\b",
+        "exponential of x": r"\bexp\([^\n]*\b\d+j\b[^\n]*\bx\b",
+    }
+    for name, pattern in patterns.items():
+        users = sorted(p.name for p in src.glob("*.py") if re.search(pattern, p.read_text()))
+        assert users == ["spectral.py"], name
