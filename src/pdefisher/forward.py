@@ -166,6 +166,8 @@ class SpaceTimeField:
             raise ValueError(f"need t (nq,) and x (nq, {self.es.d}), got {t.shape} and {x.shape}")
         if not np.all((t >= -1e-12) & (t <= self.mesh.T + 1e-12)):
             raise ValueError("evaluation time outside [0, T] or not finite")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("evaluation point not finite")
         if self._layout is None:  # threads racing here build equal arrays
             self._layout = table_layout(self.es, self.data)
         coeffs, comps = self._layout

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, schema rejection, artifacts, and
 byte-level reproducibility of reports."""
 
+import ast
 import copy
 import glob
 import json
@@ -1067,8 +1068,10 @@ _SHIPPED_PATHS = sorted(glob.glob(os.path.join(_ROOT, "configs", "*.yaml")))
 _SHIPPED_PATHS += sorted(glob.glob(os.path.join(_ROOT, "perfbench", "workloads", "*.yaml")))
 assert len(_SHIPPED_PATHS) == 6
 
-# one small passing run of every task but lan, whose KS test needs scipy.special
+# one small passing run of every task, none with Gaussian or logistic noise,
+# whose draws are the only ones that need scipy.special
 _NO_SCIPY_RUNS = {
+    "lan": _rd_lan_cfg(),
     "fisher": _fisher_cfg(),
     "qmd-check": TestRemainingTasks()._base({"name": "qmd-check", "s_values": [1e-3, 1e-2, 1e-1, 1.0]}),
     "norm-equiv": TestRemainingTasks()._base({"name": "norm-equiv", "trials": 40, "n_basis_list": [8, 16]}),
@@ -1162,12 +1165,37 @@ class TestColdStart:
         assert self._unimported(self._task_script(tmp_path, _SUPPORT_RD_BASE))
 
     def _scipy_loaded(self, script):
-        # importing scipy.special costs about 0.3 s; only Gaussian and logistic
-        # noise draws and the LAN task's KS test need it
+        # importing scipy.special costs about 0.25 s and 17 MiB; only Gaussian
+        # and logistic noise draws need it
         return self._loaded(script, "m.startswith('scipy')")
 
     def test_import_loads_no_scipy(self):
         assert self._scipy_loaded("import pdefisher\n") == "[]"
+
+    def test_scipy_imported_only_by_two_quantiles(self):
+        # the LAN task's KS test ports its special functions; a scipy import
+        # anywhere else could load scipy for a task without Gaussian or
+        # logistic draws
+        def scipy_imports(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from scipy_imports(child, scope + [child.name])
+                    continue
+                if isinstance(child, ast.Import):
+                    modules = [alias.name for alias in child.names]
+                else:
+                    modules = [child.module] if isinstance(child, ast.ImportFrom) else []
+                if any(m and m.split(".")[0] == "scipy" for m in modules):
+                    yield ".".join(scope)
+                yield from scipy_imports(child, scope)
+
+        src = os.path.dirname(pdefisher.__file__)
+        users = []
+        for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            users += scipy_imports(tree, [os.path.basename(path)[:-3]])
+        assert users == ["noise.GaussianNoise.quantile", "noise.LogisticNoise.quantile"]
 
     # validates and builds the six shipped configs
     _BUILD_SHIPPED = (

@@ -439,6 +439,21 @@ class TestEvaluateField:
         with pytest.raises(ValueError, match="outside"):
             f.evaluate([0.5, np.nan], [[0.2], [0.4]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, es1, bad):
+        f = HeatModel(es1, T=1.0).solve(_field(es1, [([1], 1, 1.0)], const=0.5))
+        t, x = [0.2, 0.5, 0.7], [[0.1], [0.4], [0.9]]
+        before = f.evaluate(t, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                f.evaluate([0.5], [[bad]])
+        # finite points, far outside the unit cell too, still evaluate, and a
+        # rejected call leaves the field's values bitwise unchanged
+        far = [[0.1 + 37.0], [0.4 - 12.0], [0.9 + 1e6]]
+        assert np.all(np.isfinite(f.evaluate(t, far)))
+        np.testing.assert_array_equal(f.evaluate(t, x), before)
+
     def test_x_of_one_axis_on_a_2d_field_rejected(self):
         # (nq, 1) would broadcast onto both axes: values on the diagonal
         es = build_eigensystem(2, 3)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from pdefisher import (
     DesignMeasure,
@@ -24,9 +24,13 @@ from pdefisher import (
     simulate_dataset,
 )
 from pdefisher.inference import (
+    _MAXLOG,
+    _inverse_factorials,
     _kolmogorov_sf,
     _ks_normal,
     _loglik,
+    _ndtr,
+    _smirnov,
     build_influence_field,
     influence_values,
 )
@@ -281,6 +285,42 @@ class TestKolmogorovSmirnov:
         for d in _d_grid(n, 200):
             got, ref = _kolmogorov_sf(n, d), stats.kstwo.sf(d, n)
             assert got == pytest.approx(ref, rel=1e-4, abs=1e-300), (n, d)
+
+
+class TestSpecialFunctionPorts:
+    """The KS test's special functions against scipy.special, which only the
+    tests import."""
+
+    def test_ndtr_equals_scipy_bitwise(self):
+        rng = np.random.default_rng(22)
+        # |a| = 1 switches ndtr from erf to erfc, sqrt 2 erfc from 1 - erf to
+        # the P/Q fraction, 8 sqrt 2 from P/Q to R/S, and past sqrt(2 MAXLOG)
+        # erfc is 0
+        switches = [1.0, math.sqrt(2.0), 8 * math.sqrt(2.0), math.sqrt(2 * _MAXLOG)]
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        for a in switches:
+            for b in (np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)):
+                edges += [b, -b]
+        a = np.concatenate([
+            rng.normal(0.0, 1.5, 40_000),
+            rng.normal(0.0, 5.0, 40_000),
+            rng.uniform(-40.0, 40.0, 40_000),
+            edges,
+        ])
+        got = np.array([_ndtr(v) for v in a.tolist()])
+        np.testing.assert_array_equal(got, special.ndtr(a))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 140, 141, 400, 5000])
+    def test_smirnov_matches_scipy(self, n):
+        grid = np.linspace(0.0, 1.0, 202)[1:-1].tolist() + [0.5 / n, 1.0 / n, 1.0 - 1.0 / n, 1.0 - 1e-9]
+        for d in (d for d in grid if 0.0 < d < 1.0):
+            assert _smirnov(n, d) == pytest.approx(special.smirnov(n, d), rel=1e-10, abs=1e-300), d
+
+    def test_inverse_factorials_match_rgamma(self):
+        got, ref = _inverse_factorials(200), special.rgamma(np.arange(1.0, 202.0))
+        # within 2 ulp of relative size eps; 1/170! is the last normal one
+        np.testing.assert_allclose(got[:171], ref[:171], rtol=2 * np.finfo(float).eps, atol=0.0)
+        assert np.all(got[171:] < np.finfo(float).tiny)
 
 
 class TestInfluenceEstimator:
