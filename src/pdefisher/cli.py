@@ -210,9 +210,8 @@ def _task_lan(exp, task, rng):
     if "scale_to_lan_norm" in task.get("h", {}):
         h = h * (task["h"]["scale_to_lan_norm"] / norm)
     report = lan_montecarlo(
-        exp["model"], h, exp["noise"], exp["design"],
-        task["n"], task["replicates"], exp["seed"],
-        under=task["under"], M=M, workers=exp["workers"],
+        h, M, task["n"], task["replicates"], exp["seed"],
+        under=task["under"], workers=exp["workers"],
     )
     mean_err = abs(report["mean"] - report["target_mean"])
     mean_tol = task["mean_sigmas"] * report["mean_stderr"]
@@ -229,7 +228,7 @@ def _task_gaussian_support(exp, task, rng):
     k_max = max(task["k_grid"])
     M = assemble_information_matrix(exp["model"], exp["theta0"], exp["noise"], exp["design"], k_max)
     report = support_diagnostic(
-        M, exp["es"], task["beta_list"], task["k_grid"],
+        M, task["beta_list"], task["k_grid"],
         task["kappa"], task["alpha"],
         m_mc=task["m_mc"], rng=rng, mc_k=task.get("mc_k"),
     )
@@ -286,8 +285,7 @@ def _task_efficiency(exp, task, rng):
     M = assemble_information_matrix(exp["model"], exp["theta0"], exp["noise"], exp["design"], exp["n_basis"])
     psi = _spanned_field(exp, task, "psi", M)
     report = efficiency_report(
-        exp["model"], psi, exp["noise"], exp["design"], M,
-        task["n"], task["replicates"], exp["seed"],
+        psi, M, task["n"], task["replicates"], exp["seed"],
         k_grid=task.get("k_grid"), workers=exp["workers"],
     )
     expect = task.get("expect", "divergent" if task.get("psi", {}).get("preset") else "attain")

@@ -31,9 +31,7 @@ def sample_efficient_gaussian(M, m, rng, k=None):
     return GaussianSampleBatch(z @ M.cholesky_lower_inv()[:k, :k], k)
 
 
-def support_diagnostic(
-    M, es, beta_list, k_grid, kappa, alpha, m_mc=0, rng=None, mc_k=None
-):
+def support_diagnostic(M, beta_list, k_grid, kappa, alpha, m_mc=0, rng=None, mc_k=None):
     """Exact second moments E||G_K||^2 of the truncated Gaussian in the
     D^{-beta} scale, with plateau/growth flags against the beta > kappa+alpha
     threshold and an optional Monte-Carlo cross-check.
@@ -57,7 +55,7 @@ def support_diagnostic(
         "betas": [],
     }
     for beta in beta_list:
-        wts = es.tau[: M.n_basis] ** (-float(beta))
+        wts = M.es.tau[: M.n_basis] ** (-float(beta))
         cumulative[beta] = np.cumsum(linv_sq @ wts)
         moments = [float(cumulative[beta][k - 1]) for k in k_grid]
         rel_inc = (moments[-1] - moments[-2]) / moments[-1] if len(moments) > 1 else 0.0
@@ -79,7 +77,7 @@ def support_diagnostic(
         batch = sample_efficient_gaussian(M, m_mc, rng, k=k)
         report["mc"] = {"k": k, "m": m_mc, "betas": []}
         for beta in beta_list:
-            wts = es.tau[:k] ** (-float(beta))
+            wts = M.es.tau[:k] ** (-float(beta))
             per_sample = (batch.samples**2 * wts[None, :]).sum(axis=1)
             report["mc"]["betas"].append(
                 {
@@ -142,8 +140,8 @@ def functional_pushforward_bound(
     model, theta0, M, samples, functional, loss, t0, t1, power=2.0
 ):
     """Monte-Carlo estimate of E || dF[G] ||^power over the sample batch at
-    M's theta0 (a theta0 of another value raises).  M must be assembled on
-    ``model``: the ns-nonlinearity functional reads G(theta0) off its base.
+    M's theta0 on M's model (another model, or a theta0 of another value,
+    raises); the ns-nonlinearity functional reads G(theta0) off M.
 
     functional: "trajectory" (the linearized flow restricted to positive
     times) or "ns-nonlinearity" (derivative of u -> (u.grad)u).
@@ -155,7 +153,10 @@ def functional_pushforward_bound(
             "t0 must be strictly positive: the smoothing that makes the "
             "pushforward bound finite is only available at positive times"
         )
-    if not np.array_equal(theta0.data, M.base_point()[0].data):
+    assembled = M.experiment()
+    if model is not assembled.model:
+        raise ValueError("model is not the one M was assembled on")
+    if not np.array_equal(theta0.data, assembled.theta0.data):
         raise ValueError("theta0 is not the point M was assembled at")
     check_functional(model, functional, loss)
 
@@ -171,7 +172,7 @@ def functional_pushforward_bound(
         eye = np.eye(es.size)
         fields = np.stack([eye, derivative(es, eye, 0), derivative(es, eye, 1)], 1)
         vg = values_from_coeffs(es, fields, model.n).reshape(es.size, -1)
-        base = (M.base.data[i0 : i1 + 1] @ vg).reshape(i1 + 1 - i0, 3, 2, -1)
+        base = (assembled.base.data[i0 : i1 + 1] @ vg).reshape(i1 + 1 - i0, 3, 2, -1)
 
     chunk = 64
     for start in range(0, m, chunk):

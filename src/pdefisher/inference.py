@@ -199,27 +199,17 @@ def _kolmogorov_sf(n, d):
     return min(1.0, max(0.0, 1.0 - float(np.exp(log_cdf))))
 
 
-def lan_montecarlo(
-    model,
-    h,
-    noise,
-    design,
-    n,
-    replicates,
-    rng_seed,
-    M,
-    under="null",
-    workers=1,
-):
+def lan_montecarlo(h, M, n, replicates, rng_seed, under="null", workers=1):
     """Empirical law of the local log-likelihood ratio at M's theta0 versus
-    its Gaussian shift limit N(-+ 0.5 ||h||^2, ||h||^2).
+    its Gaussian shift limit N(-+ 0.5 ||h||^2, ||h||^2), with data drawn
+    from M's design and noise.
 
     Under the null the target mean is -0.5 ||h||^2; under the alternative
     (data drawn at theta0 + h/sqrt(N)) it is +0.5 ||h||^2 by contiguity.
     """
     if under not in ("null", "alternative"):
         raise ValueError("under must be 'null' or 'alternative'")
-    theta0, field0 = M.base_point()
+    model, theta0, noise, design, field0 = M.experiment()
     theta1 = theta0 + (1.0 / np.sqrt(n)) * h
     field1 = model.solve(theta1)
     hnorm2 = lan_norm(h, M) ** 2
@@ -276,36 +266,26 @@ def influence_values(data, field0, influence_field, noise):
     return np.einsum("na,na->n", scr, infl)
 
 
-def build_influence_field(psi, M, model):
-    theta0, _ = M.base_point()
+def build_influence_field(psi, M):
+    """The linearized flow at M's theta0 of psi_bar = M^{-1} psi."""
+    model, theta0, _, _, _ = M.experiment()
     psi_bar = M.solve(M.coeff_vector(psi))
     vec = np.zeros(model.es.size)
     vec[: M.n_basis] = psi_bar
     return model.linearize(theta0, FourierCoeffs(model.es, vec))
 
 
-def efficiency_report(
-    model,
-    psi,
-    noise,
-    design,
-    M,
-    n,
-    replicates,
-    rng_seed,
-    k_grid=None,
-    workers=1,
-):
+def efficiency_report(psi, M, n, replicates, rng_seed, k_grid=None, workers=1):
     """Truncated lower-bound trace for <psi, theta0> against the Monte-Carlo
-    variance of the influence estimator at M's theta0 (heat-type models
-    attain the bound).
+    variance of the influence estimator at M's theta0, with data drawn from
+    M's design and noise (heat-type models attain the bound).
     """
     trace = s_norm_truncated(psi, M, k_grid=k_grid)
     divergent, increments = octave_divergence_flag(trace["k_grid"], trace["values"])
     bound = trace["values"][-1]
 
-    theta0, field0 = M.base_point()
-    influence_field = build_influence_field(psi, M, model)
+    _, theta0, noise, design, field0 = M.experiment()
+    influence_field = build_influence_field(psi, M)
     truth = pairing(psi, theta0)
 
     def one(rng):

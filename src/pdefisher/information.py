@@ -12,6 +12,8 @@ of a target psi is sqrt(psi^T M^{-1} psi) (reported as a truncation trace,
 never a single number), and the efficient Gaussian has covariance M^{-1}.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .forward import SpaceTimeBatch
@@ -127,6 +129,11 @@ def l2lambda_norm(field, design):
 # information matrix
 # ---------------------------------------------------------------------------
 
+# What an assembled M was built from: the model, the point theta0, the noise
+# whose Fisher matrix weighs the Gram, the design, and G(theta0) on the
+# model's mesh.  Consumers read these off M instead of taking them again.
+Experiment = namedtuple("Experiment", "model theta0 noise design base")
+
 
 class InformationMatrix:
     """K x K Galerkin matrix of the information operator, its lower Cholesky
@@ -134,17 +141,15 @@ class InformationMatrix:
     truncation M_k = M[:k, :k] has the factor L[:k, :k] and the inverse
     factor L^{-1}[:k, :k], and cond(M_k) <= cond(M) (Cauchy interlacing), so
     both factors and the checks below serve every k <= K; every solve is a
-    product with a leading block of L^{-1}.  An assembled M carries its point
-    ``theta0`` and flow ``base`` = G(theta0)."""
+    product with a leading block of L^{-1}.  An assembled M carries the
+    ``Experiment`` it was assembled from."""
 
-    def __init__(self, matrix, es, meta=None, theta0=None, base=None):
+    def __init__(self, matrix, es, experiment=None):
         matrix = 0.5 * (matrix + matrix.T)
         self.matrix = matrix
         self.es = es
-        self.theta0 = theta0
-        self.base = base
+        self._experiment = experiment
         self.n_basis = matrix.shape[0]
-        self.meta = dict(meta or {})
         try:
             self._L = np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError as exc:
@@ -165,11 +170,23 @@ class InformationMatrix:
         # above the diagonal, which tril sets to its exact zero
         self._Linv = np.tril(np.linalg.inv(self._L))
 
-    def base_point(self):
-        """(theta0, G(theta0)) of the assembly; a matrix built by hand has none."""
-        if self.base is None:
-            raise ValueError("information matrix has no base point: assemble it at theta0")
-        return self.theta0, self.base
+    def experiment(self):
+        """The ``Experiment`` of the assembly; a matrix built by hand has none."""
+        if self._experiment is None:
+            raise ValueError("information matrix has no experiment: assemble it at theta0")
+        return self._experiment
+
+    @property
+    def meta(self):
+        """What the assembly used, by name (the info-matrix dump header)."""
+        model, _, noise, design, _ = self.experiment()
+        return {
+            "model": model.kind,
+            "noise": noise.family,
+            "design": design.kind,
+            "n_basis": self.n_basis,
+            "method": "closed-form" if model.kind == "heat" else "batch",
+        }
 
     def solve(self, rhs):
         """M^{-1} rhs = L^{-T} (L^{-1} rhs)."""
@@ -203,8 +220,10 @@ def _tangent_gram(model, theta0, design, fisher, K):
 
     Heat's tangent of e_k is e^{-lambda_k t} e_k, so its Gram is
     B[:K, :K] o (D^T W D) with D_ik = e^{-lambda_k t_i}: no march, no batch
-    and no G(theta0) (None).
+    and no G(theta0) (None).  The design must span the model's horizon.
     """
+    if abs(design.T - model.mesh.T) > 1e-12:
+        raise ValueError(f"design horizon {design.T} is not the model's T = {model.mesh.T}")
     es = model.es
     if model.kind != "heat":
         batch = model.linearize(theta0, np.eye(es.size, K))
@@ -218,23 +237,17 @@ def _tangent_gram(model, theta0, design, fisher, K):
 def assemble_information_matrix(model, theta0, noise, design, n_basis):
     """M_ij = <I[e_i], I_eps I[e_j]>_{L2_lambda}: the tangent Gram under the
     noise's Fisher matrix, in closed form for heat ("closed-form") and from
-    one linearized solve per basis vector otherwise ("batch")."""
+    one linearized solve per basis vector otherwise ("batch"); M carries
+    the experiment it used."""
     es = model.es
     if n_basis > es.size:
         raise ValueError(f"n_basis {n_basis} exceeds eigensystem size {es.size}")
     if noise.p != es.p:
         raise ValueError("noise dimension does not match field components")
     fisher = compute_fisher(noise)
-    meta = {
-        "model": model.kind,
-        "noise": noise.family,
-        "design": design.kind,
-        "n_basis": n_basis,
-        "method": "closed-form" if model.kind == "heat" else "batch",
-    }
     gram, base = _tangent_gram(model, theta0, design, fisher, n_basis)
     base = model.solve(theta0) if base is None else base  # heat marches nothing
-    return InformationMatrix(gram, es, meta, theta0, base)
+    return InformationMatrix(gram, es, Experiment(model, theta0, noise, design, base))
 
 
 # ---------------------------------------------------------------------------

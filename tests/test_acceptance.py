@@ -188,10 +188,10 @@ def test_criterion_05_norm_equivalence(rd_model, ns_model):
 
 
 def test_criterion_06_lan_montecarlo(heat9, rd_model):
-    es, heat, noise, design, theta0, M = heat9
+    es, _, _, _, _, M = heat9
     h = FourierCoeffs.unit(es, 1)
     h = h * (1.0 / lan_norm(h, M))
-    rep = lan_montecarlo(heat, h, noise, design, 5000, 400, rng_seed=606, M=M, workers=2)
+    rep = lan_montecarlo(h, M, 5000, 400, rng_seed=606, workers=2)
     ok = (
         abs(rep["mean"] + 0.5) <= 3 * rep["mean_stderr"]
         and abs(rep["var"] - 1.0) <= 0.15
@@ -206,7 +206,7 @@ def test_criterion_06_lan_montecarlo(heat9, rd_model):
     # O(N^-1/2) term) stays far below the Monte-Carlo resolution
     h_r = FourierCoeffs.unit(es_r, 0)
     h_r = h_r * (1.0 / lan_norm(h_r, M_r))
-    rep_r = lan_montecarlo(rd, h_r, lap, design_r, 5000, 400, rng_seed=607, M=M_r, workers=2)
+    rep_r = lan_montecarlo(h_r, M_r, 5000, 400, rng_seed=607, workers=2)
     ok_r = (
         abs(rep_r["mean"] + 0.5) <= 3 * rep_r["mean_stderr"]
         and abs(rep_r["var"] - 1.0) <= 0.15
@@ -221,10 +221,10 @@ def test_criterion_06_lan_montecarlo(heat9, rd_model):
 
 
 def test_criterion_07_efficiency_attainment(heat9):
-    es, heat, noise, design, theta0, M = heat9
+    es, _, noise, _, _, M = heat9
     psi = FourierCoeffs.unit(es, 1)
     rep = efficiency_report(
-        heat, psi, noise, design, M, n=2000, replicates=2000,
+        psi, M, n=2000, replicates=2000,
         rng_seed=707, k_grid=[1, 2, 4, 9], workers=2,
     )
     ratio = rep["variance_over_bound"]
@@ -262,7 +262,7 @@ def test_criterion_08_gaussian_support_thresholds():
         DesignMeasure(1.0), 512,
     )
     rep = support_diagnostic(
-        M, es, [1.0, 2.0], [64, 128, 256, 512], kappa=1.0, alpha=0.5,
+        M, [1.0, 2.0], [64, 128, 256, 512], kappa=1.0, alpha=0.5,
         m_mc=5000, rng=np.random.default_rng(808), mc_k=64,
     )
     by_beta = {e["beta"]: e for e in rep["betas"]}

@@ -107,7 +107,7 @@ class TestSupportDiagnostic:
         M = InformationMatrix(A, es)
         k_grid = list(range(1, 25))
         rep = support_diagnostic(
-            M, es, [0.5, 2.0], k_grid, kappa=1.0, alpha=0.5,
+            M, [0.5, 2.0], k_grid, kappa=1.0, alpha=0.5,
             m_mc=10, rng=np.random.default_rng(12), mc_k=7,
         )
         for entry in rep["betas"]:
@@ -123,7 +123,7 @@ class TestSupportDiagnostic:
         es, _, M = heat_M
         with pytest.raises(ValueError):
             support_diagnostic(
-                M, es, [1.0], [4, 16], kappa=1.0, alpha=0.5,
+                M, [1.0], [4, 16], kappa=1.0, alpha=0.5,
                 m_mc=10, rng=np.random.default_rng(13), mc_k=17,
             )
 
@@ -137,7 +137,7 @@ class TestSupportDiagnostic:
             DesignMeasure(1.0), 512,
         )
         rep = support_diagnostic(
-            M, es, [1.0, 2.0], [64, 128, 256, 512], kappa=1.0, alpha=0.5,
+            M, [1.0, 2.0], [64, 128, 256, 512], kappa=1.0, alpha=0.5,
             m_mc=5000, rng=np.random.default_rng(5), mc_k=64,
         )
         by_beta = {e["beta"]: e for e in rep["betas"]}
@@ -168,7 +168,7 @@ class TestSupportDiagnostic:
             DesignMeasure(1.0), 512,
         )
         rep = support_diagnostic(
-            M, es, [0.5, 1.0], [64, 128, 256, 512], kappa=1.0, alpha=0.5
+            M, [0.5, 1.0], [64, 128, 256, 512], kappa=1.0, alpha=0.5
         )
         for entry in rep["betas"]:
             assert entry["divergent"]
@@ -250,6 +250,14 @@ class TestPushforward:
         theta0.data[0] = 0.1
         with pytest.raises(ValueError, match="assembled at"):
             functional_pushforward_bound(model, theta0, M, batch, "trajectory", "l2", 0.25, 0.75)
+
+    def test_model_other_than_M_rejected(self, heat_M):
+        # an equal heat model built again is still not the one M was assembled on
+        es, model, M = heat_M
+        batch = sample_efficient_gaussian(M, 10, np.random.default_rng(8))
+        other = HeatModel(es, T=1.0, mesh=model.mesh)
+        with pytest.raises(ValueError, match="assembled on"):
+            functional_pushforward_bound(other, FourierCoeffs.zeros(es), M, batch, "trajectory", "l2", 0.25, 0.75)
 
     def test_ns_nonlinearity_functional(self, ns_M):
         model, theta0, M = ns_M

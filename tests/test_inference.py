@@ -16,11 +16,13 @@ from pdefisher import (
     assemble_information_matrix,
     build_eigensystem,
     efficiency_report,
+    functional_pushforward_bound,
     lan_montecarlo,
     lan_norm,
     log_likelihood_ratio,
     make_noise,
     pairing,
+    sample_efficient_gaussian,
     simulate_dataset,
 )
 from pdefisher.inference import (
@@ -46,7 +48,7 @@ def efficient_influence_estimate(psi, data, theta0, M, model, noise):
     first-order unbiased under local shifts.
     """
     field0 = model.solve(theta0)
-    influence_field = build_influence_field(psi, M, model)
+    influence_field = build_influence_field(psi, M)
     chi = influence_values(data, field0, influence_field, noise)
     return float(pairing(psi, theta0) + chi.mean())
 
@@ -160,13 +162,12 @@ class TestLogLikelihoodRatio:
 
     def test_support_escape_counted(self, setup):
         # compact noise + huge shift: -inf ratios occur and are reported
-        es, model, _, design, theta0, M = setup
+        es, model, _, design, theta0, _ = setup
         bump = make_noise("cosine_bump")
+        M = assemble_information_matrix(model, theta0, bump, design, 9)
         h = FourierCoeffs(es, np.zeros(es.size))
         h.data[es.index_of([1], 1)] = 3.0  # shift ~0.3 at the cos peaks
-        rep = lan_montecarlo(
-            model, h, bump, design, n=200, replicates=100, rng_seed=5, M=M
-        )
+        rep = lan_montecarlo(h, M, n=200, replicates=100, rng_seed=5)
         assert rep["support_escapes"] > 0
         assert rep["support_escapes"] < 100  # a mix, not a wipe-out
         assert np.isfinite(rep["mean"])
@@ -177,9 +178,7 @@ class TestLanMonteCarlo:
         es, model, noise, design, theta0, M = setup
         h = FourierCoeffs.unit(es, es.index_of([1], 1))
         h = h * (1.0 / lan_norm(h, M))
-        rep = lan_montecarlo(
-            model, h, noise, design, n=2000, replicates=200, rng_seed=6, M=M
-        )
+        rep = lan_montecarlo(h, M, n=2000, replicates=200, rng_seed=6)
         assert abs(rep["mean"] - (-0.5)) < 3 * rep["mean_stderr"]
         assert abs(rep["var"] - 1.0) < 0.3
         assert rep["ks_pvalue"] > 0.01
@@ -188,18 +187,15 @@ class TestLanMonteCarlo:
         es, model, noise, design, theta0, M = setup
         h = FourierCoeffs.unit(es, es.index_of([1], 1))
         h = h * (1.0 / lan_norm(h, M))
-        rep = lan_montecarlo(
-            model, h, noise, design, n=2000, replicates=200, rng_seed=7,
-            M=M, under="alternative",
-        )
+        rep = lan_montecarlo(h, M, n=2000, replicates=200, rng_seed=7, under="alternative")
         assert abs(rep["mean"] - 0.5) < 3 * rep["mean_stderr"]
 
     def test_quadratic_scaling_of_target(self, setup):
         es, model, noise, design, theta0, M = setup
         h = FourierCoeffs.unit(es, es.index_of([1], 1))
         h = h * (1.0 / lan_norm(h, M))
-        rep1 = lan_montecarlo(model, h, noise, design, 500, 50, 8, M=M)
-        rep2 = lan_montecarlo(model, 2.0 * h, noise, design, 500, 50, 8, M=M)
+        rep1 = lan_montecarlo(h, M, 500, 50, 8)
+        rep2 = lan_montecarlo(2.0 * h, M, 500, 50, 8)
         assert rep2["target_mean"] == pytest.approx(4 * rep1["target_mean"])
         assert abs(rep2["mean"] - rep2["target_mean"]) < 4 * rep2["mean_stderr"]
 
@@ -208,31 +204,49 @@ class TestLanMonteCarlo:
         es, model, noise, design, theta0, M = setup
         h = FourierCoeffs.unit(es, es.index_of([1], 1))
         h = h * (0.8 / lan_norm(h, M))
-        rep = lan_montecarlo(model, h, noise, design, 1000, 150, 9, M=M)
+        rep = lan_montecarlo(h, M, 1000, 150, 9)
         assert rep["mean"] + 3 * rep["mean_stderr"] < 0
 
     def test_workers_deterministic(self, setup):
         es, model, noise, design, theta0, M = setup
         h = FourierCoeffs.unit(es, es.index_of([1], 1))
-        a = lan_montecarlo(model, h, noise, design, 200, 20, 10, M=M, workers=1)
-        b = lan_montecarlo(model, h, noise, design, 200, 20, 10, M=M, workers=4)
+        a = lan_montecarlo(h, M, 200, 20, 10, workers=1)
+        b = lan_montecarlo(h, M, 200, 20, 10, workers=4)
         assert a["mean"] == b["mean"] and a["var"] == b["var"]
 
 
 class TestBasePointFromM:
-    """The Monte-Carlo tasks read theta0 and G(theta0) from M, so a matrix
-    built by hand, which carries neither, is refused."""
+    """The Monte-Carlo tasks read the model, theta0, G(theta0), the noise and
+    the design from M, so a matrix built by hand, which carries none of them,
+    is refused."""
 
     def test_hand_built_matrix_refused(self, setup):
-        es, model, noise, design, _, M = setup
+        es, model, _, _, theta0, M = setup
         bare = InformationMatrix(M.matrix, es)
         h = FourierCoeffs.unit(es, 1)
-        with pytest.raises(ValueError, match="no base point"):
-            lan_montecarlo(model, h, noise, design, 10, 2, 0, M=bare)
-        with pytest.raises(ValueError, match="no base point"):
-            efficiency_report(model, h, noise, design, bare, 10, 2, 0)
-        with pytest.raises(ValueError, match="no base point"):
-            build_influence_field(h, bare, model)
+        with pytest.raises(ValueError, match="no experiment"):
+            lan_montecarlo(h, bare, 10, 2, 0)
+        with pytest.raises(ValueError, match="no experiment"):
+            efficiency_report(h, bare, 10, 2, 0)
+        with pytest.raises(ValueError, match="no experiment"):
+            build_influence_field(h, bare)
+        batch = sample_efficient_gaussian(M, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no experiment"):
+            functional_pushforward_bound(model, theta0, bare, batch, "trajectory", "l2", 0.25, 0.75)
+
+    def test_lan_draws_the_noise_of_M(self, setup):
+        # M's noise weighs the target ||h||_M^2 and draws the data: under
+        # variance-4 noise the target is a quarter, and so is the ratio's
+        # variance (its relative standard error is sqrt(2 / (R - 1)))
+        es, model, _, design, theta0, M1 = setup
+        M4 = assemble_information_matrix(model, theta0, make_noise("gaussian", variance=4.0), design, 9)
+        h = FourierCoeffs.unit(es, es.index_of([1], 1))
+        R = 200
+        rep1 = lan_montecarlo(h, M1, 500, R, 3)
+        rep4 = lan_montecarlo(h, M4, 500, R, 3)
+        assert rep4["target_var"] == pytest.approx(rep1["target_var"] / 4, rel=1e-12)
+        for rep in (rep1, rep4):
+            assert abs(rep["var"] - rep["target_var"]) <= 4 * rep["target_var"] * np.sqrt(2 / (R - 1))
 
 
 def _d_grid(n, points=60):
@@ -336,7 +350,7 @@ class TestInfluenceEstimator:
         es, model, noise, design, theta0, M = setup
         psi = FourierCoeffs.unit(es, es.index_of([1], 1))
         field0 = model.solve(theta0)
-        infl = build_influence_field(psi, M, model)
+        infl = build_influence_field(psi, M)
         truth = pairing(psi, theta0)
         ss = np.random.SeedSequence(12)
         ests = []
@@ -357,7 +371,7 @@ class TestInfluenceEstimator:
         es, model, noise, design, theta0, M = setup
         psi = FourierCoeffs.unit(es, es.index_of([2], 2))
         field0 = model.solve(theta0)
-        infl = build_influence_field(psi, M, model)
+        infl = build_influence_field(psi, M)
         rng = np.random.default_rng(13)
         data = simulate_dataset(field0, design, noise, 50000, rng)
         chi = influence_values(data, field0, infl, noise)
@@ -378,7 +392,7 @@ class TestInfluenceEstimator:
         M = assemble_information_matrix(ns, theta0, noise, design, 8)
         psi = FourierCoeffs.unit(es, es.index_of([0, 1], 1))
         field0 = ns.solve(theta0)
-        infl = build_influence_field(psi, M, ns)
+        infl = build_influence_field(psi, M)
         rng = np.random.default_rng(31)
         data = simulate_dataset(field0, design, noise, 40000, rng)
         chi = influence_values(data, field0, infl, noise)
@@ -402,7 +416,7 @@ class TestInfluenceEstimator:
         theta = theta0 + delta
         field = model.solve(theta)
         field0 = model.solve(theta0)
-        infl = build_influence_field(psi, M, model)
+        infl = build_influence_field(psi, M)
         rng = np.random.default_rng(32)
         data = simulate_dataset(field, design, noise, 200_000, rng)
         chi = influence_values(data, field0, infl, noise)
@@ -421,9 +435,8 @@ class TestInfluenceEstimator:
         b1 = M1.inv_quadform(M1.coeff_vector(psi))
         b2 = M2.inv_quadform(M2.coeff_vector(psi))
         assert b2 == pytest.approx(4 * b1, rel=1e-10)
-        noise1 = make_noise("gaussian", variance=1.0)
-        rep1 = efficiency_report(model, psi, noise1, design, M1, 400, 300, 15)
-        rep2 = efficiency_report(model, psi, noise2, design, M2, 400, 300, 15)
+        rep1 = efficiency_report(psi, M1, 400, 300, 15)
+        rep2 = efficiency_report(psi, M2, 400, 300, 15)
         assert rep2["mc_variance"] / rep1["mc_variance"] == pytest.approx(4.0, rel=0.35)
 
     def test_local_shift_regularity(self, setup):
@@ -435,7 +448,7 @@ class TestInfluenceEstimator:
         theta = theta0 + (1 / np.sqrt(n)) * h
         field = model.solve(theta)
         field0 = model.solve(theta0)
-        infl = build_influence_field(psi, M, model)
+        infl = build_influence_field(psi, M)
         truthN = pairing(psi, theta)
         truth0 = pairing(psi, theta0)
         ss = np.random.SeedSequence(14)

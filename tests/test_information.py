@@ -2,9 +2,13 @@
 norm-equivalence diagnostic, checked against closed forms and a dense-grid
 quadrature oracle."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import pdefisher
 from pdefisher import (
     BumpReaction,
     DesignMeasure,
@@ -150,10 +154,12 @@ class TestAssembly:
             model = cls(es1, T=0.25, mesh=mesh)
             theta0 = _field(es1, [([1], 1, 0.4)], const=0.3)
             noise = make_noise("gaussian", variance=1.0)
-        M = assemble_information_matrix(model, theta0, noise, DesignMeasure(0.25), 6)
-        theta, base = M.base_point()
-        assert theta is M.theta0 is theta0 and base is M.base
-        assert np.array_equal(base.data, model.solve(theta0).data)
+        design = DesignMeasure(0.25)
+        M = assemble_information_matrix(model, theta0, noise, design, 6)
+        assert all(a is b for a, b in zip(M.experiment(), (model, theta0, noise, design)))
+        assert np.array_equal(M.experiment().base.data, model.solve(theta0).data)
+        method = "closed-form" if kind == "heat" else "batch"
+        assert M.meta == {"model": kind, "noise": noise.family, "design": "uniform", "n_basis": 6, "method": method}
 
     def test_rd_gram_vs_dense_grid_oracle(self, es1):
         # oracle: same linearized fields, but spatial values on a dense grid
@@ -193,6 +199,16 @@ class TestAssembly:
         model, noise, design, theta0, _ = heat_setup
         with pytest.raises(ValueError):
             assemble_information_matrix(model, theta0, noise, design, 99)
+
+    @pytest.mark.parametrize("T", [0.5, 2.0])
+    def test_design_horizon_other_than_model_rejected(self, heat_setup, T):
+        # T = 0.5 would double the Gram's density 1/T over half the horizon;
+        # T = 2.0 would draw design times past the model's mesh
+        model, noise, _, theta0, _ = heat_setup
+        with pytest.raises(ValueError, match="horizon"):
+            assemble_information_matrix(model, theta0, noise, DesignMeasure(T), 9)
+        with pytest.raises(ValueError, match="horizon"):
+            norm_equivalence_diagnostic(model, theta0, DesignMeasure(T), [4, 9], 10, 1.0, np.random.default_rng(0))
 
     def test_coefficient_and_grid_quadratures_agree(self, es1):
         # amplitude-0 cosine design runs the grid branch; it must reproduce
@@ -575,4 +591,24 @@ class TestNormEquivalence:
         assert len(calls) == 0
         M = assemble_information_matrix(model, theta0, make_noise("gaussian", variance=1.0), design, 9)
         assert len(calls) == 1 and calls[0] is theta0
-        np.testing.assert_array_equal(M.base.data, solve(model, theta0).data)
+        np.testing.assert_array_equal(M.experiment().base.data, solve(model, theta0).data)
+
+
+def test_consumers_of_M_take_no_part_of_its_experiment():
+    # M carries the model, theta0, noise, design and eigensystem it was
+    # assembled from, so a function that takes M and one of them again could
+    # be handed a pair that disagrees
+    carried = {"model", "theta0", "noise", "design", "es"}
+    src = pathlib.Path(pdefisher.__file__).parent
+    takers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+                if "M" in names and names & carried:
+                    takers.append(f"{path.stem}.{node.name}")
+    # perfbench/make_references.py calls the pushforward positionally as
+    # (model, theta0, M, ...); until it moves, the pushforward checks both
+    # against M
+    assert takers == ["gaussian.functional_pushforward_bound"]
