@@ -175,8 +175,8 @@ class SpaceTimeField:
         out = np.empty((t.shape[0], comps.shape[1]))
         for start in range(0, t.shape[0], _CHUNK):
             sl = slice(start, start + _CHUNK)
-            table = point_table(self.es, x[sl])
-            row, vals = np.empty_like(table), np.empty((len(table), 4, comps.shape[1]))
+            table, row = point_table(self.es, x[sl])
+            vals = np.empty((len(table), 4, comps.shape[1]))
             for a in range(4):  # one stencil row at a time, into one buffer ("clip": unbuffered)
                 np.take(coeffs, idx[sl, a], axis=0, out=row, mode="clip")
                 vals[:, a] = np.multiply(row, table, out=row) @ comps
@@ -268,14 +268,17 @@ class _SpectralModel:
         self.T = float(T)
         self.mesh = _checked_mesh(T, mesh)
 
-    def _march(self, u, v=None):
-        """Base march from state u, co-integrating tangent states v (B, nm) if given."""
+    def _march(self, u, v=None, on_node=None):
+        """Snapshots of the base march from state u.  Tangent states v (B, nm),
+        if given, are co-integrated, and each node's (nm, B) tangent block goes
+        to on_node(i, V_i) in one C-contiguous buffer that the next node
+        overwrites."""
         snaps = np.empty((self.mesh.n_nodes, self.es.size))
         snaps[0] = u
-        vsnaps = None
         if v is not None:
-            vsnaps = np.empty((self.mesh.n_nodes, self.es.size, v.shape[0]))
-            vsnaps[0] = v.T
+            block = np.empty((self.es.size, v.shape[0]))
+            np.copyto(block, v.T)
+            on_node(0, block)
         cache = {}
         grids = []  # the current step's four base-stage grid values
 
@@ -297,20 +300,31 @@ class _SpectralModel:
                     raise RuntimeError(f"{self.name} solve blew up at t={self.mesh.nodes[i0+s+1]:.4g}")
                 snaps[i0 + s + 1] = u
                 if v is not None:
-                    vsnaps[i0 + s + 1] = v.T
-        return snaps, vsnaps
+                    np.copyto(block, v.T)
+                    on_node(i0 + s + 1, block)
+        return snaps
 
     def solve(self, theta):
-        snaps, _ = self._march(theta.data)
-        return SpaceTimeField(self.es, self.mesh, snaps)
+        return SpaceTimeField(self.es, self.mesh, self._march(theta.data))
 
-    def linearize(self, theta0, h):
+    def linearize(self, theta0, h, on_node=None):
         """Tangent flow at theta0 from h, a FourierCoeffs (-> SpaceTimeField)
-        or (nm, B) columns (-> SpaceTimeBatch), with its ``base`` G(theta0)."""
+        or (nm, B) columns (-> SpaceTimeBatch), with its ``base`` G(theta0).
+
+        Given ``on_node``, the tangent is not stored: each node's (nm, B)
+        block V_i, C-contiguous, goes to on_node(i, V_i) in mesh order from
+        node 0 (the next node overwrites it, so copy it to keep it), and only
+        G(theta0) is returned.
+        """
         single = isinstance(h, FourierCoeffs)
         cols = h.data[:, None] if single else np.asarray(h, dtype=float)
-        snaps, vsnaps = self._march(theta0.data, cols.T)
-        base = SpaceTimeField(self.es, self.mesh, snaps)
+        vsnaps = None
+        if on_node is None:
+            vsnaps = np.empty((self.mesh.n_nodes,) + cols.shape)
+            on_node = vsnaps.__setitem__
+        base = SpaceTimeField(self.es, self.mesh, self._march(theta0.data, cols.T, on_node))
+        if vsnaps is None:
+            return base
         if single:
             return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(vsnaps[:, :, 0]), base)
         return SpaceTimeBatch(self.es, self.mesh, vsnaps, base)

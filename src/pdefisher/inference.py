@@ -31,9 +31,12 @@ class Dataset:
 
 
 def simulate_dataset(field, design, noise, n, rng):
-    """Y_i = field(t_i, x_i) + eps_i, with field = G(theta) a solved flow."""
+    """Y_i = field(t_i, x_i) + eps_i, with field = G(theta) a solved flow on
+    the design's horizon."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if abs(design.T - field.mesh.T) > 1e-12:
+        raise ValueError(f"design horizon {design.T} is not the field's T = {field.mesh.T}")
     t, x = design.sample(rng, n, field.es.d)
     eps = noise.sample(rng, n)
     y = field.evaluate(t, x) + eps

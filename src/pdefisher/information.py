@@ -102,16 +102,30 @@ def _pointwise_form(es, design, fisher):
     return vals.reshape(es.size, -1) @ weighted.reshape(es.size, -1).T
 
 
+class _NodeGram:
+    """sum_i w_i V_i^T B V_i over the mesh quadrature, B the pointwise form,
+    fed one node's (nm, K) coefficient block V_i at a time by ``add(i, V_i)``
+    (a tangent march's ``on_node``), so no batch of every node is held."""
+
+    def __init__(self, es, mesh, design, fisher, K):
+        self.form = _pointwise_form(es, design, fisher)
+        self.weights = mesh.weights
+        self.g = np.zeros((K, K))
+
+    def add(self, i, v):
+        self.g += self.weights[i] * (v.T @ (self.form @ v))
+
+    def value(self):
+        return 0.5 * (self.g + self.g.T)
+
+
 def spacetime_gram(batch, design, fisher=None):
-    """Gram matrix G_ij = int <U_i, I_eps U_j> lambda dx dt for a field batch,
-    accumulated node by node as sum_i w_i V_i^T B V_i over the mesh
-    quadrature, with V_i the batch's coefficients at node i and B the
-    pointwise form."""
-    form = _pointwise_form(batch.es, design, fisher)
-    g = np.zeros((batch.data.shape[2],) * 2)
-    for w, v in zip(batch.mesh.weights, batch.data):
-        g += w * (v.T @ (form @ v))
-    return 0.5 * (g + g.T)
+    """Gram matrix G_ij = int <U_i, I_eps U_j> lambda dx dt for a held field
+    batch, node by node as the tangent Gram (``_NodeGram``) accumulates it."""
+    gram = _NodeGram(batch.es, batch.mesh, design, fisher, batch.data.shape[2])
+    for i, v in enumerate(batch.data):
+        gram.add(i, v)
+    return gram.value()
 
 
 def spacetime_quadform(field, design, fisher=None):
@@ -216,7 +230,8 @@ class InformationMatrix:
 
 def _tangent_gram(model, theta0, design, fisher, K):
     """Gram of the tangent fields of e_0..e_{K-1}, sum_i w_i V_i^T B V_i, and
-    the G(theta0) marched next to them.
+    the G(theta0) marched next to them; each node's tangent block is added
+    as the march reaches it, and none is stored.
 
     Heat's tangent of e_k is e^{-lambda_k t} e_k, so its Gram is
     B[:K, :K] o (D^T W D) with D_ik = e^{-lambda_k t_i}: no march, no batch
@@ -226,8 +241,9 @@ def _tangent_gram(model, theta0, design, fisher, K):
         raise ValueError(f"design horizon {design.T} is not the model's T = {model.mesh.T}")
     es = model.es
     if model.kind != "heat":
-        batch = model.linearize(theta0, np.eye(es.size, K))
-        return spacetime_gram(batch, design, fisher), batch.base
+        gram = _NodeGram(es, model.mesh, design, fisher, K)
+        base = model.linearize(theta0, np.eye(es.size, K), on_node=gram.add)
+        return gram.value(), base
     decay = np.exp(-np.outer(model.mesh.nodes, es.lam[:K]))
     time = (model.mesh.weights[:, None] * decay).T @ decay
     g = _pointwise_form(es, design, fisher)[:K, :K] * time

@@ -28,6 +28,9 @@ grids skip the FFTs: each keeps the FFT path's two matrices and transforms by
 one matmul (DENSE_MAX_ENTRIES).
 """
 
+import math
+import threading
+
 import numpy as np
 
 FULL = "full"
@@ -380,14 +383,42 @@ def sobolev_norm(u, s, es=None):
     return float(np.sqrt(np.sum(es.tau**s * data**2)))
 
 
+class _Scratch(threading.local):
+    """Each thread's complex work arrays for :func:`point_table`, one per slot
+    name, grown on demand and kept for the thread's lifetime.  Arrays made
+    fresh for each block come from mmap and page-fault on every call, unless
+    an earlier free has raised glibc's mmap threshold; reused, evaluation
+    costs the same whatever ran before it."""
+
+    def __init__(self):
+        self.arrays = {}
+
+    def __call__(self, slot, shape):
+        n = math.prod(shape)
+        buf = self.arrays.get(slot)
+        if buf is None or buf.size < n:
+            buf = self.arrays[slot] = np.empty(n, dtype=complex)
+        return buf[:n].reshape(shape)
+
+
+_scratch = _Scratch()
+
+
 def point_table(es, x):
     """e^{2 pi i k.x} at points x (nq, d) for cells k = 0..kmax (d = 1) or
     (0..kmax) x (-kmax..kmax), as a float64 view (nq, 2 cells): per axis one
     exponential z, powers z^(m+j) = z^m z^j (doubling m) as rows over the
-    points, ky < 0 by conjugation, d = 2 cells by an outer product, one transpose."""
+    points, ky < 0 by conjugation, d = 2 cells by an outer product, one transpose.
+
+    Returns ``(table, spare)``: ``spare`` has the table's shape and holds
+    nothing it needs (the array it was transposed from).  Both live in this
+    thread's work arrays, which its next call overwrites, so copy what you
+    keep.  The two largest hold 2 cells x nq x 16 B each for the largest
+    block the thread has built.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     nq, kmax = x.shape[0], es.kmax
-    pw = np.empty((es.d, kmax + 1, nq), dtype=complex)
+    pw = _scratch("powers", (es.d, kmax + 1, nq))
     pw[:, 0] = 1.0
     pw[:, 1] = np.exp(TWO_PI * 1j * x.T)
     m = 1
@@ -396,15 +427,20 @@ def point_table(es, x):
         np.multiply(pw[:, 1 : j + 1], pw[:, m : m + 1], out=pw[:, m + 1 : m + j + 1])
         m += j
     if es.d == 2:
-        pw = pw[0, :, None] * np.concatenate([pw[1, :0:-1].conj(), pw[1]])
-    return np.ascontiguousarray(pw.reshape(-1, nq).T).view(float)
+        ky = _scratch("ky", (2 * kmax + 1, nq))
+        np.conjugate(pw[1, :0:-1], out=ky[:kmax])
+        ky[kmax:] = pw[1]
+        pw = np.multiply(pw[0, :, None], ky, out=_scratch("cells", (kmax + 1,) + ky.shape))
+    table = _scratch("table", (nq, pw.size // nq))
+    np.copyto(table, pw.reshape(-1, nq).T)
+    return table.view(float), pw.reshape(nq, -1).view(float)
 
 
 def table_layout(es, data):
     """Fields data (..., nm) laid out for :func:`point_table`: ``coeffs``
     (..., 2 cells), each times its amplitude (sqrt(2); 1 for the constant) in
     its mode's column, and ``comps`` (2 cells, p), each used column's dirs
-    (div-free) or 1, so ``(point_table(es, x) * coeffs) @ comps`` is the
+    (div-free) or 1, so ``(point_table(es, x)[0] * coeffs) @ comps`` is the
     fields' values at x.  Unused columns hold 0 in both."""
     width = 2 * (es.kmax + 1) * (2 * es.kmax + 1) ** (es.d - 1)
     coeffs, comps = np.zeros(np.shape(data)[:-1] + (width,)), np.zeros((width, es.p))
@@ -420,6 +456,6 @@ def basis_values_at(es, x):
     dirs[m] * result[:, m].  The tests' oracle view of :func:`point_table`,
     which evaluation contracts: its columns in mode order, times amplitudes.
     """
-    out = point_table(es, x)[:, es._table_cols]
+    out = point_table(es, x)[0][:, es._table_cols]
     out *= es._table_amp
     return out

@@ -845,9 +845,9 @@ class TestBaseMarchCounts:
         calls = []
         march = forward._SpectralModel._march
 
-        def counted(self, u, v=None):
+        def counted(self, u, v=None, on_node=None):
             calls.append(u)
-            return march(self, u, v)
+            return march(self, u, v, on_node)
 
         monkeypatch.setattr(forward._SpectralModel, "_march", counted)
         cfg = {

@@ -627,6 +627,33 @@ class TestEvaluateExact:
         ])
         np.testing.assert_allclose(f.evaluate(t, x), expected, rtol=0, atol=1e-12)
 
+    def test_reused_work_arrays_keep_every_result(self):
+        # one thread's work arrays serve a 2-D div-free field, then a 1-D
+        # field on more points than a block, then a few points: each result
+        # is the oracle's, and no later call changes an earlier result.  At
+        # mesh nodes the time weights are exactly 1 and 0, so the oracle is
+        # the basis values at x times the node's snapshot.
+        from pdefisher.spectral import basis_values_at
+
+        rng = np.random.default_rng(24)
+        mesh = TimeMesh.graded(1.0, levels=5, steps_per_block=4)
+        cases = [
+            (build_eigensystem(2, 3, DIV_FREE), 300),
+            (build_eigensystem(1, 20), forward._CHUNK + 300),
+            (build_eigensystem(1, 6), 7),
+        ]
+        results = []
+        for es, n in cases:
+            f = SpaceTimeField(es, mesh, rng.standard_normal((mesh.n_nodes, es.size)))
+            nodes, x = rng.integers(0, mesh.n_nodes, n), rng.uniform(0, 1, (n, es.d))
+            got = f.evaluate(mesh.nodes[nodes], x)
+            coeffs = basis_values_at(es, x) * f.data[nodes]
+            expected = coeffs @ es.dirs if es.dirs is not None else coeffs.sum(axis=1)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            results.append((got, got.copy()))
+        for got, kept in results:
+            np.testing.assert_array_equal(got, kept)
+
     @pytest.mark.parametrize("threads", [2, 4])
     @pytest.mark.parametrize("subspace", ["full", DIV_FREE])
     def test_fresh_field_from_threads_at_once(self, subspace, threads):

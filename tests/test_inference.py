@@ -68,6 +68,14 @@ def setup():
 
 
 class TestSimulateDataset:
+    @pytest.mark.parametrize("T", [0.5, 2.0])
+    def test_design_horizon_other_than_field_rejected(self, setup, T):
+        # T = 0.5 would draw every t in [0, 0.5) of a T = 1 field; T = 2.0
+        # would fail only inside evaluate
+        _, model, noise, _, theta0, _ = setup
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_dataset(model.solve(theta0), DesignMeasure(T), noise, 100, np.random.default_rng(0))
+
     def test_near_noiseless_residuals(self, setup):
         es, model, _, design, theta0, _ = setup
         tiny = make_noise("gaussian", variance=1e-12)

@@ -4,6 +4,7 @@ quadrature oracle."""
 
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ from pdefisher import (
     orthonormalize_h,
     s_norm_truncated,
 )
-from pdefisher.information import octave_divergence_flag, spacetime_gram
+from pdefisher.information import _tangent_gram, octave_divergence_flag, spacetime_gram
 from pdefisher.noise import fisher_matrix
 from pdefisher.noise import raised_cosine_quantile
-from pdefisher.spectral import DIV_FREE, basis_values_at, values_from_coeffs
+from pdefisher.spectral import DENSE_MAX_ENTRIES, DIV_FREE, basis_values_at, values_from_coeffs
 
 LAM1 = 4 * np.pi**2
 
@@ -284,6 +285,63 @@ class TestAssembly:
             model, theta0, noise, DesignMeasure(0.25, kind="cosine", amplitude=0.0), 8
         )
         np.testing.assert_allclose(Mg.matrix, Mu.matrix, atol=1e-13)
+
+
+def _streamed_case(kind, kmax, amplitude):
+    """A nonlinear model at a nontrivial theta0, a Gaussian noise and a design."""
+    mesh = TimeMesh.graded(0.25, levels=2, steps_per_block=4)
+    if kind == "ns":
+        es = build_eigensystem(2, kmax, DIV_FREE)
+        model = NavierStokesModel(es, viscosity=0.05, T=0.25, mesh=mesh)
+        theta0 = _field(es, [([1, 0], 1, 0.4), ([0, 1], 2, 0.3)])
+        noise = make_noise("gaussian2", cov=np.array([[0.5, 0.2], [0.2, 1.1]]))
+    else:
+        es = build_eigensystem(1, kmax)
+        model = ReactionDiffusionModel(es, T=0.25, mesh=mesh)
+        theta0 = _field(es, [([1], 1, 0.8), ([2], 2, -0.5)], const=0.3)
+        noise = make_noise("gaussian", variance=0.7)
+    design = DesignMeasure(0.25) if amplitude is None else DesignMeasure(0.25, kind="cosine", amplitude=amplitude)
+    return model, theta0, noise, design
+
+
+class TestStreamedGram:
+    """Assembly adds each node's tangent block to the Gram as the march
+    reaches it; the oracle is the Gram of the held batch."""
+
+    @pytest.mark.parametrize(
+        "kind, kmax, K, amplitude",
+        [
+            ("rd", 8, 12, None), ("rd", 8, 12, 0.5), ("rd", 80, 4, None), ("rd", 80, 4, 0.5),
+            ("ns", 2, 8, None), ("ns", 2, 8, 0.6),
+        ],
+        ids=["rd-dense-uniform", "rd-dense-cosine", "rd-fft-uniform", "rd-fft-cosine", "ns-uniform", "ns-cosine"],
+    )
+    def test_bitwise_equal_to_held_batch(self, kind, kmax, K, amplitude):
+        model, theta0, noise, design = _streamed_case(kind, kmax, amplitude)
+        if kmax == 80:  # the FFT path of spectral's transforms
+            assert model.es.size * model.n**model.es.d > DENSE_MAX_ENTRIES
+        batch = model.linearize(theta0, np.eye(model.es.size, K))
+        M = assemble_information_matrix(model, theta0, noise, design, K)
+        assert np.array_equal(M.matrix, spacetime_gram(batch, design, fisher_matrix(noise)))
+        # the norm-equivalence Gram, under no noise form
+        G, base = _tangent_gram(model, theta0, design, None, K)
+        assert np.array_equal(G, spacetime_gram(batch, design))
+        assert np.array_equal(base.data, batch.base.data)
+
+    def test_assembly_holds_no_tangent_batch(self):
+        # the batch of every node's (nm, K) block would be 7.5 MB here
+        es = build_eigensystem(1, 32)
+        mesh = TimeMesh.graded(0.5, levels=6, steps_per_block=32)
+        model = ReactionDiffusionModel(es, T=0.5, mesh=mesh)
+        theta0, K = _field(es, [([1], 1, 0.4)], const=0.3), 64
+        noise, design = make_noise("gaussian", variance=1.0), DesignMeasure(0.5)
+        tracemalloc.start()
+        try:
+            assemble_information_matrix(model, theta0, noise, design, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mesh.n_nodes * es.size * K * 8 / 4
 
 
 class TestLanNorm:
