@@ -412,11 +412,27 @@ def resolve_config(raw):
     return cfg
 
 
+# per block and kind, the keys that kind does not read: a config that sets
+# one of them would have it copied into its report while it changes nothing
+_UNREAD = {
+    ("model", "heat"): ("viscosity", "forcing", "reaction"),
+    ("model", "rd"): ("viscosity", "forcing"),
+    ("model", "ns"): ("reaction",),
+    ("model.mesh", "uniform"): ("levels", "steps_per_block"),
+    ("model.mesh", "graded"): ("m",),
+    ("design", "uniform"): ("amplitude", "axis"),
+}
+
+
 def _check_consistency(cfg):
     """Cross-field constraints of a resolved config that the schema cannot
     express and no builder checks; build_experiment runs the builders that
     check the others, so each fails before the task starts."""
     m, design, task = cfg["model"], cfg["design"], cfg["task"]
+    for where, block in (("model", m), ("model.mesh", m["mesh"]), ("design", design)):
+        for key in _UNREAD.get((where, block["kind"]), ()):
+            if key in block:
+                raise ConfigError(f"{where}.{key} is not read by kind {block['kind']!r}")
     if (m["subspace"] == "div-free") != (m["kind"] == "ns"):
         raise ConfigError(f"subspace {m['subspace']!r} on {m['kind']}: ns is div-free, heat and rd are not")
     if design["kind"] == "cosine" and design["axis"] >= m["d"]:
@@ -424,6 +440,8 @@ def _check_consistency(cfg):
     if cfg["noise"]["family"] == "uniform" and task["name"] != "fisher":
         # sqrt q jumps at the support edges, so the model is not QMD
         raise ConfigError("uniform noise has no Fisher information; only the fisher task accepts it")
+    if task["name"] == "efficiency" and task["ratio_range"][0] > task["ratio_range"][1]:
+        raise ConfigError(f"ratio_range {task['ratio_range']} is empty: its low end is above its high end")
     if "mc_k" in task and task["mc_k"] > max(task["k_grid"]):  # M is assembled at max(k_grid)
         raise ConfigError(f"mc_k {task['mc_k']} exceeds max(k_grid) {max(task['k_grid'])}")
     # snorm and efficiency read their traces off the n_basis matrix

@@ -252,18 +252,19 @@ def _checked_mesh(T, mesh):
 
 
 class _SpectralModel:
-    """ETDRK4 march, solve and linearize shared by the pseudo-spectral models.
+    """Solve and linearize of every model, on the ETDRK4 march of the
+    pseudo-spectral models (heat replaces the march by its closed form).
 
-    Both models march the coefficient vector itself, (nm,) for the base state
-    and (B, nm) for B tangent states, so every snapshot is a state.  A
-    subclass sets ``lin`` (the diagonal linear part, (nm,)) and ``name`` (for
-    the blow-up error), and supplies ``_grid(u)`` (the grid values of base
-    state u that the nonlinearity and its derivative both need),
-    ``_nonlin(g)`` and ``_dnonlin(g, v)``, the derivative of the nonlinearity
-    at the state with grid values g applied to tangent states v.
+    The marched models march the coefficient vector itself, (nm,) for the
+    base state and (B, nm) for B tangent states, so every snapshot is a
+    state.  Such a subclass sets ``lin`` (the diagonal linear part, (nm,))
+    and ``name`` (for the blow-up error), and supplies ``_grid(u)`` (the grid
+    values of base state u that the nonlinearity and its derivative both
+    need), ``_nonlin(g)`` and ``_dnonlin(g, v)``, the derivative of the
+    nonlinearity at the state with grid values g applied to tangent states v.
     """
 
-    def __init__(self, es, T, mesh):
+    def __init__(self, es, T=1.0, mesh=None):
         self.es = es
         self.T = float(T)
         self.mesh = _checked_mesh(T, mesh)
@@ -335,27 +336,19 @@ class _SpectralModel:
 # ---------------------------------------------------------------------------
 
 
-class HeatModel:
-    """u_t = Lap u; coefficientwise decay e^(-lambda t), exact at any node."""
+class HeatModel(_SpectralModel):
+    """u_t = Lap u; coefficientwise decay e^(-lambda t), exact at any node.
+    The model is linear, so its tangent flow is the flow itself: ``_march``
+    gives both in closed form, under the marched models' solve and linearize."""
 
     kind = "heat"
 
-    def __init__(self, es, T=1.0, mesh=None):
-        self.es = es
-        self.mesh = _checked_mesh(T, mesh)
-        self.T = float(T)
-
-    def solve(self, theta):
-        data = np.exp(-np.outer(self.mesh.nodes, self.es.lam)) * theta.data[None, :]
-        return SpaceTimeField(self.es, self.mesh, data)
-
-    def linearize(self, theta0, h):
-        # linear model: the linearization is the flow itself
+    def _march(self, u, v=None, on_node=None):
         decay = np.exp(-np.outer(self.mesh.nodes, self.es.lam))
-        base = SpaceTimeField(self.es, self.mesh, decay * theta0.data)
-        if isinstance(h, FourierCoeffs):
-            return SpaceTimeField(self.es, self.mesh, decay * h.data, base)
-        return SpaceTimeBatch(self.es, self.mesh, decay[:, :, None] * np.asarray(h)[None, :, :], base)
+        if v is not None:  # node by node, each block (nm, B) and C-contiguous
+            for i, d in enumerate(decay):
+                on_node(i, d[:, None] * v.T)
+        return decay * u
 
 
 # ---------------------------------------------------------------------------

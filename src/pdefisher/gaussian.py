@@ -95,27 +95,6 @@ def support_diagnostic(M, beta_list, k_grid, kappa, alpha, m_mc=0, rng=None, mc_
 # ---------------------------------------------------------------------------
 
 
-def _window_l2_sq(batch, i0, i1, w_win):
-    """Squared space-time L^2 over the node window for each batch column."""
-    prof = np.einsum("tmb,tmb->tb", batch.data[i0 : i1 + 1], batch.data[i0 : i1 + 1])
-    return w_win @ prof
-
-
-def _window_sup(batch, i0, i1, oversample=4):
-    """Sup of |field| over the window, on an oversampled grid."""
-    es = batch.es
-    n = es.min_grid_points() * oversample // 2 * 2
-    sup = np.zeros(batch.data.shape[2])
-    for i in range(i0, i1 + 1):
-        vals = values_from_coeffs(es, batch.data[i].T, n)
-        if es.subspace == DIV_FREE:
-            mag = np.sqrt((vals**2).sum(axis=1))
-        else:
-            mag = np.abs(vals)
-        sup = np.maximum(sup, mag.reshape(mag.shape[0], -1).max(axis=1))
-    return sup
-
-
 def _ns_nonlinearity_values(base, cols):
     """Values of (U . grad) u0 + (u0 . grad) U for all columns, (B, 2, n^2),
     from the velocity values and gradients of u0, (3, 2, n^2), and of each
@@ -146,7 +125,9 @@ def functional_pushforward_bound(
     functional: "trajectory" (the linearized flow restricted to positive
     times) or "ns-nonlinearity" (derivative of u -> (u.grad)u).
     loss: "l2" (space-time L^2 on [t0,t1] x Omega) or "sup"; the mesh checks
-    the window [t0, t1] (window_slice, window_weights).
+    the window [t0, t1] (window_slice, window_weights).  Each chunk of 64
+    samples is reduced node by node as its tangent march reaches the node,
+    so no sample batch is held.
     """
     if t0 <= 0.0:
         raise ValueError(
@@ -174,27 +155,31 @@ def functional_pushforward_bound(
         vg = values_from_coeffs(es, fields, model.n).reshape(es.size, -1)
         base = (assembled.base.data[i0 : i1 + 1] @ vg).reshape(i1 + 1 - i0, 3, 2, -1)
 
+    def node_value(i, v):  # per column of node i's block v: squared L^2 (l2) or sup over space
+        if functional == "ns-nonlinearity":
+            U = (v.T @ vg).reshape(v.shape[1], 3, 2, -1)
+            f2 = (_ns_nonlinearity_values(base[i - i0], U) ** 2).sum(axis=1)
+            return f2.mean(axis=1) if loss == "l2" else np.sqrt(f2.max(axis=1))
+        if loss == "l2":
+            return np.einsum("mb,mb->b", v, v)  # Parseval
+        vals = values_from_coeffs(es, v.T, 4 * es.min_grid_points())  # oversampled
+        mag = np.sqrt((vals**2).sum(axis=1)) if es.subspace == DIV_FREE else np.abs(vals)
+        return mag.reshape(v.shape[1], -1).max(axis=1)
+
     chunk = 64
     for start in range(0, m, chunk):
         cols = np.zeros((es.size, min(chunk, m - start)))
         cols[: samples.n_basis] = sample_data[start : start + cols.shape[1]].T
-        batch = model.linearize(theta0, cols)
-        if functional == "trajectory":
-            if loss == "l2":
-                vals = np.sqrt(_window_l2_sq(batch, i0, i1, w_win))
-            else:
-                vals = _window_sup(batch, i0, i1)
-        else:
-            acc = np.zeros(cols.shape[1])  # l2: the Simpson sum; sup: the running max
-            for i in range(i0, i1 + 1):
-                U = (batch.data[i].T @ vg).reshape(cols.shape[1], 3, 2, -1)
-                f2 = (_ns_nonlinearity_values(base[i - i0], U) ** 2).sum(axis=1)
-                if loss == "l2":
-                    acc += w_win[i - i0] * f2.mean(axis=1)
-                else:
-                    acc = np.maximum(acc, np.sqrt(f2.max(axis=1)))
-            vals = np.sqrt(acc) if loss == "l2" else acc
-        values[start : start + cols.shape[1]] = vals
+        acc = np.zeros(cols.shape[1])
+
+        def reduce(i, v):  # l2: the window's Simpson sum in mesh order; sup: the running max
+            if i0 <= i <= i1 and loss == "l2":
+                np.add(acc, w_win[i - i0] * node_value(i, v), out=acc)
+            elif i0 <= i <= i1:
+                np.maximum(acc, node_value(i, v), out=acc)
+
+        model.linearize(theta0, cols, on_node=reduce)  # cols positional: the tracer counts it
+        values[start : start + cols.shape[1]] = np.sqrt(acc) if loss == "l2" else acc
 
     powered = values ** float(power)
     return {

@@ -388,6 +388,27 @@ def _heat_div_free(cfg):
     cfg["model"]["subspace"] = "div-free"
 
 
+def _unread(path, value, **model):
+    """Set the key at ``path`` ("block.key"), which the kind of its block
+    does not read, after updating the model with ``model``."""
+    def mutate(cfg):
+        cfg["model"].update(copy.deepcopy(model))
+        *blocks, key = path.split(".")
+        block = cfg
+        for name in blocks:
+            block = block.setdefault(name, {})
+        block[key] = value
+
+    return mutate
+
+
+_FORCING = {"modes": [{"k": [1, 1], "kind": "cos", "value": 0.1}]}
+
+
+def _reversed_ratio_range(cfg):
+    cfg["task"] = {"name": "efficiency", "n": 10, "replicates": 10, "ratio_range": [1.15, 0.9]}
+
+
 class TestInconsistentConfigs:
     """Invalid or inconsistent configs: exit 2 and no outputs."""
 
@@ -428,6 +449,18 @@ class TestInconsistentConfigs:
             _ns_model(subspace="full"),
             _ns_model(subspace="mean-zero"),
             _heat_div_free,
+            _unread("model.viscosity", 0.3),
+            _unread("model.reaction", {"amplitude": 1.0}),
+            _unread("model.forcing", _FORCING),
+            _unread("model.viscosity", 0.3, kind="rd"),
+            _unread("model.forcing", _FORCING, kind="rd"),
+            _unread("model.reaction", {"amplitude": 1.0}, **_NS_SMALL),
+            _unread("model.mesh.levels", 4),
+            _unread("model.mesh.steps_per_block", 8),
+            _unread("model.mesh.m", 64, mesh={"kind": "graded"}),
+            _unread("design.amplitude", 0.9),
+            _unread("design.axis", 0),
+            _reversed_ratio_range,
         ],
         ids=[
             "odd-uniform-mesh",
@@ -464,6 +497,18 @@ class TestInconsistentConfigs:
             "ns-subspace-full",
             "ns-subspace-mean-zero",
             "heat-subspace-div-free",
+            "viscosity-on-heat",
+            "reaction-on-heat",
+            "forcing-on-heat",
+            "viscosity-on-rd",
+            "forcing-on-rd",
+            "reaction-on-ns",
+            "levels-on-uniform-mesh",
+            "steps-per-block-on-uniform-mesh",
+            "m-on-graded-mesh",
+            "amplitude-on-uniform-design",
+            "axis-on-uniform-design",
+            "efficiency-ratio-range-reversed",
         ],
     )
     def test_exit_2_no_outputs(self, tmp_path, mutate):
@@ -492,11 +537,17 @@ class TestInconsistentConfigs:
             (_bivariate_noise_on_heat, "has 2 component(s) but the heat field has 1"),
             (_ns_functional_on("heat"), "pushforward functional: the ns-nonlinearity functional needs the ns model, not heat"),
             (_ns_functional_on("rd"), "pushforward functional: the ns-nonlinearity functional needs the ns model, not rd"),
+            (_unread("model.viscosity", 0.3), "model.viscosity is not read by kind 'heat'"),
+            (_unread("model.mesh.m", 64, mesh={"kind": "graded"}), "model.mesh.m is not read by kind 'graded'"),
+            (_unread("design.amplitude", 0.9), "design.amplitude is not read by kind 'uniform'"),
+            (_reversed_ratio_range, "ratio_range [1.15, 0.9] is empty"),
         ],
         ids=[
             "ns-d-1", "ns-subspace-full", "heat-subspace-div-free", "pushforward-t1-above-T",
             "pushforward-t1-below-t0", "heat-closed-form-on-rd", "ns-diagnostics-on-heat",
             "bivariate-noise-on-heat", "ns-nonlinearity-on-heat", "ns-nonlinearity-on-rd",
+            "viscosity-on-heat", "m-on-graded-mesh", "amplitude-on-uniform-design",
+            "efficiency-ratio-range-reversed",
         ],
     )
     def test_message_names_the_rule(self, tmp_path, mutate, message):
@@ -898,6 +949,64 @@ class TestBaseMarchCounts:
         model = {} if forcing is None else {"forcing": forcing}
         task = {"name": "ns-diagnostics", "s_values": _S4}
         assert self._marches(tmp_path, monkeypatch, "ns", task, **model) == marches
+
+
+# one small run of each task, and of each pushforward functional and loss
+_NO_BATCH_TASKS = {
+    "fisher": {"name": "fisher"},
+    "qmd-check": {"name": "qmd-check", "s_values": _S4},
+    "norm-equiv": {"name": "norm-equiv", "trials": 10, "n_basis_list": [4, 8]},
+    "info-matrix": {"name": "info-matrix"},
+    "snorm": {"name": "snorm", "psi": {"unit_index": 1}, "k_grid": [4, 8]},
+    "lan": {"name": "lan", "n": 10, "replicates": 10, "ks_pmin": 0.0},
+    "gaussian-support": {"name": "gaussian-support", "k_grid": [4, 8], "m_mc": 10},
+    "efficiency": {"name": "efficiency", "n": 10, "replicates": 10},
+    "ns-diagnostics": {"name": "ns-diagnostics", "s_values": _S4},
+    **{
+        f"pushforward-{functional}-{loss}": {
+            "name": "pushforward-bound", "functional": functional, "loss": loss,
+            "t0": 0.125, "t1": 0.5, "m": 70, "n_basis_list": [4, 8],
+        }
+        for functional in ("trajectory", "ns-nonlinearity")
+        for loss in ("l2", "sup")
+    },
+}
+_NO_BATCH_RUNS = [
+    (kind, task)
+    for kind in ("heat", "rd", "ns")
+    for task in _NO_BATCH_TASKS
+    if kind == "ns" or ("ns-" not in task)
+]
+
+
+class TestNoTaskHoldsATangentBatch:
+    """No task allocates a (nodes x nm x B) tangent batch: every tangent
+    march streams its nodes (``linearize(..., on_node=...)``), so a
+    ``SpaceTimeBatch`` built anywhere in a task fails the run."""
+
+    _MODELS = {
+        "heat": {"kind": "heat", "kmax": 4, "T": 0.5, "mesh": {"kind": "uniform", "m": 8}},
+        **TestBaseMarchCounts._MODELS,
+    }
+    _NOISES = {"heat": {"family": "laplace", "scale": 1.0}, **TestBaseMarchCounts._NOISES}
+
+    @pytest.mark.parametrize("kind, task", _NO_BATCH_RUNS, ids=[f"{k}-{t}" for k, t in _NO_BATCH_RUNS])
+    def test_task_builds_no_batch(self, tmp_path, monkeypatch, kind, task):
+        built = []
+
+        def refuse(self, *args, **kwargs):
+            built.append(args)
+            raise RuntimeError("a task built a tangent batch")
+
+        monkeypatch.setattr(forward.SpaceTimeBatch, "__init__", refuse)
+        cfg = {
+            "seed": 3, "workers": 1, "model": self._MODELS[kind], "noise": self._NOISES[kind],
+            "design": {"kind": "uniform"}, "numerics": {"n_basis": 8}, "task": _NO_BATCH_TASKS[task],
+        }
+        result = CliRunner().invoke(main, ["run", "-c", _write(tmp_path, "cfg.yaml", cfg), "-o", str(tmp_path / "out")])
+        assert built == []
+        assert result.exception is None or isinstance(result.exception, SystemExit)  # not an uncaught error
+        assert result.exit_code in (0, 1), result.output  # a tolerance may fail at this size
 
 
 def _subschemas(schema):

@@ -78,6 +78,27 @@ class TestHeat:
         exact = (1 - np.exp(-2 * LAM1)) / (2 * LAM1)
         assert f.mesh.weights @ f.squared_l2_profile() == pytest.approx(exact, abs=1e-12)
 
+    def test_on_node_streams_the_held_batch(self, es1):
+        # the on_node contract of the marched models: node 0 first, mesh
+        # order, C-contiguous (nm, B) blocks, and only G(theta0) returned
+        model = HeatModel(es1, T=1.0, mesh=TimeMesh.graded(1.0, levels=3, steps_per_block=4))
+        rng = np.random.default_rng(3)
+        theta0 = FourierCoeffs(es1, rng.standard_normal(es1.size))
+        cols = rng.standard_normal((es1.size, 5))
+        held = model.linearize(theta0, cols)
+        seen = []
+
+        def on_node(i, v):
+            assert v.shape == (es1.size, 5) and v.flags.c_contiguous
+            seen.append((i, v.copy()))
+
+        base = model.linearize(theta0, cols, on_node=on_node)
+        assert [i for i, _ in seen] == list(range(model.mesh.n_nodes))
+        for i, v in seen:
+            assert np.array_equal(v, held.data[i])
+        assert isinstance(base, SpaceTimeField) and base.base is None
+        assert np.array_equal(base.data, held.base.data)
+
 
 class TestBaseFlow:
     """linearize(theta0, .) carries G(theta0) from the march that gave the

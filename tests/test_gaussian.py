@@ -1,6 +1,8 @@
 """Efficient-Gaussian sampling, support diagnostics across the negative
 scale, and pushforward bounds, against exact-moment and closed-form oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pdefisher import (
     HeatModel,
     InformationMatrix,
     NavierStokesModel,
+    ReactionDiffusionModel,
     TimeMesh,
     assemble_information_matrix,
     build_eigensystem,
@@ -19,7 +22,7 @@ from pdefisher import (
     support_diagnostic,
 )
 from pdefisher.gaussian import GaussianSampleBatch
-from pdefisher.spectral import DIV_FREE, values_from_coeffs
+from pdefisher.spectral import DIV_FREE, derivative, values_from_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +47,17 @@ def ns_M():
     theta0.data[es.index_of([0, 1], 2)] = 0.3
     noise = make_noise("gaussian2", cov=np.eye(2))
     M = assemble_information_matrix(model, theta0, noise, DesignMeasure(0.5), 8)
+    return model, theta0, M
+
+
+@pytest.fixture(scope="module")
+def rd_M():
+    es = build_eigensystem(1, 8)
+    model = ReactionDiffusionModel(es, T=0.5, mesh=TimeMesh.uniform(0.5, 16))
+    theta0 = FourierCoeffs.zeros(es)
+    theta0.data[0] = 0.5
+    theta0.data[es.index_of([1], 1)] = 0.3
+    M = assemble_information_matrix(model, theta0, make_noise("gaussian", variance=1.0), DesignMeasure(0.5), 8)
     return model, theta0, M
 
 
@@ -289,3 +303,99 @@ class TestPushforward:
         )
         assert exact > 0
         assert K * out["estimate"] == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def _held_pushforward(M, samples, functional, loss, t0, t1, power):
+    """The pushforward estimate and its standard error from held tangent
+    batches of 64 sample columns each (``model.linearize(theta0, cols)``).
+    Per sample: trajectory l2 applies the window's Simpson weights to each
+    node's Parseval sum; ns-nonlinearity l2 adds, node by node in mesh
+    order, the weight times the grid mean of |(U.grad)u0 + (u0.grad)U|^2;
+    sup takes the largest magnitude over the window's nodes on the grid
+    (for the trajectory, 4 times the smallest grid that resolves the modes)."""
+    model, theta0, _, _, base = M.experiment()
+    es = model.es
+    i0, i1 = model.mesh.window_slice(t0, t1)
+    w = model.mesh.window_weights(i0, i1)
+    if functional == "ns-nonlinearity":  # u, du/dx1, du/dx2 of each unit vector on the grid
+        eye = np.eye(es.size)
+        grad = np.stack([eye, derivative(es, eye, 0), derivative(es, eye, 1)], 1)
+        grad = values_from_coeffs(es, grad, model.n).reshape(es.size, -1)
+        g0 = (base.data[i0 : i1 + 1] @ grad).reshape(i1 + 1 - i0, 3, 2, -1)
+    values = []
+    for start in range(0, samples.m, 64):
+        cols = np.zeros((es.size, min(64, samples.m - start)))
+        cols[: samples.n_basis] = samples.samples[start : start + cols.shape[1]].T
+        data = model.linearize(theta0, cols).data[i0 : i1 + 1]  # (nt, nm, B)
+        if functional == "trajectory" and loss == "l2":
+            values.append(np.sqrt(w @ np.einsum("tmb,tmb->tb", data, data)))
+            continue
+        per_node = []
+        for j, v in enumerate(data):
+            if functional == "trajectory":
+                vals = values_from_coeffs(es, v.T, 4 * es.min_grid_points())
+                mag = np.sqrt((vals**2).sum(axis=1)) if es.subspace == DIV_FREE else np.abs(vals)
+                per_node.append(mag.reshape(len(mag), -1).max(axis=1))
+                continue
+            u0, g0x, g0y = g0[j]
+            U, gUx, gUy = np.moveaxis((v.T @ grad).reshape(v.shape[1], 3, 2, -1), 1, 0)
+            f2 = ((U[:, 0:1] * g0x + U[:, 1:2] * g0y + u0[0] * gUx + u0[1] * gUy) ** 2).sum(axis=1)
+            per_node.append(f2.mean(axis=1) if loss == "l2" else np.sqrt(f2.max(axis=1)))
+        if loss == "l2":
+            acc = np.zeros(cols.shape[1])
+            for wj, val in zip(w, per_node):
+                acc += wj * val
+            values.append(np.sqrt(acc))
+        else:
+            values.append(np.max(per_node, axis=0))
+    powered = np.concatenate(values) ** power
+    return float(powered.mean()), float(powered.std(ddof=1) / np.sqrt(samples.m))
+
+
+_STREAMED_CASES = [
+    ("heat_M", "trajectory", 0.25, 0.75),
+    ("rd_M", "trajectory", 0.125, 0.375),
+    ("ns_M", "trajectory", 0.125, 0.375),
+    ("ns_M", "ns-nonlinearity", 0.125, 0.375),
+]
+
+
+class TestStreamedPushforward:
+    """The pushforward reduces each node's tangent block as the march hands
+    it over and holds no sample batch; it matches the held-batch oracle."""
+
+    @pytest.mark.parametrize("loss", ["l2", "sup"])
+    @pytest.mark.parametrize(
+        "fixture, functional, t0, t1", _STREAMED_CASES, ids=[f"{c[0][:-2]}-{c[1]}" for c in _STREAMED_CASES]
+    )
+    def test_matches_held_batch(self, request, fixture, functional, t0, t1, loss):
+        M = request.getfixturevalue(fixture)[-1]
+        model, theta0 = M.experiment()[:2]
+        batch = sample_efficient_gaussian(M, 70, np.random.default_rng(11))  # two chunks
+        out = functional_pushforward_bound(model, theta0, M, batch, functional, loss, t0, t1)
+        estimate, stderr = _held_pushforward(M, batch, functional, loss, t0, t1, 2.0)
+        assert estimate > 0
+        if functional == "trajectory" and loss == "l2":
+            # the Simpson sum runs node by node instead of as one dot product
+            assert out["estimate"] == pytest.approx(estimate, rel=1e-14, abs=0)
+            assert out["stderr"] == pytest.approx(stderr, rel=1e-13, abs=0)
+        else:
+            assert (out["estimate"], out["stderr"]) == (estimate, stderr)
+
+    @pytest.mark.parametrize("loss", ["l2", "sup"])
+    def test_ns_peak_memory_below_a_quarter_batch(self, loss):
+        # 513 nodes x 48 modes x 64 columns is a 12.6 MB batch; a narrow window
+        # keeps G(theta0)'s grid values small, so what is left is per node
+        es = build_eigensystem(2, 3, DIV_FREE)
+        model = NavierStokesModel(es, viscosity=0.05, T=0.5, mesh=TimeMesh.uniform(0.5, 512))
+        theta0 = FourierCoeffs.zeros(es)
+        theta0.data[es.index_of([1, 0], 1)] = 0.4
+        M = assemble_information_matrix(model, theta0, make_noise("gaussian2", cov=np.eye(2)), DesignMeasure(0.5), 8)
+        batch = sample_efficient_gaussian(M, 64, np.random.default_rng(12))
+        tracemalloc.start()
+        try:
+            functional_pushforward_bound(model, theta0, M, batch, "ns-nonlinearity", loss, 0.125, 0.1328125)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.mesh.n_nodes * es.size * 64 * 8 / 4
