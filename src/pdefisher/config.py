@@ -1,7 +1,8 @@
 """Experiment configuration: a YAML/JSON file validated against a strict
 schema (unknown keys rejected) that declares each key once with its default,
-resolved with those defaults, and mapped onto the model / noise / design /
-numerics objects.
+in the branch of the model or mesh kind, design kind, noise family or task
+that reads it, resolved with those defaults, and mapped onto the model /
+noise / design / numerics objects.
 """
 
 import contextlib
@@ -26,6 +27,9 @@ from .information import DesignMeasure
 from .noise import make_noise
 from .spectral import DIV_FREE, FULL, MEAN_ZERO, FourierCoeffs, build_eigensystem
 
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_PAIR = {"type": "array", "minItems": 2, "maxItems": 2}
+
 _FIELD_SPEC = {
     "type": "object",
     "additionalProperties": False,
@@ -33,7 +37,6 @@ _FIELD_SPEC = {
         "constant": {"type": "number"},
         "unit_index": {"type": "integer", "minimum": 0},
         "preset": {"type": "string", "enum": ["log-divergent"]},
-        "scale_to_lan_norm": {"type": "number", "exclusiveMinimum": 0},
         "modes": {
             "type": "array",
             "items": {
@@ -50,17 +53,51 @@ _FIELD_SPEC = {
     },
 }
 
-# the defaults of m, levels and steps_per_block depend on kind (resolve_config)
-_MESH_SPEC = {
-    "type": "object",
-    "additionalProperties": False,
-    "default": {},
-    "properties": {
-        "kind": {"type": "string", "enum": ["uniform", "graded"], "default": "uniform"},
-        "m": {"type": "integer", "minimum": 4},
-        "levels": {"type": "integer", "minimum": 1},
-        "steps_per_block": {"type": "integer", "minimum": 4},
-    },
+# lan's direction h, which the task may rescale to a given LAN norm
+_LAN_H = {**_FIELD_SPEC, "properties": {**_FIELD_SPEC["properties"], "scale_to_lan_norm": _POSITIVE}}
+
+
+def _union(key, branches, default=None, required=()):
+    """A tagged union (JSON Schema's oneOf, with OpenAPI's discriminator
+    naming the tag ``key``): per tag in ``branches``, the object of the keys
+    that branch reads. The ``default`` branch is taken when the tag is
+    absent, and every other branch requires it; each branch requires those
+    keys of ``required`` that it declares."""
+    one_of = []
+    for tag, properties in branches.items():
+        tag_schema = {"type": "string", "enum": [tag], **({"default": tag} if tag == default else {})}
+        needs = [k for k in required if k in properties]
+        one_of.append({
+            "type": "object",
+            "additionalProperties": False,
+            "required": needs if tag == default else [key, *needs],
+            "properties": {key: tag_schema, **properties},
+        })
+    return {"type": "object", "discriminator": {"propertyName": key}, "oneOf": one_of}
+
+
+# the keys every model kind reads
+_MODEL = {
+    "kmax": {"type": "integer", "minimum": 1},
+    "T": _POSITIVE,
+    "mesh": _union(
+        "kind",
+        {
+            "uniform": {"m": {"type": "integer", "minimum": 4, "default": 256}},
+            "graded": {
+                "levels": {"type": "integer", "minimum": 1, "default": 14},
+                "steps_per_block": {"type": "integer", "minimum": 4, "default": 16},
+            },
+        },
+        default="uniform",
+    ) | {"default": {}},
+}
+
+# heat and rd: a scalar field; its theta0 default depends on d (resolve_config)
+_SCALAR = {
+    "d": {"type": "integer", "enum": [1, 2], "default": 1},
+    "subspace": {"type": "string", "enum": ["full", "mean-zero"], "default": "full"},
+    "theta0": _FIELD_SPEC,
 }
 
 # Galerkin truncation sizes K, each >= 1
@@ -74,134 +111,42 @@ _TRUNCATIONS = {
 _S_VALUES = {
     "type": "array",
     "minItems": 4,
-    "items": {"type": "number", "exclusiveMinimum": 0},
+    "items": _POSITIVE,
     "default": [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1],
 }
 
-# Each key is declared once, with its default (if any) as "default": one
-# walk over this schema and the task's fills them in (resolve_config).
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["model", "noise", "design", "numerics", "task", "seed"],
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "workers": {"type": "integer", "minimum": 1},
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "kmax", "T"],
-            "properties": {
-                "kind": {"type": "string", "enum": ["heat", "rd", "ns"]},
-                "d": {"type": "integer", "enum": [1, 2]},
-                "kmax": {"type": "integer", "minimum": 1},
-                "subspace": {"type": "string", "enum": ["full", "mean-zero", "div-free"]},
-                "T": {"type": "number", "exclusiveMinimum": 0},
-                "mesh": _MESH_SPEC,
-                "reaction": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "amplitude": {"type": "number"},
-                        "radius": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-                "viscosity": {"type": "number", "exclusiveMinimum": 0},
-                "forcing": _FIELD_SPEC,
-                "theta0": _FIELD_SPEC,
-            },
-        },
-        "noise": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family"],
-            "properties": {
-                "family": {
-                    "type": "string",
-                    "enum": [
-                        "gaussian",
-                        "gaussian2",
-                        "laplace",
-                        "logistic",
-                        "cosine_bump",
-                        "uniform",
-                    ],
-                },
-                "variance": {"type": "number", "exclusiveMinimum": 0},
-                "scale": {"type": "number", "exclusiveMinimum": 0},
-                "cov": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "number"}},
-                },
-            },
-        },
-        "design": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"type": "string", "enum": ["uniform", "cosine"]},
-                "amplitude": {"type": "number"},
-                "axis": {"type": "integer", "enum": [0, 1]},
-            },
-        },
-        "numerics": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_basis": {"type": "integer", "minimum": 1, "default": 9},
-            },
-        },
-        "task": {
-            "type": "object",
-            "required": ["name"],
-            "properties": {"name": {"type": "string"}},
-        },
-    },
-}
-
-
-def _task(**properties):
-    """Schema of a task block: the name and the task's own keys."""
-    return {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {"name": {"type": "string"}, **properties},
-    }
-
-
-TASK_SCHEMAS = {
-    "fisher": _task(
-        tolerance_rel={"type": "number", "exclusiveMinimum": 0, "default": 1e-6},
+_TASK_KEYS = {
+    "fisher": dict(
+        tolerance_rel={**_POSITIVE, "default": 1e-6},
     ),
-    "qmd-check": _task(
+    "qmd-check": dict(
         h=_FIELD_SPEC,
         s_values=_S_VALUES,
         slope_target={"type": "number", "default": 2.0},
         slope_tol={"type": "number", "default": 0.15},
         linear_rho_tol={"type": "number", "default": 1e-12},
     ),
-    "norm-equiv": _task(
+    "norm-equiv": dict(
         kappa={"type": "number", "default": 1.0},
         trials={"type": "integer", "minimum": 10, "default": 200},
         n_basis_list={**_TRUNCATIONS, "default": [32, 64]},
         max_over_min={"type": "number", "default": 20.0},
         growth_tol={"type": "number", "default": 0.10},
     ),
-    "info-matrix": _task(
+    "info-matrix": dict(
         check_heat_closed_form={"type": "boolean", "default": False},
         tolerance={"type": "number", "default": 1e-10},
         dump={"type": "boolean", "default": False},
     ),
-    "snorm": _task(
+    "snorm": dict(
         psi=_FIELD_SPEC,
         k_grid=_TRUNCATIONS,
         # a squared dual norm; the check divides by it
-        expected={"type": "number", "exclusiveMinimum": 0},
+        expected=_POSITIVE,
         tolerance_rel={"type": "number", "default": 1e-8},
     ),
-    "lan": _task(
-        h=_FIELD_SPEC,
+    "lan": dict(
+        h=_LAN_H,
         n={"type": "integer", "minimum": 10, "default": 5000},
         replicates={"type": "integer", "minimum": 10, "default": 400},
         under={"type": "string", "enum": ["null", "alternative"], "default": "null"},
@@ -209,7 +154,7 @@ TASK_SCHEMAS = {
         var_rel_tol={"type": "number", "default": 0.15},
         ks_pmin={"type": "number", "default": 0.01},
     ),
-    "gaussian-support": _task(
+    "gaussian-support": dict(
         beta_list={"type": "array", "minItems": 1, "items": {"type": "number"}, "default": [1.0, 2.0]},
         k_grid={**_TRUNCATIONS, "default": [64, 128, 256, 512]},
         kappa={"type": "number", "default": 1.0},
@@ -220,31 +165,25 @@ TASK_SCHEMAS = {
         growth_min={"type": "number", "default": 0.25},
         mc_sigmas={"type": "number", "default": 3.0},
     ),
-    "pushforward-bound": _task(
+    "pushforward-bound": dict(
         functional={"type": "string", "enum": ["trajectory", "ns-nonlinearity"], "default": "trajectory"},
         loss={"type": "string", "enum": ["l2", "sup"], "default": "l2"},
         power={"type": "number", "default": 2.0},
-        t0={"type": "number", "exclusiveMinimum": 0, "default": 0.1},
+        t0={**_POSITIVE, "default": 0.1},
         t1={"type": "number", "default": 0.5},
         m={"type": "integer", "minimum": 2, "default": 2000},
         n_basis_list={**_TRUNCATIONS, "default": [32, 64]},
         stability_tol={"type": "number", "default": 0.05},
     ),
-    "efficiency": _task(
+    "efficiency": dict(
         psi=_FIELD_SPEC,
         n={"type": "integer", "minimum": 10, "default": 2000},
         replicates={"type": "integer", "minimum": 10, "default": 2000},
         expect={"type": "string", "enum": ["attain", "divergent"]},
-        ratio_range={
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-            "default": [0.9, 1.15],
-        },
+        ratio_range={**_PAIR, "items": {"type": "number"}, "default": [0.9, 1.15]},
         k_grid=_TRUNCATIONS,
     ),
-    "ns-diagnostics": _task(
+    "ns-diagnostics": dict(
         divergence_tol={"type": "number", "default": 1e-12},
         decay_tol={"type": "number", "default": 1e-8},
         energy_tol={"type": "number", "default": 1e-6},
@@ -252,8 +191,87 @@ TASK_SCHEMAS = {
         s_values=_S_VALUES,
     ),
 }
+TASK_NAMES = tuple(_TASK_KEYS)
 
-TASK_NAMES = tuple(TASK_SCHEMAS)
+# Each key is declared once, with its default (if any) as "default", in the
+# branch of each kind, family or task that reads it: one walk over this
+# schema fills them in (resolve_config).
+CONFIG_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["model", "noise", "design", "numerics", "task", "seed"],
+    "properties": {
+        "seed": {"type": "integer", "minimum": 0},
+        "workers": {"type": "integer", "minimum": 1},
+        "model": _union(
+            "kind",
+            {
+                "heat": {**_MODEL, **_SCALAR},
+                "rd": {
+                    **_MODEL,
+                    **_SCALAR,
+                    "reaction": {
+                        "type": "object",
+                        "additionalProperties": False,
+                        "properties": {
+                            "amplitude": {"type": "number"},
+                            "radius": _POSITIVE,
+                        },
+                        "default": {"amplitude": 2.0, "radius": 2.5},
+                    },
+                },
+                "ns": {
+                    **_MODEL,
+                    "d": {"type": "integer", "enum": [1, 2], "default": 2},
+                    "subspace": {"type": "string", "enum": ["div-free"], "default": "div-free"},
+                    "viscosity": {**_POSITIVE, "default": 0.05},
+                    "forcing": _FIELD_SPEC,
+                    "theta0": {
+                        **_FIELD_SPEC,
+                        "default": {
+                            "modes": [
+                                {"k": [1, 0], "kind": "cos", "value": 0.4},
+                                {"k": [0, 1], "kind": "sin", "value": 0.3},
+                                {"k": [1, 1], "kind": "cos", "value": 0.2},
+                            ],
+                        },
+                    },
+                },
+            },
+            required=("kmax", "T"),
+        ),
+        "noise": _union(
+            "family",
+            {
+                "gaussian": {"variance": _POSITIVE},
+                "gaussian2": {"cov": {**_PAIR, "items": {**_PAIR, "items": {"type": "number"}}}},
+                "laplace": {"scale": _POSITIVE},
+                "logistic": {"scale": _POSITIVE},
+                "cosine_bump": {},
+                "uniform": {},
+            },
+            required=("cov",),
+        ),
+        "design": _union(
+            "kind",
+            {
+                "uniform": {},
+                "cosine": {
+                    "amplitude": {"type": "number", "default": 0.5},
+                    "axis": {"type": "integer", "enum": [0, 1], "default": 0},
+                },
+            },
+        ),
+        "numerics": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "n_basis": {"type": "integer", "minimum": 1, "default": 9},
+            },
+        },
+        "task": _union("name", _TASK_KEYS),
+    },
+}
 
 
 class ConfigError(ValueError):
@@ -292,20 +310,42 @@ _TYPES = {
 }
 
 
-def check_schema(value, schema, path=""):
+def _select(value, union):
+    """The branch of the tagged union ``union`` that the tag of the mapping
+    ``value`` selects (the default branch if the tag is absent), or None."""
+    key = union["discriminator"]["propertyName"]
+    for branch in union["oneOf"]:
+        tag = branch["properties"][key]
+        if value.get(key, tag.get("default")) == tag["enum"][0]:
+            return branch
+    return None
+
+
+def check_schema(value, schema, path="", context=""):
     """Raise a ConfigError naming the key path of the first place where
-    ``value`` breaks ``schema``. Implements the keywords the config schemas
-    use: type, enum, minimum, exclusiveMinimum, properties, required,
-    additionalProperties (false only), items, minItems and maxItems;
-    ``default`` is read by resolve_config. Numbers must be finite: YAML's
-    .nan and .inf would pass every bound."""
+    ``value`` breaks ``schema``, and the tag of the innermost branch it was
+    checked against. Implements the keywords the config schemas use: type,
+    enum, minimum, exclusiveMinimum, properties, required,
+    additionalProperties (false only), items, minItems, maxItems, and
+    oneOf with a discriminator (a tagged union, see _select); ``default``
+    is read by resolve_config. Numbers must be finite: YAML's .nan and .inf
+    would pass every bound."""
 
     def fail(message, where=path):
-        raise ConfigError(f"invalid config: {where or 'config'}: {message}")
+        raise ConfigError(f"invalid config: {where or 'config'}: {message}{context}")
 
     kind = schema["type"]
     if not isinstance(value, _TYPES[kind]) or (isinstance(value, bool) and kind != "boolean"):
         fail(f"{value!r} is not of type {kind}")
+    if "oneOf" in schema:
+        key = schema["discriminator"]["propertyName"]
+        where = f"{path}.{key}" if path else key
+        chosen = _select(value, schema)
+        if chosen is None:
+            tags = [b["properties"][key]["enum"][0] for b in schema["oneOf"]]
+            fail(f"{value[key]!r} is not one of {tags}" if key in value else "required key is missing", where)
+        tag = chosen["properties"][key]["enum"][0]
+        return check_schema(value, chosen, path, f" for {where} {tag!r}")
     if isinstance(value, float) and not math.isfinite(value):
         fail(f"{value!r} is not a finite number")
     if "enum" in schema and value not in schema["enum"]:
@@ -322,7 +362,7 @@ def check_schema(value, schema, path=""):
         properties = schema.get("properties", {})
         for key, child in value.items():
             if key in properties:
-                check_schema(child, properties[key], f"{prefix}{key}")
+                check_schema(child, properties[key], f"{prefix}{key}", context)
             elif schema.get("additionalProperties") is False:
                 fail("unknown key", f"{prefix}{key}")
     if kind == "array":
@@ -332,38 +372,28 @@ def check_schema(value, schema, path=""):
             fail(f"takes at most {schema['maxItems']} items, has {len(value)}")
         if "items" in schema:
             for i, item in enumerate(value):
-                check_schema(item, schema["items"], f"{path}[{i}]")
+                check_schema(item, schema["items"], f"{path}[{i}]", context)
 
 
 def validate_config(raw):
     check_schema(raw, CONFIG_SCHEMA)
-    name = raw["task"]["name"]
-    if name not in TASK_NAMES:
-        raise ConfigError(f"invalid config: task.name: {name!r} is not one of {list(TASK_NAMES)}")
-    check_schema(raw["task"], TASK_SCHEMAS[name], "task")
     return raw
 
 
-_DEFAULT_THETA0 = {
-    "scalar": {
+# the theta0 of heat and rd by d
+_SCALAR_THETA0 = {
+    1: {
         "constant": 0.5,
         "modes": [
             {"k": [1], "kind": "cos", "value": 0.3},
             {"k": [2], "kind": "sin", "value": 0.2},
         ],
     },
-    "scalar2d": {
+    2: {
         "constant": 0.5,
         "modes": [
             {"k": [1, 0], "kind": "cos", "value": 0.3},
             {"k": [0, 1], "kind": "sin", "value": 0.2},
-        ],
-    },
-    "ns": {
-        "modes": [
-            {"k": [1, 0], "kind": "cos", "value": 0.4},
-            {"k": [0, 1], "kind": "sin", "value": 0.3},
-            {"k": [1, 1], "kind": "cos", "value": 0.2},
         ],
     },
 }
@@ -371,7 +401,10 @@ _DEFAULT_THETA0 = {
 
 def _fill_defaults(node, schema):
     """Give each key of the mapping ``node`` that is absent and has a
-    ``default`` in ``schema`` a copy of it; recurse into mapping values."""
+    ``default`` in ``schema`` (in a union, the branch ``node`` selects) a
+    copy of it; recurse into mapping values."""
+    if "oneOf" in schema:
+        schema = _select(node, schema)
     for key, sub in schema.get("properties", {}).items():
         if key not in node and "default" in sub:
             node[key] = copy.deepcopy(sub["default"])
@@ -383,45 +416,14 @@ def resolve_config(raw):
     """Fill defaults; returns a plain dict safe to embed in reports."""
     cfg = copy.deepcopy(raw)
     _fill_defaults(cfg, CONFIG_SCHEMA)
-    _fill_defaults(cfg["task"], TASK_SCHEMAS[cfg["task"]["name"]])
     # the defaults below depend on the machine or on another key;
     # replicate seeds are pre-split, so results never depend on the worker count
     cfg.setdefault("workers", os.cpu_count() or 1)
     m = cfg["model"]
-    m.setdefault("d", 2 if m["kind"] == "ns" else 1)
-    m.setdefault("subspace", "div-free" if m["kind"] == "ns" else "full")
-    if m["kind"] == "ns":
-        m.setdefault("viscosity", 0.05)
-        m.setdefault("theta0", copy.deepcopy(_DEFAULT_THETA0["ns"]))
-    else:
-        key = "scalar" if m["d"] == 1 else "scalar2d"
-        m.setdefault("theta0", copy.deepcopy(_DEFAULT_THETA0[key]))
-    if m["kind"] == "rd":
-        m.setdefault("reaction", {"amplitude": 2.0, "radius": 2.5})
-    mesh = m["mesh"]
-    if mesh["kind"] == "uniform":
-        mesh.setdefault("m", 256)
-    else:
-        mesh.setdefault("levels", 14)
-        mesh.setdefault("steps_per_block", 16)
-    d = cfg["design"]
-    if d["kind"] == "cosine":
-        d.setdefault("amplitude", 0.5)
-        d.setdefault("axis", 0)
+    if m["kind"] != "ns":
+        m.setdefault("theta0", copy.deepcopy(_SCALAR_THETA0[m["d"]]))
     _check_consistency(cfg)
     return cfg
-
-
-# per block and kind, the keys that kind does not read: a config that sets
-# one of them would have it copied into its report while it changes nothing
-_UNREAD = {
-    ("model", "heat"): ("viscosity", "forcing", "reaction"),
-    ("model", "rd"): ("viscosity", "forcing"),
-    ("model", "ns"): ("reaction",),
-    ("model.mesh", "uniform"): ("levels", "steps_per_block"),
-    ("model.mesh", "graded"): ("m",),
-    ("design", "uniform"): ("amplitude", "axis"),
-}
 
 
 def _check_consistency(cfg):
@@ -429,12 +431,6 @@ def _check_consistency(cfg):
     express and no builder checks; build_experiment runs the builders that
     check the others, so each fails before the task starts."""
     m, design, task = cfg["model"], cfg["design"], cfg["task"]
-    for where, block in (("model", m), ("model.mesh", m["mesh"]), ("design", design)):
-        for key in _UNREAD.get((where, block["kind"]), ()):
-            if key in block:
-                raise ConfigError(f"{where}.{key} is not read by kind {block['kind']!r}")
-    if (m["subspace"] == "div-free") != (m["kind"] == "ns"):
-        raise ConfigError(f"subspace {m['subspace']!r} on {m['kind']}: ns is div-free, heat and rd are not")
     if design["kind"] == "cosine" and design["axis"] >= m["d"]:
         raise ConfigError(f"cosine design axis {design['axis']} is not an axis of d={m['d']}")
     if cfg["noise"]["family"] == "uniform" and task["name"] != "fisher":
@@ -480,6 +476,8 @@ def build_field(es, spec):
     """FourierCoeffs from a {constant, modes, unit_index, preset} spec."""
     data = np.zeros(es.size)
     if "preset" in spec:  # the schema's one preset, log-divergent
+        if spec.keys() & {"constant", "unit_index", "modes"}:
+            raise ConfigError(f"preset {spec['preset']!r} takes no constant, unit_index or modes")
         # in L^2 but outside the dual space: psi_j = (1+lam_j)^(-1/2) j^(-1/2)
         j = np.arange(1, es.size + 1, dtype=float)
         data = (1.0 + es.lam) ** (-0.5) * j ** (-0.5)
@@ -511,7 +509,9 @@ def _build_mesh(T, spec):
 def build_experiment(cfg):
     """Resolved config -> dict of live objects for the task runners.
 
-    Rules that a builder owns (Navier-Stokes in d=2, even step counts, the
+    The design and noise blocks hold exactly the keys their branch of the
+    schema declares, which are their builders' keyword arguments. Rules that
+    a builder owns (Navier-Stokes in d=2, even step counts, the
     pushforward window on the mesh and its functional on the model, the
     cosine design's amplitude, the noise parameters, the Navier-Stokes kmax
     cap) are checked by running it; its ValueError becomes a ConfigError.
@@ -528,11 +528,8 @@ def build_experiment(cfg):
     if task["name"] == "pushforward-bound":
         with _owner_check(f"pushforward window [{task['t0']}, {task['t1']}]"):
             mesh.window_weights(*mesh.window_slice(task["t0"], task["t1"]))
-    d = cfg["design"]
     with _owner_check("design"):
-        design = DesignMeasure(
-            m["T"], kind=d["kind"], amplitude=d.get("amplitude", 0.0), axis=d.get("axis", 0)
-        )
+        design = DesignMeasure(m["T"], **cfg["design"])
 
     if m["kind"] == "heat":
         model = HeatModel(es, T=m["T"], mesh=mesh)
@@ -550,13 +547,8 @@ def build_experiment(cfg):
             check_functional(model, task["functional"], task["loss"])
     theta0 = build_field(es, m["theta0"])
 
-    noise_params = {k: v for k, v in cfg["noise"].items() if k != "family"}
-    try:
-        if "cov" in noise_params:  # a ragged nesting raises here
-            noise_params["cov"] = np.asarray(noise_params["cov"], dtype=float)
-        noise = make_noise(cfg["noise"]["family"], **noise_params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"noise {cfg['noise']['family']!r}: {exc}") from None
+    with _owner_check(f"noise {cfg['noise']['family']!r}"):
+        noise = make_noise(**cfg["noise"])
     # every task but fisher (which studies the noise alone) adds it to the field
     if task["name"] != "fisher" and noise.p != es.p:
         raise ConfigError(

@@ -24,7 +24,6 @@ from pdefisher.cli import _execute, main
 from pdefisher.config import (
     CONFIG_SCHEMA,
     TASK_NAMES,
-    TASK_SCHEMAS,
     ConfigError,
     check_schema,
     load_config,
@@ -405,6 +404,19 @@ def _unread(path, value, **model):
 _FORCING = {"modes": [{"k": [1, 1], "kind": "cos", "value": 0.1}]}
 
 
+def _scaled_psi(cfg):
+    # only lan rescales its field to a LAN norm
+    cfg["task"] = {"name": "snorm", "psi": {"unit_index": 1, "scale_to_lan_norm": 3.0}, "k_grid": [2, 4]}
+
+
+def _preset_with(key, value):
+    # a preset field reads no other key of its spec
+    def mutate(cfg):
+        cfg["task"] = {"name": "snorm", "psi": {"preset": "log-divergent", key: value}, "k_grid": [2, 4]}
+
+    return mutate
+
+
 def _reversed_ratio_range(cfg):
     cfg["task"] = {"name": "efficiency", "n": 10, "replicates": 10, "ratio_range": [1.15, 0.9]}
 
@@ -461,6 +473,12 @@ class TestInconsistentConfigs:
             _unread("design.amplitude", 0.9),
             _unread("design.axis", 0),
             _reversed_ratio_range,
+            _unread("model.theta0", {"constant": 0.5, "scale_to_lan_norm": 3.0}),
+            _unread("model.theta0", {"constant": 0.5, "scale_to_lan_norm": 3.0}, kind="rd"),
+            _scaled_psi,
+            _preset_with("constant", 0.5),
+            _preset_with("unit_index", 1),
+            _preset_with("modes", [{"k": [1], "kind": "cos", "value": 1.0}]),
         ],
         ids=[
             "odd-uniform-mesh",
@@ -509,6 +527,12 @@ class TestInconsistentConfigs:
             "amplitude-on-uniform-design",
             "axis-on-uniform-design",
             "efficiency-ratio-range-reversed",
+            "scale-to-lan-norm-on-heat-theta0",
+            "scale-to-lan-norm-on-rd-theta0",
+            "scale-to-lan-norm-on-snorm-psi",
+            "preset-with-constant",
+            "preset-with-unit-index",
+            "preset-with-modes",
         ],
     )
     def test_exit_2_no_outputs(self, tmp_path, mutate):
@@ -528,8 +552,11 @@ class TestInconsistentConfigs:
         "mutate, message",
         [
             (_ns_model(d=1), "eigensystem: divergence-free subspace requires d=2"),
-            (_ns_model(subspace="full"), "subspace 'full' on ns: "),
-            (_heat_div_free, "subspace 'div-free' on heat: "),
+            (_ns_model(subspace="full"), "model.subspace: 'full' is not one of ['div-free'] for model.kind 'ns'"),
+            (
+                _heat_div_free,
+                "model.subspace: 'div-free' is not one of ['full', 'mean-zero'] for model.kind 'heat'",
+            ),
             (_pushforward_window(0.25, 1.5), "pushforward window [0.25, 1.5]: window endpoints must coincide"),
             (_pushforward_window(0.5, 0.25), "pushforward window [0.5, 0.25]: window needs an even number"),
             (_heat_closed_form_on_rd, "closed-form check needs the heat model"),
@@ -537,17 +564,25 @@ class TestInconsistentConfigs:
             (_bivariate_noise_on_heat, "has 2 component(s) but the heat field has 1"),
             (_ns_functional_on("heat"), "pushforward functional: the ns-nonlinearity functional needs the ns model, not heat"),
             (_ns_functional_on("rd"), "pushforward functional: the ns-nonlinearity functional needs the ns model, not rd"),
-            (_unread("model.viscosity", 0.3), "model.viscosity is not read by kind 'heat'"),
-            (_unread("model.mesh.m", 64, mesh={"kind": "graded"}), "model.mesh.m is not read by kind 'graded'"),
-            (_unread("design.amplitude", 0.9), "design.amplitude is not read by kind 'uniform'"),
+            (_unread("model.viscosity", 0.3), "model.viscosity: unknown key for model.kind 'heat'"),
+            (
+                _unread("model.mesh.m", 64, mesh={"kind": "graded"}),
+                "model.mesh.m: unknown key for model.mesh.kind 'graded'",
+            ),
+            (_unread("design.amplitude", 0.9), "design.amplitude: unknown key for design.kind 'uniform'"),
             (_reversed_ratio_range, "ratio_range [1.15, 0.9] is empty"),
+            (
+                _unread("model.theta0", {"constant": 0.5, "scale_to_lan_norm": 3.0}),
+                "model.theta0.scale_to_lan_norm: unknown key for model.kind 'heat'",
+            ),
+            (_preset_with("constant", 0.5), "preset 'log-divergent' takes no constant, unit_index or modes"),
         ],
         ids=[
             "ns-d-1", "ns-subspace-full", "heat-subspace-div-free", "pushforward-t1-above-T",
             "pushforward-t1-below-t0", "heat-closed-form-on-rd", "ns-diagnostics-on-heat",
             "bivariate-noise-on-heat", "ns-nonlinearity-on-heat", "ns-nonlinearity-on-rd",
             "viscosity-on-heat", "m-on-graded-mesh", "amplitude-on-uniform-design",
-            "efficiency-ratio-range-reversed",
+            "efficiency-ratio-range-reversed", "scale-to-lan-norm-on-theta0", "preset-with-constant",
         ],
     )
     def test_message_names_the_rule(self, tmp_path, mutate, message):
@@ -1010,22 +1045,81 @@ class TestNoTaskHoldsATangentBatch:
 
 
 def _subschemas(schema):
-    """``schema`` and every schema nested in it."""
+    """``schema`` and every schema nested in it, in every branch of a union."""
     yield schema
-    for sub in schema.get("properties", {}).values():
+    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]:
         yield from _subschemas(sub)
     if "items" in schema:
         yield from _subschemas(schema["items"])
 
 
-_ALL_SCHEMAS = (CONFIG_SCHEMA, *TASK_SCHEMAS.values())
+def _unions(schema, path=""):
+    """(key path, schema) of each tagged union nested in ``schema``."""
+    if "oneOf" in schema:
+        yield path, schema
+    for sub in schema.get("oneOf", ()):
+        yield from _unions(sub, path)
+    for key, sub in schema.get("properties", {}).items():
+        yield from _unions(sub, f"{path}.{key}" if path else key)
+
+
+# a union shared by several branches (the mesh of every model kind) once
+_UNIONS = dict(_unions(CONFIG_SCHEMA))
+
+
+def _tag(union):
+    return union["discriminator"]["propertyName"]
+
+
+def _tags(union):
+    return [branch["properties"][_tag(union)]["enum"][0] for branch in union["oneOf"]]
+
+
+def _branch(path, tag):
+    """The branch of the union at ``path`` that ``tag`` selects."""
+    return _UNIONS[path]["oneOf"][_tags(_UNIONS[path]).index(tag)]
+
+
+def _example(sub):
+    """A value that ``sub`` accepts: its default, else the least one of its type."""
+    if "default" in sub:
+        return copy.deepcopy(sub["default"])
+    if "enum" in sub:
+        return sub["enum"][0]
+    if sub["type"] == "array":
+        return [_example(sub["items"]) for _ in range(sub.get("minItems", 1))]
+    return {"object": {}, "boolean": True, "number": 1.0, "string": "x"}.get(sub["type"], sub.get("minimum", 1))
+
+
+def _with_block(path, tag):
+    """``_fisher_cfg()`` with the block at ``path`` replaced by a minimal
+    block of the branch ``tag``: its tag and its required keys."""
+    branch = _branch(path, tag)
+    block = {key: _example(branch["properties"][key]) for key in branch["required"]}
+    block[_tag(_UNIONS[path])] = tag
+    cfg = _fisher_cfg()
+    *parents, last = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = block
+    return cfg, block, branch
+
+
+_BRANCH_PAIRS = [
+    (path, a, b, keys)
+    for path, union in _UNIONS.items()
+    for a, branch_a in zip(_tags(union), union["oneOf"])
+    for b, branch_b in zip(_tags(union), union["oneOf"])
+    if (keys := sorted(set(branch_a["properties"]) - set(branch_b["properties"])))
+]
 
 
 class TestConfigTable:
     """Each config key is declared once, in the schema, with its default."""
 
     def test_defaults_satisfy_their_own_schema(self):
-        declared = [s for schema in _ALL_SCHEMAS for s in _subschemas(schema) if "default" in s]
+        declared = [s for s in _subschemas(CONFIG_SCHEMA) if "default" in s]
         assert declared
         for sub in declared:
             jsonschema.validate(sub["default"], sub)
@@ -1055,9 +1149,51 @@ class TestConfigTable:
         resolved = resolve_config(validate_config(cfg))
         validate_config(resolved)  # a report's config block is a config
         assert resolve_config(resolved) == resolved
-        schema = TASK_SCHEMAS[name]["properties"]
+        schema = _branch("task", name)["properties"]
         defaults = {key: sub["default"] for key, sub in schema.items() if "default" in sub}
         assert resolved["task"] == {"name": name, **defaults}
+
+    @pytest.mark.parametrize(
+        "path, tag",
+        [(path, tag) for path, union in _UNIONS.items() if path != "task" for tag in _tags(union)],
+        ids=lambda v: v,
+    )
+    def test_resolve_fills_branch_defaults(self, path, tag):
+        # the resolved block is the given keys plus the selected branch's defaults
+        cfg, block, branch = _with_block(path, tag)
+        if "default" in branch["properties"][_tag(_UNIONS[path])]:
+            del block[_tag(_UNIONS[path])]  # the default branch, selected by the absent tag
+        if path == "model":
+            # given: the mesh (a union of its own) and heat's and rd's theta0, whose default is d's
+            block["mesh"] = {"kind": "uniform", "m": 8}
+            if tag != "ns":
+                block["theta0"] = {"constant": 0.5}
+        given = copy.deepcopy(block)
+        resolved = resolve_config(validate_config(cfg))
+        assert resolve_config(resolved) == resolved
+        for key in path.split("."):
+            resolved = resolved[key]
+        defaults = {key: sub["default"] for key, sub in branch["properties"].items() if "default" in sub}
+        assert resolved == {**defaults, **given}
+
+    @pytest.mark.parametrize(
+        "path, a, b, keys", _BRANCH_PAIRS, ids=[f"{p}-{a}-to-{b}" for p, a, b, _ in _BRANCH_PAIRS]
+    )
+    def test_key_of_another_branch_exit_2(self, tmp_path, path, a, b, keys):
+        # a key that only branch a declares, set under tag b, names the key and b
+        branch_a = _branch(path, a)
+        for key in keys:
+            cfg, block, _ = _with_block(path, b)
+            validate_config(cfg)
+            value = _example(branch_a["properties"][key])
+            check_schema(value, branch_a["properties"][key])  # a value that branch a accepts
+            block[key] = value
+            out = tmp_path / "out"
+            result = CliRunner().invoke(main, ["run", "-c", _write(tmp_path, "cfg.yaml", cfg), "-o", str(out)])
+            assert result.exit_code == 2, result.output
+            message = f"invalid config: {path}.{key}: unknown key for {path}.{_tag(_UNIONS[path])} {b!r}"
+            assert message in result.output
+            assert not out.exists()
 
 
 # a small heat LAN run (cosine design, a few replicates) whose checks pass
@@ -1334,7 +1470,9 @@ _NUMBERS = [1, 2, 3, 4, 2.0, 4.0, 0.25, 0.5, 1.5, -0.5, 0, -1, float("nan"), flo
 _STRINGS = [
     "", "x", "gaussian", "gaussian2", "laplace", "logistic", "cosine_bump", "uniform",
     "heat", "rd", "ns", "graded", "cos", "sin", "cosine", "alternative",
-    "fisher", "qmd-check", "snorm", "info-matrix", "efficiency", "ns-diagnostics",
+    "full", "mean-zero", "div-free",
+    "fisher", "qmd-check", "norm-equiv", "snorm", "info-matrix", "lan", "efficiency",
+    "gaussian-support", "pushforward-bound", "ns-diagnostics",
 ]
 _OTHERS = [None, True, [], [1], [[1.0, 0.0], [0.0, 1.0]], {}, {"kind": "graded"}]
 
@@ -1434,14 +1572,11 @@ _StrictIntegers = jsonschema.validators.extend(
     ),
 )
 _CONFIG_ORACLE = _StrictIntegers(CONFIG_SCHEMA)
-_TASK_ORACLES = {name: _StrictIntegers(schema) for name, schema in TASK_SCHEMAS.items()}
 
 
 def _oracle_accepts(cfg):
-    """The jsonschema validator's verdict: both schemas, then finite numbers."""
-    if not _CONFIG_ORACLE.is_valid(cfg) or cfg["task"]["name"] not in TASK_SCHEMAS:
-        return False
-    if not _TASK_ORACLES[cfg["task"]["name"]].is_valid(cfg["task"]):
+    """The jsonschema validator's verdict: the schema, then finite numbers."""
+    if not _CONFIG_ORACLE.is_valid(cfg):
         return False
     try:
         json.dumps(cfg, allow_nan=False)
@@ -1468,6 +1603,7 @@ _ORACLE_BASES = {
 _KEYWORDS = {
     "type", "default", "enum", "minimum", "exclusiveMinimum", "properties",
     "additionalProperties", "required", "items", "minItems", "maxItems",
+    "oneOf", "discriminator",
 }
 
 
@@ -1494,9 +1630,8 @@ class TestValidatorOracle:
         assert not _oracle_accepts(cfg)
 
     def test_schemas_use_only_implemented_keywords(self):
-        for schema in _ALL_SCHEMAS:
-            for sub in _subschemas(schema):
-                assert set(sub) <= _KEYWORDS, sorted(set(sub) - _KEYWORDS)
-                # a type on every value is what makes every number pass the finite check
-                assert sub["type"] in ("object", "array", "string", "boolean", "integer", "number")
-                assert sub.get("additionalProperties", False) is False
+        for sub in _subschemas(CONFIG_SCHEMA):
+            assert set(sub) <= _KEYWORDS, sorted(set(sub) - _KEYWORDS)
+            # a type on every value is what makes every number pass the finite check
+            assert sub["type"] in ("object", "array", "string", "boolean", "integer", "number")
+            assert sub.get("additionalProperties", False) is False
