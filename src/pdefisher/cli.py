@@ -288,9 +288,8 @@ def _task_efficiency(exp, task, rng):
         psi, M, task["n"], task["replicates"], exp["seed"],
         k_grid=task.get("k_grid"), workers=exp["workers"],
     )
-    expect = task.get("expect", "divergent" if task.get("psi", {}).get("preset") else "attain")
     checks = []
-    if expect == "divergent":
+    if task["expect"] == "divergent":
         checks.append(_check("divergence-flagged", report["bound"], None, report["divergent"]))
         inc = np.asarray(report["octave_increments"][-3:])
         band = float(inc.max() / inc.min()) if inc.size and inc.min() > 0 else float("inf")

@@ -214,10 +214,10 @@ CONFIG_SCHEMA = {
                         "type": "object",
                         "additionalProperties": False,
                         "properties": {
-                            "amplitude": {"type": "number"},
-                            "radius": _POSITIVE,
+                            "amplitude": {"type": "number", "default": 2.0},
+                            "radius": {**_POSITIVE, "default": 2.5},
                         },
-                        "default": {"amplitude": 2.0, "radius": 2.5},
+                        "default": {},
                     },
                 },
                 "ns": {
@@ -243,10 +243,10 @@ CONFIG_SCHEMA = {
         "noise": _union(
             "family",
             {
-                "gaussian": {"variance": _POSITIVE},
+                "gaussian": {"variance": {**_POSITIVE, "default": 1.0}},
                 "gaussian2": {"cov": {**_PAIR, "items": {**_PAIR, "items": {"type": "number"}}}},
-                "laplace": {"scale": _POSITIVE},
-                "logistic": {"scale": _POSITIVE},
+                "laplace": {"scale": {**_POSITIVE, "default": 1.0}},
+                "logistic": {"scale": {**_POSITIVE, "default": 1.0}},
                 "cosine_bump": {},
                 "uniform": {},
             },
@@ -419,9 +419,11 @@ def resolve_config(raw):
     # the defaults below depend on the machine or on another key;
     # replicate seeds are pre-split, so results never depend on the worker count
     cfg.setdefault("workers", os.cpu_count() or 1)
-    m = cfg["model"]
+    m, task = cfg["model"], cfg["task"]
     if m["kind"] != "ns":
         m.setdefault("theta0", copy.deepcopy(_SCALAR_THETA0[m["d"]]))
+    if task["name"] == "efficiency":  # the preset psi lies outside the dual space
+        task.setdefault("expect", "divergent" if "preset" in task.get("psi", {}) else "attain")
     _check_consistency(cfg)
     return cfg
 

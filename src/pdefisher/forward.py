@@ -446,7 +446,7 @@ class NavierStokesModel(_SpectralModel):
     the linear part is -nu lambda_j and the forcing is its own coefficient
     vector.  Two real matrices, built once from spectral's coefficient
     derivatives and the twin's grid transforms, carry every transform, so a
-    stage is one matmul each way:
+    base stage is one matmul each way:
 
     * ``_to_grid`` (nm, 4 n^2): u1, u2, d omega/dx1 and d omega/dx2 on the
       dealiased n x n grid of each unit coefficient vector, omega the
@@ -455,10 +455,15 @@ class NavierStokesModel(_SpectralModel):
       of -P a: a's projection on the twin times the inverse curl curl^T /
       lambda (<curl e_j, curl e_l> = lambda_j delta_jl), exact as n >= 3 kmax + 1.
 
-    Both grow as kmax^4 (n ~ 3 kmax, nm ~ 2 kmax^2), while the five FFTs per
-    stage they replace grow as kmax^2 log kmax.  Above kmax 6 a stage on them
-    measured slower (a solve stage 1.7x at kmax 7; a 64-column tangent stage
-    4x at kmax 16, with 104 MiB of maps), so the model refuses larger kmax.
+    A tangent stage is linear in the tangent states v, so it contracts the
+    base stage's four grid fields into one (nm, n^2) map W once, and maps v
+    through v W _from_grid: one grid field per column, not four.
+
+    Both maps grow as kmax^4 (n ~ 3 kmax, nm ~ 2 kmax^2), while the five FFTs
+    per stage they replace grow as kmax^2 log kmax.  Above kmax 6 a stage on
+    them measured slower (a solve stage 1.7x at kmax 7; a 64-column tangent
+    stage 4x at kmax 16, with 104 MiB of maps, measured before the tangent
+    stage contracted the base into W), so the model refuses larger kmax.
     """
 
     kind = "ns"
@@ -502,8 +507,10 @@ class NavierStokesModel(_SpectralModel):
         return out
 
     def _dnonlin(self, g, v):
-        # -P(u . grad omega' + u' . grad omega) for tangent states v (B, nm)
-        return np.einsum("bip,ip->bp", self._grid(v), g[[2, 3, 0, 1]]) @ self._from_grid
+        # -P(u . grad omega' + u' . grad omega) for tangent states v (B, nm);
+        # multi_dot picks (v W) F or v (W F) by the shapes
+        W = np.einsum("jip,ip->jp", self._to_grid.reshape(self.es.size, 4, -1), g[[2, 3, 0, 1]])
+        return np.linalg.multi_dot([v, W, self._from_grid])
 
     def lattice_divergence(self, field):
         """Max over nodes of max |div u| / max |u| over the twin coefficients

@@ -47,25 +47,6 @@ KIND_SIN = 2
 TWO_PI = 2.0 * np.pi
 
 
-def _half_lattice(d, kmax):
-    """Wavevectors k != 0 with |k_i| <= kmax, one per conjugate pair.
-
-    Convention: first nonzero component positive; lexicographic order.
-    """
-    out = []
-    if d == 1:
-        for k1 in range(1, kmax + 1):
-            out.append((k1,))
-    else:
-        for k1 in range(0, kmax + 1):
-            for k2 in range(-kmax, kmax + 1):
-                if k1 == 0 and k2 <= 0:
-                    continue
-                out.append((k1, k2))
-        out.sort()
-    return out
-
-
 def _seven_smooth(n):
     for p in (2, 3, 5, 7):
         while n % p == 0:
@@ -166,19 +147,24 @@ def build_eigensystem(d, kmax, subspace=FULL):
         dirs = np.stack([-k[:, 1], k[:, 0]], axis=1) / np.sqrt((k**2).sum(axis=1))[:, None]
         return EigenSystem(d, kmax, subspace, k, twin.kind, twin.lam, twin.lam, dirs=dirs, p=2, scalar=twin)
 
-    rows = []  # (lam, kvec, kind)
+    # wavevectors k != 0 with |k_i| <= kmax, one per conjugate pair (first
+    # nonzero component positive), each with a cos and a sin mode
+    r = np.arange(-kmax, kmax + 1, dtype=np.int64)
+    if d == 1:
+        k = r[r > 0, None]
+    else:
+        k = np.stack(np.meshgrid(r[kmax:], r, indexing="ij"), -1).reshape(-1, 2)
+        k = k[(k[:, 0] > 0) | (k[:, 1] > 0)]
+    k = np.repeat(k, 2, axis=0)
+    kind = np.tile(np.array([KIND_COS, KIND_SIN], dtype=np.int8), k.shape[0] // 2)
     if subspace == FULL:
-        rows.append((0.0, (0,) * d, KIND_CONST))
-    for k in _half_lattice(d, kmax):
-        lam = 4.0 * np.pi**2 * sum(c * c for c in k)
-        rows.append((lam, k, KIND_COS))
-        rows.append((lam, k, KIND_SIN))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-
-    kvecs = np.array([r[1] for r in rows], dtype=np.int64).reshape(len(rows), d)
-    kind = np.array([r[2] for r in rows], dtype=np.int8)
-    lam = np.array([r[0] for r in rows])
-    return EigenSystem(d, kmax, subspace, kvecs, kind, lam, 1.0 + lam)
+        k = np.vstack([np.zeros((1, d), dtype=np.int64), k])
+        kind = np.concatenate([np.array([KIND_CONST], dtype=np.int8), kind])
+    # ordered by (|k|^2, k, kind), the integer keys of lambda = 4 pi^2 |k|^2
+    ksq = (k**2).sum(axis=1)
+    order = np.lexsort((kind, *k.T[::-1], ksq))
+    lam = 4.0 * np.pi**2 * ksq[order]
+    return EigenSystem(d, kmax, subspace, k[order], kind[order], lam, 1.0 + lam)
 
 
 class FourierCoeffs:

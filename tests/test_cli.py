@@ -25,11 +25,14 @@ from pdefisher.config import (
     CONFIG_SCHEMA,
     TASK_NAMES,
     ConfigError,
+    build_experiment,
     check_schema,
     load_config,
     resolve_config,
     validate_config,
 )
+from pdefisher.forward import BumpReaction
+from pdefisher.noise import make_noise
 
 
 def _write(tmp_path, name, cfg):
@@ -820,6 +823,22 @@ class TestRemainingTasks:
         assert last["name"] == "linear-model-zero-remainder" and last["tolerance"] == tolerance
         assert 0 < last["value"] <= tolerance
 
+    @pytest.mark.parametrize(
+        "psi, expect, check", [(None, "attain", "variance-over-bound"),
+                               ({"preset": "log-divergent"}, "divergent", "divergence-flagged")],
+        ids=["attain", "divergent"],
+    )
+    def test_efficiency_report_states_expect(self, tmp_path, psi, expect, check):
+        # expect's default follows task.psi, and the report's config block says which ran
+        cfg = self._base({"name": "efficiency", "n": 100, "replicates": 20, **({"psi": psi} if psi else {})})
+        cfg["model"]["kmax"] = 4  # n_basis 9 spans all 9 modes, which the preset psi fills
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["efficiency", "-c", _write(tmp_path, "cfg.yaml", cfg), "-o", str(out)])
+        assert result.exit_code in (0, 1), result.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["task"]["expect"] == expect
+        assert check in [c["name"] for c in report["checks"]]
+
     def test_efficiency_divergent_target(self, tmp_path):
         cfg = self._base(
             {
@@ -1151,6 +1170,8 @@ class TestConfigTable:
         assert resolve_config(resolved) == resolved
         schema = _branch("task", name)["properties"]
         defaults = {key: sub["default"] for key, sub in schema.items() if "default" in sub}
+        if name == "efficiency":  # set by resolve_config from task.psi, absent here
+            defaults["expect"] = "attain"
         assert resolved["task"] == {"name": name, **defaults}
 
     @pytest.mark.parametrize(
@@ -1174,7 +1195,35 @@ class TestConfigTable:
         for key in path.split("."):
             resolved = resolved[key]
         defaults = {key: sub["default"] for key, sub in branch["properties"].items() if "default" in sub}
+        if tag == "rd":  # an object default that is filled key by key
+            reaction = branch["properties"]["reaction"]["properties"]
+            defaults["reaction"] = {key: sub["default"] for key, sub in reaction.items()}
         assert resolved == {**defaults, **given}
+
+    @pytest.mark.parametrize(
+        "path, given",
+        [("noise", {"family": family}) for family in ("gaussian", "laplace", "logistic")]
+        + [("model.reaction", reaction) for reaction in ({}, {"amplitude": 1.0}, {"radius": 2.0})],
+        ids=["gaussian", "laplace", "logistic", "reaction-empty", "reaction-amplitude", "reaction-radius"],
+    )
+    def test_resolved_defaults_are_the_constructors(self, path, given):
+        # a partial block resolves to the values its constructor would use
+        cfg = _fisher_cfg()
+        cfg["task"] = {"name": "info-matrix"}
+        if path == "noise":
+            cfg["noise"] = dict(given)
+        else:
+            cfg["model"] = {"kind": "rd", "kmax": 4, "T": 0.5, "reaction": dict(given)}
+        resolved = resolve_config(validate_config(cfg))
+        exp = build_experiment(resolved)
+        if path == "noise":
+            assert resolved["noise"] == {"family": given["family"], **make_noise(**given).params()}
+            assert exp["noise"].params() == make_noise(**given).params()
+        else:
+            default = BumpReaction(**given)
+            assert resolved["model"]["reaction"] == {"amplitude": default.amplitude, "radius": default.radius}
+            built = exp["model"].reaction
+            assert (built.amplitude, built.radius) == (default.amplitude, default.radius)
 
     @pytest.mark.parametrize(
         "path, a, b, keys", _BRANCH_PAIRS, ids=[f"{p}-{a}-to-{b}" for p, a, b, _ in _BRANCH_PAIRS]

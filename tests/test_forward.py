@@ -327,6 +327,27 @@ class TestNavierStokesGridMaps:
         assert got.shape == (es.size,)
         assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("B", [1, 31, 64])
+    @pytest.mark.parametrize("kmax", [2, 4, 6])
+    def test_tangent_stage_is_the_central_difference(self, kmax, B, forced):
+        # the advection is quadratic in the state, so N(u + v) - N(u - v) is
+        # exactly 2 N'(u) v and the forcing cancels; B spans both orders that
+        # multi_dot picks for v W F (worst error seen: 4.7e-15 of the largest entry)
+        es = build_eigensystem(2, kmax, DIV_FREE)
+        rng = np.random.default_rng(10 * kmax + B)
+        forcing = FourierCoeffs(es, rng.standard_normal(es.size)) if forced else None
+        ns = NavierStokesModel(es, viscosity=0.05, T=0.25, forcing=forcing, mesh=TimeMesh.uniform(0.25, 4))
+        u, v = rng.standard_normal(es.size), rng.standard_normal((B, es.size))
+
+        def nonlin(w):  # N at each row of w, from its (4, B, n^2) grid values
+            return ns._nonlin(np.moveaxis(ns._grid(w), -2, 0))
+
+        oracle = (nonlin(u + v) - nonlin(u - v)) / 2
+        got = ns._dnonlin(ns._grid(u), v)
+        assert got.shape == (B, es.size)
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
 
 class TestReactionDiffusion2D:
     def test_zero_reaction_reduces_to_heat_2d(self):

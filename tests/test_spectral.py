@@ -1,5 +1,6 @@
 """Eigensystem, transform, and norm checks against independent oracles."""
 
+import itertools
 import math
 import pathlib
 import re
@@ -92,6 +93,24 @@ class TestEigenSystem:
         np.testing.assert_array_equal(twin.kind, es.kind)
         np.testing.assert_array_equal(twin.lam, es.lam)
         assert twin.scalar is None and build_eigensystem(1, kmax, FULL).scalar is None
+
+    @pytest.mark.parametrize(
+        "d, subspace", [(1, FULL), (1, MEAN_ZERO), (2, FULL), (2, MEAN_ZERO), (2, DIV_FREE)]
+    )
+    def test_order_is_the_tuple_sort(self, d, subspace):
+        # oracle: every retained (lambda, k, kind) row, sorted as Python tuples
+        for kmax in range(1, 21):
+            rows = [(0.0, (0,) * d, KIND_CONST)] if subspace == FULL else []
+            for k in itertools.product(range(-kmax, kmax + 1), repeat=d):
+                if k > (0,) * d:  # one of each conjugate pair: first nonzero component positive
+                    lam = 4.0 * np.pi**2 * sum(c * c for c in k)
+                    rows += [(lam, k, KIND_COS), (lam, k, KIND_SIN)]
+            rows.sort()
+            es = build_eigensystem(d, kmax, subspace)
+            assert es.kvecs.dtype == np.int64 and es.kind.dtype == np.int8
+            np.testing.assert_array_equal(es.kvecs, np.array([r[1] for r in rows]).reshape(-1, d))
+            np.testing.assert_array_equal(es.kind, [r[2] for r in rows])
+            np.testing.assert_array_equal(es.lam, [r[0] for r in rows])
 
     def test_dealiased_grid_is_smallest_even_7_smooth(self):
         # oracle: brute-force search over even n >= max(8, 3k+1) divisible by
