@@ -10,6 +10,8 @@ import numpy as np
 
 from .spectral import DIV_FREE, derivative, values_from_coeffs
 
+_MC_BLOCK_ENTRIES = 32768  # support MC sample entries drawn and reduced at a time (256 KiB per array)
+
 
 class GaussianSampleBatch:
     """m draws from N(0, M^{-1}) in the retained eigenbasis."""
@@ -74,11 +76,14 @@ def support_diagnostic(M, beta_list, k_grid, kappa, alpha, m_mc=0, rng=None, mc_
 
     if m_mc and rng is not None:
         k = int(mc_k if mc_k is not None else k_grid[0])
-        batch = sample_efficient_gaussian(M, m_mc, rng, k=k)
+        per_beta = np.empty((len(beta_list), m_mc))  # each draw's weighted |G|^2, per beta
+        rows = max(1, _MC_BLOCK_ENTRIES // k)
+        for start in range(0, m_mc, rows):  # one rng stream: the blocks draw what one batch would
+            sq = sample_efficient_gaussian(M, min(rows, m_mc - start), rng, k=k).samples ** 2
+            for beta, per_sample in zip(beta_list, per_beta):
+                per_sample[start : start + len(sq)] = (sq * M.es.tau[:k] ** (-float(beta))).sum(axis=1)
         report["mc"] = {"k": k, "m": m_mc, "betas": []}
-        for beta in beta_list:
-            wts = M.es.tau[:k] ** (-float(beta))
-            per_sample = (batch.samples**2 * wts[None, :]).sum(axis=1)
+        for beta, per_sample in zip(beta_list, per_beta):
             report["mc"]["betas"].append(
                 {
                     "beta": float(beta),

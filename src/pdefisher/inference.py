@@ -45,11 +45,14 @@ def simulate_dataset(field, design, noise, n, rng):
 
 def _replicate_map(fn, replicates, workers, seed):
     """fn(rng) per replicate, rngs spawned from seed; index-ordered, so independent of workers."""
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(replicates)]
+    def run(child):  # each generator is made by the call that runs its replicate
+        return fn(np.random.default_rng(child))
+
+    children = np.random.SeedSequence(seed).spawn(replicates)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            return np.array(list(ex.map(fn, rngs)))
-    return np.array([fn(rng) for rng in rngs])
+            return np.array(list(ex.map(run, children)))
+    return np.array([run(child) for child in children])
 
 
 def _loglik(noise, data, field):

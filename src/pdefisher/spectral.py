@@ -84,8 +84,7 @@ class EigenSystem:
         self._table_cols = 2 * cell + (kind == KIND_SIN)
         self._table_amp = np.where(kind == KIND_CONST, 1.0, np.sqrt(2.0))
         self._lattices = {}  # grid size n -> _LatticeMap, built on first use
-        keys = zip(map(tuple, kvecs.tolist()), kind.tolist())
-        self._lookup = scalar._lookup if scalar is not None else {key: j for j, key in enumerate(keys)}
+        self._lookup = None  # (k, kind) -> index, built by the first index_of
 
     @property
     def size(self):
@@ -111,8 +110,11 @@ class EigenSystem:
 
     def index_of(self, kvec, kind):
         """Index of a basis function, -1 if not retained."""
+        es = self if self.scalar is None else self.scalar  # div-free: the twin's lookup, built once
+        if es._lookup is None:
+            es._lookup = {(tuple(k), c): j for j, (k, c) in enumerate(zip(es.kvecs.tolist(), es.kind.tolist()))}
         kvec = tuple(int(c) for c in np.atleast_1d(kvec))
-        return self._lookup.get((kvec, int(kind)), -1)
+        return es._lookup.get((kvec, int(kind)), -1)
 
     def __eq__(self, other):
         return (

@@ -2,6 +2,7 @@
 scale, and pushforward bounds, against exact-moment and closed-form oracles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pdefisher import (
     sample_efficient_gaussian,
     support_diagnostic,
 )
-from pdefisher.gaussian import GaussianSampleBatch
+from pdefisher.gaussian import _MC_BLOCK_ENTRIES, GaussianSampleBatch
 from pdefisher.spectral import DIV_FREE, derivative, values_from_coeffs
 
 
@@ -114,11 +115,8 @@ class TestSupportDiagnostic:
     def test_moments_match_block_inverses(self):
         # non-diagonal SPD M: moments are sum_j w_j (M_K^{-1})_jj, from the
         # inverse of each leading block, at every K and at the MC truncation
-        es = build_eigensystem(1, 16)
-        rng = np.random.default_rng(11)
-        B = rng.standard_normal((24, 24))
-        A = B @ B.T / 24 + np.eye(24)
-        M = InformationMatrix(A, es)
+        M = _spd_information(24, 11)
+        es, A = M.es, M.matrix
         k_grid = list(range(1, 25))
         rep = support_diagnostic(
             M, [0.5, 2.0], k_grid, kappa=1.0, alpha=0.5,
@@ -188,6 +186,64 @@ class TestSupportDiagnostic:
             assert entry["divergent"]
             predicted = (1.0 + 0.5 - entry["beta"]) / 0.5
             assert abs(entry["fitted_growth"] - predicted) < 0.3
+
+
+def _spd_information(n_basis, seed):
+    """A non-diagonal SPD information matrix on the first n_basis d = 1 modes."""
+    es = build_eigensystem(1, n_basis // 2)
+    B = np.random.default_rng(seed).standard_normal((n_basis, n_basis))
+    return InformationMatrix(B @ B.T / n_basis + np.eye(n_basis), es)
+
+
+def _held_support_mc(M, beta_list, m, rng, k):
+    """(estimate, stderr) per beta from one held (m, k) batch, each draw's
+    weighted squared norm summed over the whole batch at once."""
+    batch = sample_efficient_gaussian(M, m, rng, k)
+    out = []
+    for beta in beta_list:
+        per_sample = (batch.samples**2 * M.es.tau[:k][None, :] ** (-beta)).sum(axis=1)
+        out.append((per_sample.mean(), per_sample.std(ddof=1) / np.sqrt(m)))
+    return out
+
+
+class TestStreamedSupportMC:
+    """The support Monte Carlo draws its samples in blocks of at most
+    _MC_BLOCK_ENTRIES entries and holds only each draw's moments; it matches
+    the held-batch oracle and consumes exactly the batch's normal stream."""
+
+    @pytest.mark.parametrize("mc_k", [1, 7, 32, 48])
+    @pytest.mark.parametrize("m_case", ["1", "2", "block-1", "block", "block+1", "5000"])
+    def test_matches_held_batch(self, mc_k, m_case):
+        M = _spd_information(48, 21)
+        block = _MC_BLOCK_ENTRIES // mc_k
+        m_mc = {"1": 1, "2": 2, "block-1": block - 1, "block": block, "block+1": block + 1, "5000": 5000}[m_case]
+        betas = [0.5, 2.0]
+        with warnings.catch_warnings():
+            if m_mc == 1:  # one draw: the ddof=1 stderr is nan on both sides, with a warning
+                warnings.simplefilter("ignore", RuntimeWarning)
+            rng = np.random.default_rng(22)
+            rep = support_diagnostic(M, betas, [mc_k, 48], kappa=1.0, alpha=0.5, m_mc=m_mc, rng=rng, mc_k=mc_k)
+            held = _held_support_mc(M, betas, m_mc, np.random.default_rng(22), mc_k)
+        assert rep["mc"]["k"] == mc_k and rep["mc"]["m"] == m_mc
+        for entry, (estimate, stderr) in zip(rep["mc"]["betas"], held):
+            np.testing.assert_allclose(entry["estimate"], estimate, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(entry["stderr"], stderr, rtol=1e-13, atol=0)
+        batch_rng = np.random.default_rng(22)
+        batch_rng.standard_normal((m_mc, mc_k))
+        assert rng.bit_generator.state == batch_rng.bit_generator.state
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # K = mc_k = 128 and 5000 draws: a held batch and its two same-size
+        # products are 3 x 5000 x 128 x 8 B = 14.6 MiB; a block is 256 KiB
+        M = _spd_information(128, 23)
+        rng = np.random.default_rng(24)
+        tracemalloc.start()
+        try:
+            support_diagnostic(M, [1.0, 2.0], [32, 64, 128], kappa=1.0, alpha=0.5, m_mc=5000, rng=rng, mc_k=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def _fft_gradients(u):

@@ -123,6 +123,19 @@ class TestEigenSystem:
             assert build_eigensystem(1, k).min_grid_points(dealias=True) == n
             assert build_eigensystem(2, k, DIV_FREE).min_grid_points(dealias=True) == n
 
+    @pytest.mark.parametrize(
+        "d, subspace", [(1, FULL), (1, MEAN_ZERO), (2, FULL), (2, MEAN_ZERO), (2, DIV_FREE)]
+    )
+    def test_index_of_inverts_the_enumeration(self, d, subspace):
+        es = build_eigensystem(d, 5, subspace)
+        assert es._lookup is None  # the lookup is built on the first index_of
+        for j in range(es.size):
+            assert es.index_of(es.kvecs[j], es.kind[j]) == j
+        assert es.index_of([6] + [0] * (d - 1), KIND_COS) == -1
+        assert es.index_of([-1] + [0] * (d - 1), KIND_COS) == -1  # the other of the conjugate pair
+        if subspace == DIV_FREE:  # answered by the mean-zero twin, which holds the one lookup
+            assert es._lookup is None and es.scalar._lookup is not None
+
     def test_invalid_combinations(self):
         with pytest.raises(ValueError):
             build_eigensystem(1, 4, DIV_FREE)
