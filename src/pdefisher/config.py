@@ -440,6 +440,8 @@ def _check_consistency(cfg):
         raise ConfigError("uniform noise has no Fisher information; only the fisher task accepts it")
     if task["name"] == "efficiency" and task["ratio_range"][0] > task["ratio_range"][1]:
         raise ConfigError(f"ratio_range {task['ratio_range']} is empty: its low end is above its high end")
+    if task.get("m_mc") == 1:  # 0 turns the Monte Carlo off; one draw has no standard error
+        raise ConfigError("m_mc 1 gives the support Monte Carlo no standard error: use 0 (off) or at least 2")
     if "mc_k" in task and task["mc_k"] > max(task["k_grid"]):  # M is assembled at max(k_grid)
         raise ConfigError(f"mc_k {task['mc_k']} exceeds max(k_grid) {max(task['k_grid'])}")
     # snorm and efficiency read their traces off the n_basis matrix

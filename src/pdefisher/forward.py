@@ -21,16 +21,13 @@ import numpy as np
 from .spectral import (
     DIV_FREE,
     FourierCoeffs,
+    _point_table,
+    _Scratch,
     coeffs_from_values,
     derivative,
-    point_table,
     table_layout,
     values_from_coeffs,
 )
-
-# points per block of scattered evaluation; bounds the per-call working set,
-# the block's point table and one stencil row's gather, each (block, 2 cells)
-_CHUNK = 2048
 
 
 class TimeMesh:
@@ -139,6 +136,22 @@ def _time_stencils(mesh, t):
     return np.take(idx, j, axis=0), w.T
 
 
+_plan = _Scratch()  # each thread's last point plan, and its own work arrays for the table
+
+
+def _point_plan(es, mesh, t, x):
+    """What evaluating at (t, x) does before any field enters: time stencils
+    (idx, w) and the point table with its spare.  A thread reuses its last
+    plan while the mesh (the same object), eigensystem (==) and bytes of t and
+    x match, so a replicate's evaluations at its design points build one."""
+    key = (mesh, es, t.tobytes(), x.tobytes())
+    if getattr(_plan, "key", None) != key:
+        _plan.key = None  # an error below leaves no half-built plan
+        _plan.value = _time_stencils(mesh, t), _point_table(es, x, _plan)
+        _plan.key = key
+    return _plan.value
+
+
 class SpaceTimeField:
     """Coefficient snapshots on a time mesh; a tangent flow at theta0 carries ``base`` = G(theta0)."""
 
@@ -158,7 +171,7 @@ class SpaceTimeField:
         t: (nq,) in [0, T], x: (nq, d).  Returns (nq,) for scalar fields and
         (nq, 2) for divergence-free ones.  The snapshots are laid out once in
         the point table's columns (``spectral.table_layout``) and contracted
-        with it, one gathered stencil row at a time.
+        with the points' plan (:func:`_point_plan`), one stencil row at a time.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -171,16 +184,12 @@ class SpaceTimeField:
         if self._layout is None:  # threads racing here build equal arrays
             self._layout = table_layout(self.es, self.data)
         coeffs, comps = self._layout
-        idx, w = _time_stencils(self.mesh, t)
-        out = np.empty((t.shape[0], comps.shape[1]))
-        for start in range(0, t.shape[0], _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            table, row = point_table(self.es, x[sl])
-            vals = np.empty((len(table), 4, comps.shape[1]))
-            for a in range(4):  # one stencil row at a time, into one buffer ("clip": unbuffered)
-                np.take(coeffs, idx[sl, a], axis=0, out=row, mode="clip")
-                vals[:, a] = np.multiply(row, table, out=row) @ comps
-            out[sl] = np.einsum("qap,qa->qp", vals, w[sl])
+        (idx, w), (table, row) = _point_plan(self.es, self.mesh, t, x)
+        vals = np.empty((t.shape[0], 4, comps.shape[1]))
+        for a in range(4):  # one stencil row at a time, into one buffer ("clip": unbuffered)
+            np.take(coeffs, idx[:, a], axis=0, out=row, mode="clip")
+            vals[:, a] = np.multiply(row, table, out=row) @ comps
+        out = np.einsum("qap,qa->qp", vals, w)
         return out if self.es.dirs is not None else out[:, 0]
 
     def squared_l2_profile(self):

@@ -374,7 +374,7 @@ def sobolev_norm(u, s, es=None):
 class _Scratch(threading.local):
     """Each thread's complex work arrays for :func:`point_table`, one per slot
     name, grown on demand and kept for the thread's lifetime.  Arrays made
-    fresh for each block come from mmap and page-fault on every call, unless
+    fresh for each call come from mmap and page-fault each time, unless
     an earlier free has raised glibc's mmap threshold; reused, evaluation
     costs the same whatever ran before it."""
 
@@ -401,12 +401,16 @@ def point_table(es, x):
     Returns ``(table, spare)``: ``spare`` has the table's shape and holds
     nothing it needs (the array it was transposed from).  Both live in this
     thread's work arrays, which its next call overwrites, so copy what you
-    keep.  The two largest hold 2 cells x nq x 16 B each for the largest
-    block the thread has built.
+    keep.  The two largest hold 2 cells x nq x 16 B each for the most
+    points the thread has tabled.
     """
+    return _point_table(es, x, _scratch)
+
+
+def _point_table(es, x, work):  # point_table, in the work arrays of the _Scratch ``work``
     x = np.atleast_2d(np.asarray(x, dtype=float))
     nq, kmax = x.shape[0], es.kmax
-    pw = _scratch("powers", (es.d, kmax + 1, nq))
+    pw = work("powers", (es.d, kmax + 1, nq))
     pw[:, 0] = 1.0
     pw[:, 1] = np.exp(TWO_PI * 1j * x.T)
     m = 1
@@ -415,13 +419,13 @@ def point_table(es, x):
         np.multiply(pw[:, 1 : j + 1], pw[:, m : m + 1], out=pw[:, m + 1 : m + j + 1])
         m += j
     if es.d == 2:
-        ky = _scratch("ky", (2 * kmax + 1, nq))
+        ky = work("ky", (2 * kmax + 1, nq))
         np.conjugate(pw[1, :0:-1], out=ky[:kmax])
         ky[kmax:] = pw[1]
-        pw = np.multiply(pw[0, :, None], ky, out=_scratch("cells", (kmax + 1,) + ky.shape))
-    table = _scratch("table", (nq, pw.size // nq))
-    np.copyto(table, pw.reshape(-1, nq).T)
-    return table.view(float), pw.reshape(nq, -1).view(float)
+        pw = np.multiply(pw[0, :, None], ky, out=work("cells", (kmax + 1,) + ky.shape))
+    table = work("table", (nq, math.prod(pw.shape[:-1])))  # (points, cells), also for no points
+    np.copyto(table, pw.reshape(table.shape[::-1]).T)
+    return table.view(float), pw.reshape(table.shape).view(float)
 
 
 def table_layout(es, data):

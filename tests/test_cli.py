@@ -288,6 +288,10 @@ def _mc_k_above_k_grid(cfg):
     cfg["task"] = {"name": "gaussian-support", "k_grid": [4, 8], "mc_k": 9}
 
 
+def _single_support_draw(cfg):
+    cfg["task"] = {"name": "gaussian-support", "k_grid": [4, 8], "m_mc": 1}
+
+
 def _unit_index_above_modes(cfg):
     # heat kmax=4 in d=1 has 9 modes
     cfg["model"]["theta0"] = {"unit_index": 999}
@@ -441,6 +445,7 @@ class TestInconsistentConfigs:
             _pushforward_window(0.13, 0.5),
             _pushforward_window(0.015625, 0.5),
             _mc_k_above_k_grid,
+            _single_support_draw,
             _unit_index_above_modes,
             _bad_s_values("qmd-check", [1e-2, 1e-1]),
             _bad_s_values("ns-diagnostics", [1e-2, 1e-1], _NS_SMALL),
@@ -495,6 +500,7 @@ class TestInconsistentConfigs:
             "pushforward-t0-off-mesh",
             "pushforward-odd-window",
             "mc-k-above-k-grid",
+            "support-single-draw",
             "unit-index-above-modes",
             "qmd-two-s-values",
             "ns-diagnostics-two-s-values",
@@ -574,6 +580,7 @@ class TestInconsistentConfigs:
             ),
             (_unread("design.amplitude", 0.9), "design.amplitude: unknown key for design.kind 'uniform'"),
             (_reversed_ratio_range, "ratio_range [1.15, 0.9] is empty"),
+            (_single_support_draw, "m_mc 1 gives the support Monte Carlo no standard error"),
             (
                 _unread("model.theta0", {"constant": 0.5, "scale_to_lan_norm": 3.0}),
                 "model.theta0.scale_to_lan_norm: unknown key for model.kind 'heat'",
@@ -586,6 +593,7 @@ class TestInconsistentConfigs:
             "bivariate-noise-on-heat", "ns-nonlinearity-on-heat", "ns-nonlinearity-on-rd",
             "viscosity-on-heat", "m-on-graded-mesh", "amplitude-on-uniform-design",
             "efficiency-ratio-range-reversed", "scale-to-lan-norm-on-theta0", "preset-with-constant",
+            "support-single-draw",
         ],
     )
     def test_message_names_the_rule(self, tmp_path, mutate, message):

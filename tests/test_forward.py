@@ -641,8 +641,8 @@ class TestEvaluateExact:
     """evaluate against the definition: 4-point Lagrange in time, explicit
     Fourier sum in space.  Mean-zero systems leave table columns unused; kmax
     1, 16 and 33 give no, a full and a partial last block of powers; the
-    points cross a block boundary, and the times include 0, T and every
-    mesh node."""
+    points are more than 2,048 (a block of the former blocked evaluation),
+    and the times include 0, T and every mesh node."""
 
     @pytest.mark.parametrize(
         "d, kmax, subspace",
@@ -660,7 +660,7 @@ class TestEvaluateExact:
         mesh = TimeMesh.graded(1.0, levels=5, steps_per_block=4)
         rng = np.random.default_rng(20 + d + kmax)
         f = SpaceTimeField(es, mesh, rng.standard_normal((mesh.n_nodes, es.size)))
-        n = forward._CHUNK + 52
+        n = 2100
         t = np.concatenate([[0.0, 1.0], mesh.nodes, rng.uniform(0, 1, n - 2 - mesh.n_nodes)])
         x = rng.uniform(0, 1, (n, d))
         expected = np.array([
@@ -669,9 +669,20 @@ class TestEvaluateExact:
         ])
         np.testing.assert_allclose(f.evaluate(t, x), expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d, subspace", [(1, "full"), (2, DIV_FREE)], ids=["d1", "d2-div-free"])
+    def test_no_points(self, d, subspace):
+        from pdefisher.spectral import basis_values_at
+
+        es = build_eigensystem(d, 3, subspace)
+        mesh = TimeMesh.uniform(1.0, 8)
+        f = SpaceTimeField(es, mesh, np.ones((mesh.n_nodes, es.size)))
+        got = f.evaluate(np.zeros(0), np.zeros((0, d)))
+        assert got.shape == ((0, 2) if es.dirs is not None else (0,))
+        assert basis_values_at(es, np.zeros((0, d))).shape == (0, es.size)
+
     def test_reused_work_arrays_keep_every_result(self):
         # one thread's work arrays serve a 2-D div-free field, then a 1-D
-        # field on more points than a block, then a few points: each result
+        # field on more than 2,048 points, then a few points: each result
         # is the oracle's, and no later call changes an earlier result.  At
         # mesh nodes the time weights are exactly 1 and 0, so the oracle is
         # the basis values at x times the node's snapshot.
@@ -681,7 +692,7 @@ class TestEvaluateExact:
         mesh = TimeMesh.graded(1.0, levels=5, steps_per_block=4)
         cases = [
             (build_eigensystem(2, 3, DIV_FREE), 300),
-            (build_eigensystem(1, 20), forward._CHUNK + 300),
+            (build_eigensystem(1, 20), 2348),
             (build_eigensystem(1, 6), 7),
         ]
         results = []
@@ -700,31 +711,131 @@ class TestEvaluateExact:
     @pytest.mark.parametrize("subspace", ["full", DIV_FREE])
     def test_fresh_field_from_threads_at_once(self, subspace, threads):
         # the layout is built on first use: threads racing to build it (more
-        # than the cores, switching often) all get the serial values
+        # than the cores, switching often) all get the serial values.  Each
+        # thread alternates two fields at its own points, so it reuses its
+        # point plan while the others build and reuse theirs.
         es = build_eigensystem(2, 3, subspace)
         mesh = TimeMesh.graded(1.0, levels=5, steps_per_block=4)
         rng = np.random.default_rng(5)
-        data = rng.standard_normal((mesh.n_nodes, es.size))
-        t, x = rng.uniform(0, 1, 700), rng.uniform(0, 1, (700, 2))
-        serial = SpaceTimeField(es, mesh, data).evaluate(t, x)
+        datas = [rng.standard_normal((mesh.n_nodes, es.size)) for _ in range(2)]
+        points = [(rng.uniform(0, 1, 700), rng.uniform(0, 1, (700, 2))) for _ in range(threads)]
+        serial = [[SpaceTimeField(es, mesh, data).evaluate(t, x) for data in datas] for t, x in points]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                f = SpaceTimeField(es, mesh, data)
+                fields = [SpaceTimeField(es, mesh, data) for data in datas]
                 barrier = threading.Barrier(threads, timeout=10)
 
-                def run(f=f, barrier=barrier):
+                def run(i, fields=fields, barrier=barrier):
                     barrier.wait()
-                    return f.evaluate(t, x)
+                    t, x = points[i]
+                    return [fields[k % 2].evaluate(t, x) for k in range(4)]
 
                 with ThreadPoolExecutor(max_workers=threads) as ex:
-                    futures = [ex.submit(run) for _ in range(threads)]
+                    futures = [ex.submit(run, i) for i in range(threads)]
                     results = [fut.result(timeout=30) for fut in futures]
-                for got in results:
-                    np.testing.assert_array_equal(got, serial)
+                for i, got in enumerate(results):
+                    for k, values in enumerate(got):
+                        np.testing.assert_array_equal(values, serial[i][k % 2])
         finally:
             sys.setswitchinterval(interval)
+
+
+def _on_new_thread(fn, *args):
+    """fn(*args) on a thread of its own, so with a point plan and work arrays
+    that no earlier call built."""
+    with ThreadPoolExecutor(max_workers=1) as ex:
+        return ex.submit(fn, *args).result(timeout=60)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestPointPlan:
+    """A thread builds one point plan (time stencils, point table and its
+    spare) per point set and reuses it while the mesh, the eigensystem and
+    the bytes of t and x match.  Every result on a reused plan is bitwise the
+    result of a fresh evaluation on a thread of its own; 5,000 points are
+    more than one block of the former blocked evaluation."""
+
+    @staticmethod
+    def _case(n, d=1, kmax=6, subspace="full", seed=0):
+        es = build_eigensystem(d, kmax, subspace)
+        mesh = TimeMesh.graded(1.0, levels=5, steps_per_block=4)
+        rng = np.random.default_rng(seed + n)
+        f, g = (SpaceTimeField(es, mesh, rng.standard_normal((mesh.n_nodes, es.size))) for _ in range(2))
+        return f, g, rng.uniform(0, 1, n), rng.uniform(0, 1, (n, d))
+
+    @pytest.mark.parametrize("n", [7, 2100, 5000])
+    @pytest.mark.parametrize("d, subspace", [(1, "full"), (2, DIV_FREE)], ids=["d1", "d2-div-free"])
+    def test_second_field_at_the_same_points(self, n, d, subspace):
+        f, g, t, x = self._case(n, d, 3 if d == 2 else 6, subspace)
+        first = f.evaluate(t, x)
+        plan = forward._plan.value
+        second = g.evaluate(t, x)
+        assert forward._plan.value is plan  # g reused f's plan
+        assert _bitwise_equal(first, _on_new_thread(f.evaluate, t, x))
+        assert _bitwise_equal(second, _on_new_thread(g.evaluate, t, x))
+        assert _bitwise_equal(f.evaluate(t, x), first)  # and again, after g wrote the spare
+
+    @pytest.mark.parametrize("n", [7, 2100, 5000])
+    @pytest.mark.parametrize(
+        "between", ["basis-values", "other-points", "other-eigensystem", "equal-eigensystem", "other-mesh"]
+    )
+    def test_after_an_interleaved_call(self, n, between):
+        from pdefisher.spectral import basis_values_at
+
+        f, g, t, x = self._case(n, seed=1)
+        es, mesh = f.es, f.mesh
+        other = np.random.default_rng(2).uniform(0, 1, (n, 1))
+        f.evaluate(t, x)
+        if between == "basis-values":  # spectral's own work arrays, same shape, other points
+            basis_values_at(es, other)
+        elif between == "other-points":
+            f.evaluate(t[::-1].copy(), other)
+        elif between == "other-eigensystem":
+            es2 = build_eigensystem(1, 9)
+            SpaceTimeField(es2, mesh, np.ones((mesh.n_nodes, es2.size))).evaluate(t, x)
+        elif between == "equal-eigensystem":  # == but another object: the plan is reused
+            g = SpaceTimeField(build_eigensystem(1, es.kmax), mesh, g.data)
+        else:
+            mesh2 = TimeMesh.uniform(1.0, 16)
+            SpaceTimeField(es, mesh2, np.ones((mesh2.n_nodes, es.size))).evaluate(t, x)
+        assert _bitwise_equal(g.evaluate(t, x), _on_new_thread(g.evaluate, t, x))
+
+    @pytest.mark.parametrize("n", [7, 2100, 5000])
+    @pytest.mark.parametrize("mutated", ["x", "t"])
+    def test_after_the_caller_mutates_its_points(self, n, mutated):
+        f, g, t, x = self._case(n, seed=3)
+        f.evaluate(t, x)
+        if mutated == "x":
+            x[n // 2, 0] = (x[n // 2, 0] + 0.5) % 1.0
+        else:
+            t[-1] = 1.0 - t[-1]
+        assert _bitwise_equal(g.evaluate(t, x), _on_new_thread(g.evaluate, t, x))
+
+    @pytest.mark.parametrize("bad", ["x-nan", "x-inf", "t-above-T", "t-negative", "t-nan"])
+    def test_invalid_points_raise_on_what_would_be_a_hit(self, bad):
+        # the thread's plan is built at the invalid points themselves, with
+        # no check, so only evaluate's own validation can refuse them
+        f, _, t, x = self._case(50, seed=4)
+        column, i, value = {
+            "x-nan": (x[:, 0], 3, np.nan), "x-inf": (x[:, 0], 3, np.inf),
+            "t-above-T": (t, 5, 1.5), "t-negative": (t, 5, -0.1), "t-nan": (t, 5, np.nan),
+        }[bad]
+        column[i] = value
+        with np.errstate(invalid="ignore"):
+            forward._point_plan(f.es, f.mesh, t, x)
+        with pytest.raises(ValueError, match="not finite"):
+            f.evaluate(t, x)
+
+    def test_shape_check_runs_on_a_hit(self):
+        f, _, t, x = self._case(50, seed=5)
+        f.evaluate(t, x)
+        with pytest.raises(ValueError, match="need t"):
+            f.evaluate(t, x.reshape(25, 2))
 
 
 class TestSmoothing:

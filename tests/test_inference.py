@@ -25,6 +25,7 @@ from pdefisher import (
     sample_efficient_gaussian,
     simulate_dataset,
 )
+from pdefisher import forward, inference
 from pdefisher.inference import (
     _MAXLOG,
     _inverse_factorials,
@@ -221,6 +222,48 @@ class TestLanMonteCarlo:
         a = lan_montecarlo(h, M, 200, 20, 10, workers=1)
         b = lan_montecarlo(h, M, 200, 20, 10, workers=4)
         assert a["mean"] == b["mean"] and a["var"] == b["var"]
+
+
+class TestPointPlanReplicates:
+    """A replicate evaluates three fields at its design points (the simulated
+    field and, for the ratio, G0 and G1; for efficiency, G0 and the influence
+    field), and builds the points' plan once (``forward._point_plan``).  Every
+    replicate value is bitwise the one with the plan built fresh on every call."""
+
+    @staticmethod
+    def _replicates(task, setup, fresh, monkeypatch):
+        es, _, _, _, _, M = setup
+        h = FourierCoeffs.unit(es, es.index_of([1], 1))
+        values, builds = [], []
+        real_map, real_plan, real_stencils = inference._replicate_map, forward._point_plan, forward._time_stencils
+
+        def keep(*args):
+            values.append(real_map(*args))
+            return values[-1]
+
+        def plan(*args):
+            if fresh:
+                forward._plan.key = None
+            return real_plan(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(inference, "_replicate_map", keep)
+            mp.setattr(forward, "_point_plan", plan)
+            mp.setattr(forward, "_time_stencils", lambda *a: builds.append(1) or real_stencils(*a))
+            if task == "efficiency":
+                report = efficiency_report(h, M, 300, 20, 11, workers=2)
+            else:
+                report = lan_montecarlo(h, M, 300, 20, 11, under=task, workers=2)
+        (values,) = values
+        return values, report, len(builds)
+
+    @pytest.mark.parametrize("task", ["null", "alternative", "efficiency"])
+    def test_replicates_equal_fresh_plans(self, setup, monkeypatch, task):
+        shipped, report, builds = self._replicates(task, setup, False, monkeypatch)
+        fresh, fresh_report, fresh_builds = self._replicates(task, setup, True, monkeypatch)
+        assert shipped.shape == (20,) and shipped.tobytes() == fresh.tobytes()
+        assert report == fresh_report
+        assert (builds, fresh_builds) == (20, 60)  # one plan per replicate, against three
 
 
 class TestBasePointFromM:
