@@ -11,7 +11,6 @@ from .spectral import (
     FourierCoeffs,
     build_eigensystem,
     pairing,
-    sobolev_norm,
 )
 from .noise import (
     FisherMatrix,
@@ -32,11 +31,8 @@ from .information import (
     DesignMeasure,
     InformationMatrix,
     assemble_information_matrix,
-    l2lambda_norm,
     lan_norm,
-    lan_norm_direct,
     norm_equivalence_diagnostic,
-    orthonormalize_h,
     s_norm_truncated,
 )
 from .gaussian import (

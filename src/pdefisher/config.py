@@ -290,8 +290,13 @@ _Loader.add_implicit_resolver(
 
 
 def load_config(path):
-    with open(path) as fh:
-        raw = yaml.load(fh, Loader=_Loader)
+    # bytes, so that PyYAML's reader decodes them: a byte that is not valid
+    # in the file's encoding is a yaml.ReaderError, not a UnicodeDecodeError
+    with open(path, "rb") as fh:
+        try:
+            raw = yaml.load(fh, Loader=_Loader)
+        except RecursionError:  # PyYAML composes nested collections recursively
+            raise ConfigError("config nests too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     return raw

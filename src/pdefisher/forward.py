@@ -197,16 +197,6 @@ class SpaceTimeField:
         return np.einsum("tm,tm->t", self.data, self.data)
 
 
-class SpaceTimeBatch:
-    """Fields sharing mesh and eigensystem, data (n_nodes, nm, B); ``base`` as for a field."""
-
-    def __init__(self, es, mesh, data, base=None):
-        self.es = es
-        self.mesh = mesh
-        self.data = data
-        self.base = base
-
-
 # ---------------------------------------------------------------------------
 # exponential integrator machinery
 # ---------------------------------------------------------------------------
@@ -318,26 +308,25 @@ class _SpectralModel:
         return SpaceTimeField(self.es, self.mesh, self._march(theta.data))
 
     def linearize(self, theta0, h, on_node=None):
-        """Tangent flow at theta0 from h, a FourierCoeffs (-> SpaceTimeField)
-        or (nm, B) columns (-> SpaceTimeBatch), with its ``base`` G(theta0).
+        """Tangent flow at theta0 from h, marched next to G(theta0).
 
-        Given ``on_node``, the tangent is not stored: each node's (nm, B)
-        block V_i, C-contiguous, goes to on_node(i, V_i) in mesh order from
-        node 0 (the next node overwrites it, so copy it to keep it), and only
-        G(theta0) is returned.
+        A FourierCoeffs h with no ``on_node`` returns its tangent as a
+        SpaceTimeField whose ``base`` is G(theta0).  Otherwise the tangent is
+        not stored: each node's (nm, B) block V_i of the columns h (nm, B),
+        C-contiguous, goes to on_node(i, V_i) in mesh order from node 0 (the
+        next node overwrites it, so copy it to keep it), and only G(theta0)
+        is returned.
         """
         single = isinstance(h, FourierCoeffs)
-        cols = h.data[:, None] if single else np.asarray(h, dtype=float)
-        vsnaps = None
+        held = None
         if on_node is None:
-            vsnaps = np.empty((self.mesh.n_nodes,) + cols.shape)
-            on_node = vsnaps.__setitem__
+            if not single:
+                raise ValueError("tangent columns stream: pass on_node(i, V_i) to take each node's block")
+            held = np.empty((self.mesh.n_nodes, self.es.size, 1))
+            on_node = held.__setitem__
+        cols = h.data[:, None] if single else np.asarray(h, dtype=float)
         base = SpaceTimeField(self.es, self.mesh, self._march(theta0.data, cols.T, on_node))
-        if vsnaps is None:
-            return base
-        if single:
-            return SpaceTimeField(self.es, self.mesh, np.ascontiguousarray(vsnaps[:, :, 0]), base)
-        return SpaceTimeBatch(self.es, self.mesh, vsnaps, base)
+        return base if held is None else SpaceTimeField(self.es, self.mesh, held[:, :, 0], base)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from .forward import SpaceTimeBatch
 from .noise import fisher_matrix as compute_fisher, raised_cosine_quantile
 from .spectral import values_from_coeffs
 
@@ -41,13 +40,7 @@ class DesignMeasure:
         self.kind = kind
         self.amplitude = float(amplitude)
         self.axis = int(axis)
-        if kind == "uniform":
-            self.lambda_min = self.lambda_max = 1.0 / self.T
-            self.spatial_band = 0
-        else:
-            self.lambda_min = (1.0 - abs(self.amplitude)) / self.T
-            self.lambda_max = (1.0 + abs(self.amplitude)) / self.T
-            self.spatial_band = 1
+        self.spatial_band = 0 if kind == "uniform" else 1
 
     @property
     def is_uniform(self):
@@ -121,22 +114,12 @@ class _NodeGram:
 
 def spacetime_gram(batch, design, fisher=None):
     """Gram matrix G_ij = int <U_i, I_eps U_j> lambda dx dt for a held field
-    batch, node by node as the tangent Gram (``_NodeGram``) accumulates it."""
+    batch, any object with ``es``, ``mesh`` and ``data`` (n_nodes, nm, B),
+    node by node as the tangent Gram (``_NodeGram``) accumulates it."""
     gram = _NodeGram(batch.es, batch.mesh, design, fisher, batch.data.shape[2])
     for i, v in enumerate(batch.data):
         gram.add(i, v)
     return gram.value()
-
-
-def spacetime_quadform(field, design, fisher=None):
-    """int <U, I_eps U> lambda dx dt for a single field."""
-    batch = SpaceTimeBatch(field.es, field.mesh, field.data[:, :, None])
-    return float(spacetime_gram(batch, design, fisher)[0, 0])
-
-
-def l2lambda_norm(field, design):
-    """|| field ||_{L2_lambda} by spectral space / mesh time quadrature."""
-    return float(np.sqrt(spacetime_quadform(field, design)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +196,6 @@ class InformationMatrix:
         """L^{-1}, lower-triangular; its leading k x k block is L[:k, :k]^{-1}."""
         return self._Linv
 
-    def inv_quadform(self, psi):
-        """psi^T M^{-1} psi = |L^{-1} psi|^2."""
-        z = self._Linv @ psi
-        return float(z @ z)
-
     def coeff_vector(self, psi):
         """Coefficients of psi in the retained basis; error if psi leaves the span."""
         data = psi.data if hasattr(psi, "data") else np.asarray(psi, dtype=float)
@@ -277,13 +255,6 @@ def lan_norm(h, M):
     return float(np.sqrt(v @ M.matrix @ v))
 
 
-def lan_norm_direct(model, theta0, h, noise, design):
-    """Definitional || I_eps^(1/2) I[h] ||_{L2_lambda} via one linearized solve."""
-    fisher = compute_fisher(noise)
-    field = model.linearize(theta0, h)
-    return float(np.sqrt(spacetime_quadform(field, design, fisher)))
-
-
 def s_norm_truncated(psi, M, k_grid=None):
     """Dual-norm truncation trace psi_K'^T M_K'^{-1} psi_K', nondecreasing in K'.
 
@@ -317,15 +288,6 @@ def octave_divergence_flag(k_grid, values, rel_increment=0.02):
         return False, []
     total = max(float(values[-1]), 1e-300)
     return bool(inc[-1] > rel_increment * total), inc.tolist()
-
-
-def orthonormalize_h(M):
-    """H = L^{-T}, so H^T M H = I; column j expresses the j-th orthonormal
-    vector in the retained eigenbasis.  It is the unique upper-triangular H
-    with positive diagonal and H^T M H = I, i.e. Gram-Schmidt of e_1, ..., e_K
-    in the M metric, and H[:k, :k] is the basis of every truncation M_k.
-    """
-    return M.cholesky_lower_inv().T.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class EigenSystem:
         self.dirs = dirs
         self.p = p
         self.scalar = scalar
-        # where each mode lives in point_table: its column in the float64
+        # where each mode lives in _point_table: its column in the float64
         # view of the per-point table of e^{2 pi i k.x}, and its amplitude
         cell = kvecs[:, 0] if d == 1 else kvecs[:, 0] * (2 * kmax + 1) + kvecs[:, 1] + kmax
         self._table_cols = 2 * cell + (kind == KIND_SIN)
@@ -334,7 +334,7 @@ def derivative(es, data, axis):
 
 
 # ---------------------------------------------------------------------------
-# norms and pairings
+# the pivot pairing and scattered points
 # ---------------------------------------------------------------------------
 
 
@@ -345,34 +345,8 @@ def pairing(u, v):
     return float(u.data @ v.data)
 
 
-def _coerce_coeffs(u, es):
-    if u.es == es:
-        return u.data
-    # re-index by (wavevector, kind); any unrepresentable mass is an error
-    data = np.zeros(es.size)
-    for j in range(u.es.size):
-        if u.data[j] == 0.0:
-            continue
-        tgt = es.index_of(u.es.kvecs[j], u.es.kind[j])
-        if tgt < 0:
-            raise ValueError(
-                "field has components outside the requested subspace "
-                f"(mode k={u.es.kvecs[j].tolist()} kind={int(u.es.kind[j])})"
-            )
-        data[tgt] = u.data[j]
-    return data
-
-
-def sobolev_norm(u, s, es=None):
-    """Scale norm (sum_j tau_j^s u_j^2)^(1/2) on the eigensystem's subspace."""
-    if es is None:
-        es = u.es
-    data = _coerce_coeffs(u, es)
-    return float(np.sqrt(np.sum(es.tau**s * data**2)))
-
-
 class _Scratch(threading.local):
-    """Each thread's complex work arrays for :func:`point_table`, one per slot
+    """Each thread's complex work arrays for :func:`_point_table`, one per slot
     name, grown on demand and kept for the thread's lifetime.  Arrays made
     fresh for each call come from mmap and page-fault each time, unless
     an earlier free has raised glibc's mmap threshold; reused, evaluation
@@ -392,22 +366,18 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
-def point_table(es, x):
+def _point_table(es, x, work):
     """e^{2 pi i k.x} at points x (nq, d) for cells k = 0..kmax (d = 1) or
     (0..kmax) x (-kmax..kmax), as a float64 view (nq, 2 cells): per axis one
     exponential z, powers z^(m+j) = z^m z^j (doubling m) as rows over the
     points, ky < 0 by conjugation, d = 2 cells by an outer product, one transpose.
 
     Returns ``(table, spare)``: ``spare`` has the table's shape and holds
-    nothing it needs (the array it was transposed from).  Both live in this
-    thread's work arrays, which its next call overwrites, so copy what you
-    keep.  The two largest hold 2 cells x nq x 16 B each for the most
-    points the thread has tabled.
+    nothing it needs (the array it was transposed from).  Both live in the
+    work arrays of the _Scratch ``work``, which its next call overwrites, so
+    copy what you keep.  The two largest hold 2 cells x nq x 16 B each for
+    the most points the thread has tabled.
     """
-    return _point_table(es, x, _scratch)
-
-
-def _point_table(es, x, work):  # point_table, in the work arrays of the _Scratch ``work``
     x = np.atleast_2d(np.asarray(x, dtype=float))
     nq, kmax = x.shape[0], es.kmax
     pw = work("powers", (es.d, kmax + 1, nq))
@@ -429,11 +399,11 @@ def _point_table(es, x, work):  # point_table, in the work arrays of the _Scratc
 
 
 def table_layout(es, data):
-    """Fields data (..., nm) laid out for :func:`point_table`: ``coeffs``
+    """Fields data (..., nm) laid out for :func:`_point_table`: ``coeffs``
     (..., 2 cells), each times its amplitude (sqrt(2); 1 for the constant) in
     its mode's column, and ``comps`` (2 cells, p), each used column's dirs
-    (div-free) or 1, so ``(point_table(es, x)[0] * coeffs) @ comps`` is the
-    fields' values at x.  Unused columns hold 0 in both."""
+    (div-free) or 1, so ``(_point_table(es, x, work)[0] * coeffs) @ comps``
+    is the fields' values at x.  Unused columns hold 0 in both."""
     width = 2 * (es.kmax + 1) * (2 * es.kmax + 1) ** (es.d - 1)
     coeffs, comps = np.zeros(np.shape(data)[:-1] + (width,)), np.zeros((width, es.p))
     coeffs[..., es._table_cols] = np.asarray(data, dtype=float) * es._table_amp
@@ -445,9 +415,9 @@ def basis_values_at(es, x):
     """Evaluate all basis functions at scattered points x of shape (nq, d).
 
     Returns (nq, nm) for scalar subspaces; vector values for div-free are
-    dirs[m] * result[:, m].  The tests' oracle view of :func:`point_table`,
+    dirs[m] * result[:, m].  The tests' oracle view of :func:`_point_table`,
     which evaluation contracts: its columns in mode order, times amplitudes.
     """
-    out = point_table(es, x)[0][:, es._table_cols]
+    out = _point_table(es, x, _scratch)[0][:, es._table_cols]
     out *= es._table_amp
     return out

@@ -23,11 +23,12 @@ from pdefisher import (
     TimeMesh,
     build_eigensystem,
     qmd_remainder_slope,
-    sobolev_norm,
 )
 from pdefisher import forward
 from pdefisher.forward import _time_stencils
 from pdefisher.spectral import coeffs_from_values, values_from_coeffs
+
+from oracles import held_tangents, sobolev_norm
 
 LAM1 = 4 * np.pi**2
 
@@ -80,12 +81,14 @@ class TestHeat:
 
     def test_on_node_streams_the_held_batch(self, es1):
         # the on_node contract of the marched models: node 0 first, mesh
-        # order, C-contiguous (nm, B) blocks, and only G(theta0) returned
+        # order, C-contiguous (nm, B) blocks, and only G(theta0) returned;
+        # each block column is its column's own single-field march (heat's
+        # closed form is elementwise, so bitwise)
         model = HeatModel(es1, T=1.0, mesh=TimeMesh.graded(1.0, levels=3, steps_per_block=4))
         rng = np.random.default_rng(3)
         theta0 = FourierCoeffs(es1, rng.standard_normal(es1.size))
         cols = rng.standard_normal((es1.size, 5))
-        held = model.linearize(theta0, cols)
+        singles = [model.linearize(theta0, FourierCoeffs(es1, c)) for c in cols.T]
         seen = []
 
         def on_node(i, v):
@@ -95,9 +98,10 @@ class TestHeat:
         base = model.linearize(theta0, cols, on_node=on_node)
         assert [i for i, _ in seen] == list(range(model.mesh.n_nodes))
         for i, v in seen:
-            assert np.array_equal(v, held.data[i])
+            for b, single in enumerate(singles):
+                assert np.array_equal(v[:, b], single.data[i])
         assert isinstance(base, SpaceTimeField) and base.base is None
-        assert np.array_equal(base.data, held.base.data)
+        assert np.array_equal(base.data, singles[0].base.data)
 
 
 class TestBaseFlow:
@@ -113,11 +117,24 @@ class TestBaseFlow:
             model, theta0 = _nonlinear_model(kind, es1, es_ns, mesh)
         ref = model.solve(theta0)
         single = model.linearize(theta0, FourierCoeffs.unit(model.es, 1))
-        batch = model.linearize(theta0, np.eye(model.es.size, 3))
+        batch = held_tangents(model, theta0, np.eye(model.es.size, 3))
         for base in (single.base, batch.base):
             assert base.es is model.es and base.mesh is mesh
             assert np.array_equal(base.data, ref.data)
         assert ref.base is None
+
+
+@pytest.mark.parametrize("kind", ["heat", "rd", "ns"])
+def test_linearize_refuses_columns_without_on_node(kind, es1, es_ns):
+    # (nm, B) columns only stream: no march holds every node's block
+    mesh = TimeMesh.uniform(0.25, 8)
+    if kind == "heat":
+        model, theta0 = HeatModel(es1, T=0.25, mesh=mesh), _field(es1, [([1], 1, 0.4)])
+    else:
+        model, theta0 = _nonlinear_model(kind, es1, es_ns, mesh)
+    for cols in (np.eye(model.es.size, 3), np.eye(model.es.size, 1)):
+        with pytest.raises(ValueError, match="on_node"):
+            model.linearize(theta0, cols)
 
 
 class ZeroReaction:
@@ -218,7 +235,7 @@ class TestLinearizeRD:
     def test_batch_matches_single(self, es1, es_ns, kind):
         model, theta0 = _nonlinear_model(kind, es1, es_ns, TimeMesh.uniform(0.5, 32))
         cols = np.eye(model.es.size, 3)
-        batch = model.linearize(theta0, cols)
+        batch = held_tangents(model, theta0, cols)
         for b in range(3):
             single = model.linearize(theta0, FourierCoeffs(model.es, cols[:, b]))
             np.testing.assert_allclose(batch.data[:, :, b], single.data, atol=1e-13)

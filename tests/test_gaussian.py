@@ -25,6 +25,8 @@ from pdefisher import (
 from pdefisher.gaussian import _MC_BLOCK_ENTRIES, GaussianSampleBatch
 from pdefisher.spectral import DIV_FREE, derivative, values_from_coeffs
 
+from oracles import held_tangents, inv_quadform
+
 
 @pytest.fixture(scope="module")
 def heat_M():
@@ -94,7 +96,7 @@ class TestSampling:
         h = rng.standard_normal(M.n_basis)
         lhs = h @ M.matrix @ h
         mh = M.matrix @ h
-        rhs = M.inv_quadform(mh)
+        rhs = inv_quadform(M, mh)
         assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
     def test_covariance_restriction(self, heat_M):
@@ -349,7 +351,7 @@ class TestPushforward:
         i0, i1 = model.mesh.window_slice(t0, t1)
         w = model.mesh.window_weights(i0, i1)
         u0 = values_from_coeffs(es, model.solve(theta0).data[i0 : i1 + 1], n)  # (nt, 2, n, n)
-        tangent = model.linearize(theta0, np.eye(es.size, K) @ cols).data[i0 : i1 + 1]
+        tangent = held_tangents(model, theta0, np.eye(es.size, K) @ cols).data[i0 : i1 + 1]
         U = values_from_coeffs(es, tangent.transpose(2, 0, 1), n)  # (K, nt, 2, n, n)
         (g0x, g0y), (gUx, gUy) = _fft_gradients(u0), _fft_gradients(U)
         dF = U[:, :, 0:1] * g0x + U[:, :, 1:2] * g0y + u0[:, 0:1] * gUx + u0[:, 1:2] * gUy
@@ -363,7 +365,7 @@ class TestPushforward:
 
 def _held_pushforward(M, samples, functional, loss, t0, t1, power):
     """The pushforward estimate and its standard error from held tangent
-    batches of 64 sample columns each (``model.linearize(theta0, cols)``).
+    batches of 64 sample columns each (``oracles.held_tangents``).
     Per sample: trajectory l2 applies the window's Simpson weights to each
     node's Parseval sum; ns-nonlinearity l2 adds, node by node in mesh
     order, the weight times the grid mean of |(U.grad)u0 + (u0.grad)U|^2;
@@ -382,7 +384,7 @@ def _held_pushforward(M, samples, functional, loss, t0, t1, power):
     for start in range(0, samples.m, 64):
         cols = np.zeros((es.size, min(64, samples.m - start)))
         cols[: samples.n_basis] = samples.samples[start : start + cols.shape[1]].T
-        data = model.linearize(theta0, cols).data[i0 : i1 + 1]  # (nt, nm, B)
+        data = held_tangents(model, theta0, cols).data[i0 : i1 + 1]  # (nt, nm, B)
         if functional == "trajectory" and loss == "l2":
             values.append(np.sqrt(w @ np.einsum("tmb,tmb->tb", data, data)))
             continue

@@ -22,17 +22,16 @@ from pdefisher import (
     assemble_information_matrix,
     build_eigensystem,
     lan_norm,
-    lan_norm_direct,
-    l2lambda_norm,
     make_noise,
     norm_equivalence_diagnostic,
-    orthonormalize_h,
     s_norm_truncated,
 )
 from pdefisher.information import _tangent_gram, octave_divergence_flag, spacetime_gram
 from pdefisher.noise import fisher_matrix
 from pdefisher.noise import raised_cosine_quantile
 from pdefisher.spectral import DENSE_MAX_ENTRIES, DIV_FREE, basis_values_at, values_from_coeffs
+
+from oracles import held_tangents, inv_quadform, l2lambda_norm, lan_norm_direct, orthonormalize_h
 
 LAM1 = 4 * np.pi**2
 
@@ -123,7 +122,7 @@ class TestAssembly:
         noise = make_noise("gaussian", variance=variance)
         theta0 = FourierCoeffs.zeros(es)
         M = assemble_information_matrix(model, theta0, noise, design, 12)
-        batch = model.linearize(theta0, np.eye(es.size, 12))
+        batch = held_tangents(model, theta0, np.eye(es.size, 12))
         G = spacetime_gram(batch, design, fisher_matrix(noise))
         assert M.meta["method"] == "closed-form"
         assert np.abs(M.matrix - G).max() <= 1e-13 * np.abs(G).max()
@@ -175,7 +174,7 @@ class TestAssembly:
         assert M.eig_min > 0
 
         cols = np.eye(es1.size, 9)
-        batch = model.linearize(theta0, cols)
+        batch = held_tangents(model, theta0, cols)
         n = 64
         fish = 1.0 / 0.7
         G = np.zeros((9, 9))
@@ -234,7 +233,7 @@ class TestAssembly:
         design = DesignMeasure(0.25, kind="cosine", amplitude=0.6, axis=1)
         fisher = fisher_matrix(make_noise("gaussian2", cov=np.array([[0.5, 0.2], [0.2, 1.1]])))
         theta0 = _field(es, [([1, 0], 1, 0.4), ([0, 1], 2, 0.3)])
-        batch = model.linearize(theta0, np.eye(es.size, 10))
+        batch = held_tangents(model, theta0, np.eye(es.size, 10))
         G = spacetime_gram(batch, design, fisher)
 
         n = 32
@@ -320,7 +319,7 @@ class TestStreamedGram:
         model, theta0, noise, design = _streamed_case(kind, kmax, amplitude)
         if kmax == 80:  # the FFT path of spectral's transforms
             assert model.es.size * model.n**model.es.d > DENSE_MAX_ENTRIES
-        batch = model.linearize(theta0, np.eye(model.es.size, K))
+        batch = held_tangents(model, theta0, np.eye(model.es.size, K))
         M = assemble_information_matrix(model, theta0, noise, design, K)
         assert np.array_equal(M.matrix, spacetime_gram(batch, design, fisher_matrix(noise)))
         # the norm-equivalence Gram, under no noise form
@@ -484,7 +483,7 @@ class TestOrthonormalize:
         H = orthonormalize_h(M)
         psi = rng.standard_normal(9)
         via_basis = float(np.sum((psi @ H) ** 2))
-        assert via_basis == pytest.approx(M.inv_quadform(psi), rel=1e-8)
+        assert via_basis == pytest.approx(inv_quadform(M, psi), rel=1e-8)
 
 
 class TestConditionLimit:
@@ -508,7 +507,7 @@ class TestInvariants:
         psi = rng.standard_normal(9)
         bar = M.solve(psi)
         lhs = np.sqrt(bar @ M.matrix @ bar)
-        rhs = np.sqrt(M.inv_quadform(psi))
+        rhs = np.sqrt(inv_quadform(M, psi))
         assert abs(lhs - rhs) < 1e-10
 
     def test_duality_attainment(self, heat_setup):
@@ -516,7 +515,7 @@ class TestInvariants:
         _, _, _, _, M = heat_setup
         rng = np.random.default_rng(18)
         psi = rng.standard_normal(9)
-        dual = np.sqrt(M.inv_quadform(psi))
+        dual = np.sqrt(inv_quadform(M, psi))
         vstar = M.solve(psi)
         vstar = vstar / np.sqrt(vstar @ M.matrix @ vstar)
         assert psi @ vstar == pytest.approx(dual, rel=1e-10)
@@ -551,14 +550,15 @@ class TestDesignMeasure:
         assert float(np.mean(dens)) * 2.0 == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine_bounds_and_mass(self):
+        # (1 - |a|) / T <= lambda <= (1 + |a|) / T, attained at x = 1/2 and 0
         d = DesignMeasure(2.0, kind="cosine", amplitude=0.5)
-        assert d.lambda_min == pytest.approx(0.25)
-        assert d.lambda_max == pytest.approx(0.75)
+        lo, hi = (1.0 - 0.5) / 2.0, (1.0 + 0.5) / 2.0
         x = (np.arange(512) / 512).reshape(-1, 1)
         dens = d.density(np.zeros(512), x)
         assert float(np.mean(dens)) * 2.0 == pytest.approx(1.0, abs=1e-8)
-        assert np.all(dens >= d.lambda_min - 1e-12)
-        assert np.all(dens <= d.lambda_max + 1e-12)
+        assert np.all(dens >= lo - 1e-12)
+        assert np.all(dens <= hi + 1e-12)
+        assert dens.min() == pytest.approx(lo) and dens.max() == pytest.approx(hi)
 
     def test_sampler_matches_law(self):
         from scipy import stats
@@ -670,3 +670,36 @@ def test_consumers_of_M_take_no_part_of_its_experiment():
     # (model, theta0, M, ...); until it moves, the pushforward checks both
     # against M
     assert takers == ["gaussian.functional_pushforward_bound"]
+
+
+# Top-level definitions under src/ that nothing there reaches, each kept for
+# its reason; the definitional paths the tests compare against live in
+# tests/oracles.py instead
+_UNREACHED_BY_SRC = {
+    # wrapped by perfbench/layers.py, whose counter reads its batch's data,
+    # until the program reports its own stages (ROADMAP item 1b)
+    "spacetime_gram",
+    # reads spectral's private table layout, which
+    # test_fourier_layout_lives_in_spectral keeps in spectral.py
+    "basis_values_at",
+}
+
+
+def test_src_defines_only_what_src_reaches():
+    # a top-level def or class is reached if a statement under src/ other
+    # than its own definition reads its name (src/ imports by name), not
+    # counting __init__.py's re-exports
+    src = pathlib.Path(pdefisher.__file__).parent
+    defined, reads = [], []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(stmt.name)
+            reads.append((getattr(stmt, "name", None), {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}))
+    unreached = {name for name in defined if not any(name in used for owner, used in reads if owner != name)}
+    offenders = sorted(unreached - _UNREACHED_BY_SRC)
+    stale = sorted(_UNREACHED_BY_SRC - unreached)
+    assert not offenders, f"defined under src/ but reached by nothing there: {offenders}"
+    assert not stale, f"allow-list entries that src/ now reaches or no longer defines: {stale}"

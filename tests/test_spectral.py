@@ -15,7 +15,6 @@ from pdefisher import (
     FourierCoeffs,
     build_eigensystem,
     pairing,
-    sobolev_norm,
 )
 from pdefisher import spectral
 from pdefisher.spectral import (
@@ -26,6 +25,8 @@ from pdefisher.spectral import (
     coeffs_from_values,
     values_from_coeffs,
 )
+
+from oracles import sobolev_norm
 
 PI2 = np.pi**2
 
