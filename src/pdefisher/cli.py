@@ -380,6 +380,7 @@ def _write_outputs(out_dir, files):
 def _execute(task_name, config_path, out_dir, seed, workers):
     """Run one task; ``task_name=None`` takes it from the config."""
     t0 = time.perf_counter()
+    cfg = None  # the resolved config, null in failure.json if resolving fails
     try:
         raw = load_config(config_path)
         # overrides go through the schema like the config's own keys

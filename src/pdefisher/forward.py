@@ -21,10 +21,12 @@ import numpy as np
 from .spectral import (
     DIV_FREE,
     FourierCoeffs,
+    _lattice,
     _point_table,
     _Scratch,
     coeffs_from_values,
     derivative,
+    multiplication_map,
     table_layout,
     values_from_coeffs,
 )
@@ -396,6 +398,13 @@ class ReactionDiffusionModel(_SpectralModel):
     dealiased grid of ``min_grid_points``, whose 3/2 rule is exact for
     quadratic products only; the bump reaction is not a polynomial, so
     results carry an aliasing error that depends on that grid.
+
+    A tangent stage multiplies its B columns by f'(u) on that grid in one of
+    two ways, equal up to rounding.  From the grid's ``gather_from`` columns
+    on (spectral.GATHER_MIN_COLUMNS on a dense grid, nm on an FFT grid) it is
+    v @ W, W the multiplication map gathered from one rfft of f'(u); with
+    fewer, and in every base stage, the columns go to the grid and back by
+    ``values_from_coeffs``/``coeffs_from_values``.
     """
 
     kind = "rd"
@@ -408,6 +417,7 @@ class ReactionDiffusionModel(_SpectralModel):
         self.lin = -es.lam
         self.reaction = reaction if reaction is not None else BumpReaction()
         self.n = es.min_grid_points(dealias=True)
+        self._gather_from = _lattice(es, self.n).gather_from
 
     def _grid(self, u):
         vals = values_from_coeffs(self.es, u, self.n)
@@ -420,8 +430,10 @@ class ReactionDiffusionModel(_SpectralModel):
     def _dnonlin(self, g, v):
         """f'(u) v for the base grid values and cutoff ``g`` of u and tangent columns v (B, nm)."""
         vals, cut = g
-        tvals = values_from_coeffs(self.es, v, self.n)
-        return coeffs_from_values(self.es, self.reaction.df(vals, cut)[None, ...] * tvals)
+        df = self.reaction.df(vals, cut)
+        if v.shape[0] >= self._gather_from:
+            return v @ multiplication_map(self.es, df)
+        return coeffs_from_values(self.es, df * values_from_coeffs(self.es, v, self.n))
 
 
 # ---------------------------------------------------------------------------

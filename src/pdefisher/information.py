@@ -98,15 +98,24 @@ def _pointwise_form(es, design, fisher):
 class _NodeGram:
     """sum_i w_i V_i^T B V_i over the mesh quadrature, B the pointwise form,
     fed one node's (nm, K) coefficient block V_i at a time by ``add(i, V_i)``
-    (a tangent march's ``on_node``), so no batch of every node is held."""
+    (a tangent march's ``on_node``), so no batch of every node is held.
+
+    B = R R^T is factored once (a uniform design's B is diagonal, R its
+    square root; otherwise B is SPD and R its Cholesky factor), so each node
+    adds W^T W for W = R^T V_i, which numpy forms as a symmetric product."""
 
     def __init__(self, es, mesh, design, fisher, K):
-        self.form = _pointwise_form(es, design, fisher)
+        form = _pointwise_form(es, design, fisher)
+        if design.is_uniform:
+            self.root, self.factor = np.sqrt(np.diag(form))[:, None], None
+        else:
+            self.root, self.factor = None, np.linalg.cholesky(form).T
         self.weights = mesh.weights
         self.g = np.zeros((K, K))
 
     def add(self, i, v):
-        self.g += self.weights[i] * (v.T @ (self.form @ v))
+        w = self.root * v if self.factor is None else self.factor @ v
+        self.g += self.weights[i] * (w.T @ w)
 
     def value(self):
         return 0.5 * (self.g + self.g.T)

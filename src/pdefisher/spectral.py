@@ -26,6 +26,13 @@ Hermitian.  Dealiased grids (3/2 rule, n >= 3 kmax + 1) are rounded up to the
 next even n with no prime factor above 7, where the FFTs are fast.  Small
 grids skip the FFTs: each keeps the FFT path's two matrices and transforms by
 one matmul (DENSE_MAX_ENTRIES).
+
+A pointwise product g * v projected back on the retained modes is a
+multiplication operator: :func:`multiplication_map` gathers its (nm, nm)
+matrix from one rfft of the grid values g, with the grid's own aliasing, so
+many fields v multiply by one matmul and no transform of their own.  Below a
+measured field count (GATHER_MIN_COLUMNS, ``_LatticeMap.gather_from``) the
+two transforms cost less.
 """
 
 import math
@@ -219,6 +226,23 @@ class FourierCoeffs:
 # (36,720: 0.54 vs 0.46 ms); ROADMAP item 10 has the table.
 DENSE_MAX_ENTRIES = 32768
 
+# The one gathered-or-transforms choice for a multiplication stage g * v on B
+# fields v: ``v @ multiplication_map(es, g)`` pays a fixed rfft of g and
+# (nm, nm) gather, then nm^2 multiply-adds per field, against 2 nm n^d per
+# field for the two dense transforms and O(n^d log n) for the two FFTs.  So a
+# dense grid gathers from GATHER_MIN_COLUMNS fields, where the fixed cost is
+# paid off, and an FFT grid from nm (a whole-basis march).  An RD tangent
+# stage in microseconds, by the transforms / by the map (d = 1 unless marked,
+# 1 BLAS thread, best of 30 timed loops):
+#   nm  17, n  28:        B 8: 16/27    48: 21/29    128: 28/30
+#   nm  65, n  98:        B 9: 24/41    32: 42/46    48: 51/52     64: 62/53   128: 99/62
+#   nm  81, n  14, d = 2: B 32: 74/68   48: 92/72    64: 132/77   128: 224/91
+#   nm 129, n 196:        B 32: 98/92   48: 140/99   64: 186/132  128: 320/168
+#   nm 161, n 250, FFT:   B 48: 151/163 64: 187/177  128: 333/237  161: 396/271
+#   nm 513, n 784, FFT:   B 256: 2786/3300           513: 6067/5853
+# A basis of nm < 48 modes never marches 48 columns of its own.
+GATHER_MIN_COLUMNS = 48
+
 
 class _LatticeMap:
     """Where each scalar eigensystem entry lives in the rfft half spectrum, as
@@ -232,7 +256,9 @@ class _LatticeMap:
     A grid of at most DENSE_MAX_ENTRIES map entries also holds the FFT path's
     own matrices, built once: ``to_grid`` (nm, n^d), the grid values of each
     unit coefficient vector, and ``from_grid`` (n^d, nm), the coefficients of
-    each unit grid vector; otherwise both are None."""
+    each unit grid vector; otherwise both are None.  ``gather_from`` is the
+    fewest fields a multiplication on this grid takes through
+    :func:`multiplication_map` (GATHER_MIN_COLUMNS)."""
 
     def __init__(self, es, n):
         self.n = n
@@ -254,9 +280,12 @@ class _LatticeMap:
         first = np.r_[True, np.diff(self.src) > 0]  # a mirror row follows its mode
         self.read, self.inv = self.dst[first], 1.0 / self.fwd[first]
 
+        self.mul = None  # multiplication_map's offset tables, on first use
         self.to_grid = self.from_grid = None
+        self.gather_from = max(GATHER_MIN_COLUMNS, es.size)
         points = n**es.d
         if es.size * points <= DENSE_MAX_ENTRIES:
+            self.gather_from = GATHER_MIN_COLUMNS
             self.to_grid = _fft_values(es, self, np.eye(es.size)).reshape(es.size, points)
             self.from_grid = _fft_coeffs(es, self, np.eye(points).reshape((points,) + (n,) * es.d))
 
@@ -320,6 +349,60 @@ def coeffs_from_values(es, values):
     if es.dirs is not None:
         return out[..., 0, :] * es.dirs[:, 0] + out[..., 1, :] * es.dirs[:, 1]
     return out
+
+
+# the coefficients a multiplication map's terms carry, +-1, +-1/sqrt(2) and +-1/2
+# (_multiplication_tables); the gathered vector holds the spectrum times each
+_MUL_COEFS = np.array([1.0, -1.0, np.sqrt(0.5), -np.sqrt(0.5), 0.5, -0.5])
+
+
+def _multiplication_tables(es, lm):
+    """Where each entry of :func:`multiplication_map` reads the half spectrum.
+
+    With C(m), S(m) the real and negated imaginary parts of the grid DFT at
+    wavevector m (mod n), and the constant taken as the k = 0 cos mode times
+    1/sqrt(2), entry (j, l) is a_j a_l times
+
+        cos.cos  C(kj+kl) + C(kj-kl)     cos.sin  S(kj+kl) - S(kj-kl)
+        sin.sin -C(kj+kl) + C(kj-kl)     sin.cos  S(kj+kl) + S(kj-kl)
+
+    (a = 1/sqrt(2) on the constant, else 1).  A wavevector outside the half
+    spectrum is read conjugated at -m.  So each term is one float64 entry of
+    the half spectrum times an entry of _MUL_COEFS: returns the (2, nm, nm)
+    offsets of the sum and difference terms into the spectrum's float64 view
+    repeated once per coefficient.
+    """
+    n, k = lm.n, es.kvecs
+    cosine = es.kind != KIND_SIN
+    mixed = cosine[:, None] != cosine[None, :]  # a cos.sin product reads S, the others C
+    negative = np.stack([~(mixed | cosine[:, None]), mixed & cosine[:, None]])
+    m = np.stack([k[:, None, :] + k[None, :, :], k[:, None, :] - k[None, :, :]]) % n
+    stored = m[..., -1] <= n // 2
+    m[~stored] = -m[~stored] % n
+    negative ^= mixed & stored  # S = -Im where stored, +Im conjugated
+    const = (es.kind == KIND_CONST).astype(np.intp)
+    coef = 2 * (const[:, None] + const[None, :]) + negative  # index into _MUL_COEFS
+    cell = np.ravel_multi_index(tuple(np.moveaxis(m, -1, 0)), lm.shape)
+    return coef * (2 * math.prod(lm.shape)) + 2 * cell + mixed
+
+
+def multiplication_map(es, g):
+    """W (nm, nm), W_jl = (1/N) sum_x e_j(x) g(x) e_l(x) over the N = n^d
+    points of the grid values g (n[, n]) of a scalar eigensystem.
+
+    For fields v (B, nm), ``v @ W`` is ``coeffs_from_values(es, g *
+    values_from_coeffs(es, v, n))`` up to rounding: the product's projection
+    on the retained modes, with the grid's own aliasing.  W is gathered from
+    one rfft of g by two offset tables (``_multiplication_tables``, built on
+    the grid's first map and kept on its lattice map), so it costs no
+    transform per column.
+    """
+    lm = _lattice(es, g.shape[-1])
+    if lm.mul is None:
+        lm.mul = _multiplication_tables(es, lm)
+    spec = np.fft.rfftn(g, norm="forward").reshape(-1).view(float)
+    gathered = (_MUL_COEFS[:, None] * spec).reshape(-1)
+    return np.take(gathered, lm.mul[0]) + np.take(gathered, lm.mul[1])
 
 
 def derivative(es, data, axis):

@@ -129,6 +129,22 @@ class TestFisherTask:
         assert failure["task"] == "fisher"
         assert failure["config"] == resolve_config(validate_config(cfg))
 
+    def test_numerical_failure_before_the_config_resolves_exit_3(self, tmp_path, monkeypatch):
+        # a RuntimeError raised while validating: no resolved config to echo
+        def fail(raw):
+            raise RuntimeError("validator failed")
+
+        monkeypatch.setattr(cli, "validate_config", fail)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["fisher", "-c", _write(tmp_path, "cfg.yaml", _fisher_cfg()), "-o", str(out)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        assert "numerical failure: validator failed" in result.output
+        assert "Traceback" not in result.output
+        assert sorted(os.listdir(out)) == ["failure.json"]
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == {"error": "validator failed", "task": "fisher", "config": None}
+
     @pytest.mark.parametrize(
         "noise, out_name",
         [

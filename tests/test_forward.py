@@ -24,9 +24,9 @@ from pdefisher import (
     build_eigensystem,
     qmd_remainder_slope,
 )
-from pdefisher import forward
+from pdefisher import forward, spectral
 from pdefisher.forward import _time_stencils
-from pdefisher.spectral import coeffs_from_values, values_from_coeffs
+from pdefisher.spectral import GATHER_MIN_COLUMNS, coeffs_from_values, values_from_coeffs
 
 from oracles import held_tangents, sobolev_norm
 
@@ -239,6 +239,52 @@ class TestLinearizeRD:
         for b in range(3):
             single = model.linearize(theta0, FourierCoeffs(model.es, cols[:, b]))
             np.testing.assert_allclose(batch.data[:, :, b], single.data, atol=1e-13)
+
+
+class TestRDTangentStage:
+    """A tangent stage of at least GATHER_MIN_COLUMNS columns (at least nm on
+    an FFT grid) multiplies by spectral's gathered map of f'(u); fewer keep
+    the two transforms that the base stage uses."""
+
+    @pytest.mark.parametrize("d, kmax", [(1, 64), (1, 80), (2, 4)], ids=["d1-dense", "d1-fft", "d2-dense"])
+    def test_both_sides_of_the_rule_match_the_transforms(self, d, kmax, monkeypatch):
+        es = build_eigensystem(d, kmax)
+        rd = ReactionDiffusionModel(es, T=0.5, reaction=BumpReaction())
+        edge = es.size if kmax == 80 else GATHER_MIN_COLUMNS  # kmax 80: the FFT path's grid
+        assert rd._gather_from == edge
+        rng = np.random.default_rng(kmax + 10 * d)
+        u = 0.3 * np.eye(es.size)[0] + rng.standard_normal(es.size) / es.size
+        g = rd._grid(u)
+        df = rd.reaction.df(*g)
+        maps = []
+
+        def counted(system, values):
+            maps.append(values)
+            return spectral.multiplication_map(system, values)
+
+        monkeypatch.setattr(forward, "multiplication_map", counted)
+        for B in (1, edge - 1, edge, edge + 1, 2 * edge):
+            v = rng.standard_normal((B, es.size))
+            expected = coeffs_from_values(es, df * values_from_coeffs(es, v, rd.n))
+            gathered = len(maps)
+            got = rd._dnonlin(g, v)
+            assert len(maps) - gathered == (B >= edge)
+            assert got.shape == (B, es.size)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_few_columns_build_no_multiplication_tables(self):
+        # lan-rd's 9-column march keeps the transforms; a march at the rule's
+        # edge gathers, and its first 9 columns agree with the 9-column march
+        es = build_eigensystem(1, 32)
+        rd = ReactionDiffusionModel(es, T=0.5, mesh=TimeMesh.graded(0.5, levels=2, steps_per_block=4))
+        theta0 = _field(es, [([1], 1, 0.3), ([2], 2, 0.2)], const=0.5)
+        cols = np.random.default_rng(4).standard_normal((es.size, GATHER_MIN_COLUMNS))
+        blocks = {9: [], GATHER_MIN_COLUMNS: []}
+        for B in blocks:
+            rd.linearize(theta0, cols[:, :B], on_node=lambda i, v, out=blocks[B]: out.append(v[:, :9].copy()))
+            assert (spectral._lattice(es, rd.n).mul is None) == (B == 9)
+        few, many = np.array(blocks[9]), np.array(blocks[GATHER_MIN_COLUMNS])
+        assert np.abs(many - few).max() <= 1e-13 * np.abs(few).max()
 
 
 class TestNavierStokes:

@@ -26,7 +26,7 @@ from pdefisher import (
     norm_equivalence_diagnostic,
     s_norm_truncated,
 )
-from pdefisher.information import _tangent_gram, octave_divergence_flag, spacetime_gram
+from pdefisher.information import _NodeGram, _pointwise_form, _tangent_gram, octave_divergence_flag, spacetime_gram
 from pdefisher.noise import fisher_matrix
 from pdefisher.noise import raised_cosine_quantile
 from pdefisher.spectral import DENSE_MAX_ENTRIES, DIV_FREE, basis_values_at, values_from_coeffs
@@ -301,6 +301,41 @@ def _streamed_case(kind, kmax, amplitude):
         noise = make_noise("gaussian", variance=0.7)
     design = DesignMeasure(0.25) if amplitude is None else DesignMeasure(0.25, kind="cosine", amplitude=amplitude)
     return model, theta0, noise, design
+
+
+class TestNodeGram:
+    """Each node adds W^T W, W = R^T V_i for the pointwise form B = R R^T
+    (the square root of a uniform design's diagonal B, else B's Cholesky
+    factor); the oracle is the product V_i^T B V_i with B itself."""
+
+    @pytest.mark.parametrize(
+        "kind, noise, amplitude",
+        [
+            ("rd", {"family": "gaussian", "variance": 0.7}, None),
+            ("rd", {"family": "gaussian", "variance": 0.7}, 0.5),
+            ("ns", {"family": "gaussian2", "cov": np.array([[0.5, 0.2], [0.2, 1.1]])}, None),
+            ("ns", {"family": "gaussian2", "cov": np.array([[0.5, 0.2], [0.2, 1.1]])}, 0.6),
+        ],
+        ids=["rd-uniform", "rd-cosine", "ns-uniform", "ns-cosine"],
+    )
+    def test_matches_the_form_product(self, kind, noise, amplitude):
+        es = build_eigensystem(1, 8) if kind == "rd" else build_eigensystem(2, 3, DIV_FREE)
+        mesh = TimeMesh.graded(0.25, levels=2, steps_per_block=4)
+        design = DesignMeasure(0.25)
+        if amplitude is not None:
+            design = DesignMeasure(0.25, kind="cosine", amplitude=amplitude, axis=es.d - 1)
+        fisher = fisher_matrix(make_noise(**noise))
+        form = _pointwise_form(es, design, fisher)
+        assert (np.abs(form - np.diag(np.diag(form))).max() == 0.0) == (amplitude is None)
+        assert np.ptp(np.diag(form)) > 0 or kind == "rd"  # F's off-diagonal weighs the NS modes unequally
+        K = 12
+        gram = _NodeGram(es, mesh, design, fisher, K)
+        blocks = np.random.default_rng(K).standard_normal((mesh.n_nodes, es.size, K))
+        oracle = np.zeros((K, K))
+        for i, v in enumerate(blocks):
+            gram.add(i, v)
+            oracle += mesh.weights[i] * (v.T @ form @ v)
+        assert np.abs(gram.value() - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 class TestStreamedGram:

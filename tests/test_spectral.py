@@ -447,6 +447,57 @@ class TestDenseOrFFT:
             assert np.abs(dense - fft).max() <= 1e-13 * np.abs(fft).max()
 
 
+class TestMultiplicationMap:
+    """spectral.multiplication_map (one rfft of g and two gathers) against its
+    definition W_jl = (1/N) sum_x e_j(x) g(x) e_l(x), the mode values at each
+    grid point written out with math.cos / math.sin (_mode_values).  g is
+    white noise, so the products alias on the grid as the map must."""
+
+    @pytest.mark.parametrize(
+        "d, kmax, subspace",
+        [
+            (1, 1, FULL), (1, 1, MEAN_ZERO), (1, 8, FULL), (1, 8, MEAN_ZERO), (1, 64, FULL), (1, 64, MEAN_ZERO),
+            (1, 72, FULL), (1, 72, MEAN_ZERO), (1, 80, FULL), (1, 80, MEAN_ZERO), (2, 2, FULL), (2, 2, MEAN_ZERO),
+            (2, 3, FULL), (2, 3, MEAN_ZERO), (2, 4, FULL), (2, 4, MEAN_ZERO),
+        ],
+    )
+    def test_matches_definition(self, d, kmax, subspace):
+        es = build_eigensystem(d, kmax, subspace)
+        n = es.min_grid_points(dealias=True)
+        lm = spectral._lattice(es, n)
+        assert (lm.to_grid is None) == (kmax == 80)  # the one grid on the FFT path
+        g = np.random.default_rng(kmax + 10 * d).standard_normal((n,) * d)
+        modes = np.array([_mode_values(es, x) for x in _grid_points(d, n).tolist()])  # (N, nm)
+        oracle = modes.T @ (g.reshape(-1, 1) * modes) / n**d
+        W = spectral.multiplication_map(es, g)
+        assert W.shape == (es.size, es.size)
+        assert np.abs(W - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_tables_built_once_per_grid(self):
+        es = build_eigensystem(1, 8, FULL)
+        n = es.min_grid_points(dealias=True)
+        lm = spectral._lattice(es, n)
+        assert lm.mul is None
+        rng = np.random.default_rng(3)
+        spectral.multiplication_map(es, rng.standard_normal(n))
+        tables = lm.mul
+        assert tables.shape == (2, es.size, es.size)
+        spectral.multiplication_map(es, rng.standard_normal(n))
+        assert lm.mul is tables
+        assert spectral._lattice(es, n + 2).mul is None  # another grid, its own tables
+
+    @pytest.mark.parametrize("d, kmax", [(1, 16), (2, 3)])
+    def test_products_of_fields(self, d, kmax):
+        # v @ W is the projection of g times the fields v, by the transforms
+        es = build_eigensystem(d, kmax, FULL)
+        n = es.min_grid_points(dealias=True)
+        rng = np.random.default_rng(kmax)
+        g, v = rng.standard_normal((n,) * d), rng.standard_normal((5, es.size))
+        expected = coeffs_from_values(es, g * values_from_coeffs(es, v, n))
+        got = v @ spectral.multiplication_map(es, g)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def _fft_gradient(vals, axis, d):
     """d/dx_axis of periodic grid values (..., n[, n]) on the unit torus, by
     numpy's full complex FFT."""
