@@ -145,9 +145,15 @@ def _point_plan(es, mesh, t, x):
     """What evaluating at (t, x) does before any field enters: time stencils
     (idx, w) and the point table with its spare.  A thread reuses its last
     plan while the mesh (the same object), eigensystem (==) and bytes of t and
-    x match, so a replicate's evaluations at its design points build one."""
+    x match, so a replicate's evaluations at its design points build one.
+    The value checks run here, before a plan is built: a reused plan's t and
+    x are the bytes that passed them."""
     key = (mesh, es, t.tobytes(), x.tobytes())
     if getattr(_plan, "key", None) != key:
+        if not np.all((t >= -1e-12) & (t <= mesh.T + 1e-12)):
+            raise ValueError("evaluation time outside [0, T] or not finite")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("evaluation point not finite")
         _plan.key = None  # an error below leaves no half-built plan
         _plan.value = _time_stencils(mesh, t), _point_table(es, x, _plan)
         _plan.key = key
@@ -172,26 +178,29 @@ class SpaceTimeField:
 
         t: (nq,) in [0, T], x: (nq, d).  Returns (nq,) for scalar fields and
         (nq, 2) for divergence-free ones.  The snapshots are laid out once in
-        the point table's columns (``spectral.table_layout``) and contracted
-        with the points' plan (:func:`_point_plan`), one stencil row at a time.
+        the point table's columns (``spectral.table_layout``, p components)
+        and contracted with the points' plan (:func:`_point_plan`, which
+        checks the values) in blocks of nq // (4 p) points: one gather of the
+        block's four stencil snapshots into the plan's spare, which holds nq
+        table rows, then the table and time weights.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if t.ndim != 1 or x.shape != (t.shape[0], self.es.d):
             raise ValueError(f"need t (nq,) and x (nq, {self.es.d}), got {t.shape} and {x.shape}")
-        if not np.all((t >= -1e-12) & (t <= self.mesh.T + 1e-12)):
-            raise ValueError("evaluation time outside [0, T] or not finite")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("evaluation point not finite")
         if self._layout is None:  # threads racing here build equal arrays
-            self._layout = table_layout(self.es, self.data)
-        coeffs, comps = self._layout
-        (idx, w), (table, row) = _point_plan(self.es, self.mesh, t, x)
-        vals = np.empty((t.shape[0], 4, comps.shape[1]))
-        for a in range(4):  # one stencil row at a time, into one buffer ("clip": unbuffered)
-            np.take(coeffs, idx[:, a], axis=0, out=row, mode="clip")
-            vals[:, a] = np.multiply(row, table, out=row) @ comps
-        out = np.einsum("qap,qa->qp", vals, w)
+            self._layout = table_layout(self.es, self.data).reshape(self.mesh.n_nodes, -1)
+        (idx, w), (table, spare) = _point_plan(self.es, self.mesh, t, x)
+        nq, p, width = t.shape[0], self.es.p, table.shape[1]
+        b = max(nq // (4 * p), 1)
+        buf = spare.reshape(-1)[: b * 4 * p * width].reshape(b, 4, p * width) if nq >= 4 * p else None
+        out = np.empty((nq, p))
+        for s in range(0, nq, b):
+            q, n = slice(s, s + b), min(b, nq - s)
+            # "clip": unbuffered; with fewer than 4 p points the gather takes a new array
+            rows = np.take(self._layout, idx[q], axis=0, out=None if buf is None else buf[:n], mode="clip")
+            vals = rows.reshape(n, 4 * p, width) @ table[q, :, None]
+            np.matmul(w[q, None], vals.reshape(n, 4, p), out=out[q, None])
         return out if self.es.dirs is not None else out[:, 0]
 
     def squared_l2_profile(self):
@@ -233,7 +242,9 @@ def _etdrk4_step(u, nonlin, c):
 
     N is called at the four stage states in order.  Stepping tangent states v
     by the same function, with the nonlinearity v -> N'(stage_i) v at stage
-    i, is the exact Jacobian-vector product of the base step.
+    i, is the exact Jacobian-vector product of the base step; every
+    coefficient acts on each row alone, so base and tangents step as one
+    array.
     """
     n0 = nonlin(u)
     a = c["E2"] * u + c["Q"] * n0
@@ -256,13 +267,13 @@ class _SpectralModel:
     """Solve and linearize of every model, on the ETDRK4 march of the
     pseudo-spectral models (heat replaces the march by its closed form).
 
-    The marched models march the coefficient vector itself, (nm,) for the
-    base state and (B, nm) for B tangent states, so every snapshot is a
-    state.  Such a subclass sets ``lin`` (the diagonal linear part, (nm,))
-    and ``name`` (for the blow-up error), and supplies ``_grid(u)`` (the grid
-    values of base state u that the nonlinearity and its derivative both
-    need), ``_nonlin(g)`` and ``_dnonlin(g, v)``, the derivative of the
-    nonlinearity at the state with grid values g applied to tangent states v.
+    The marched models march one coefficient array, (1 + B, nm): row 0 the
+    base state and the B rows below it tangent states, so every snapshot is a
+    state and each ETDRK4 coefficient multiplies all rows at once.  Such a
+    subclass sets ``lin`` (the diagonal linear part, (nm,)) and ``name`` (for
+    the blow-up error), and supplies ``_stage(w)``: for a stage state w, the
+    nonlinearity at its base row w[0] stacked over that nonlinearity's
+    derivative at w[0] applied to its tangent rows w[1:].
     """
 
     def __init__(self, es, T=1.0, mesh=None):
@@ -272,37 +283,25 @@ class _SpectralModel:
 
     def _march(self, u, v=None, on_node=None):
         """Snapshots of the base march from state u.  Tangent states v (B, nm),
-        if given, are co-integrated, and each node's (nm, B) tangent block goes
-        to on_node(i, V_i) in one C-contiguous buffer that the next node
-        overwrites."""
+        if given, are marched below u in one state array, and each node's
+        (nm, B) tangent block goes to on_node(i, V_i) in one C-contiguous
+        buffer that the next node overwrites."""
+        w = u[None] if v is None else np.concatenate([u[None], v]).copy()  # C order, whatever v's
         snaps = np.empty((self.mesh.n_nodes, self.es.size))
         snaps[0] = u
         if v is not None:
             block = np.empty((self.es.size, v.shape[0]))
             np.copyto(block, v.T)
             on_node(0, block)
-        cache = {}
-        grids = []  # the current step's four base-stage grid values
-
-        def base_nonlin(w):
-            grids.append(self._grid(w))
-            return self._nonlin(grids[-1])
-
         for i0, nsteps, h in self.mesh.blocks:
-            if h not in cache:
-                cache[h] = _etdrk4_coeffs(h, self.lin)
-            c = cache[h]
+            c = _etdrk4_coeffs(h, self.lin[None])  # (1, nm): no broadcast on a solve's (1, nm) state
             for s in range(nsteps):
-                grids.clear()
-                u = _etdrk4_step(u, base_nonlin, c)
-                if v is not None:
-                    stages = iter(grids)
-                    v = _etdrk4_step(v, lambda w: self._dnonlin(next(stages), w), c)
-                if not np.all(np.isfinite(u)):
+                w = _etdrk4_step(w, self._stage, c)
+                if not np.all(np.isfinite(w[0])):
                     raise RuntimeError(f"{self.name} solve blew up at t={self.mesh.nodes[i0+s+1]:.4g}")
-                snaps[i0 + s + 1] = u
+                snaps[i0 + s + 1] = w[0]
                 if v is not None:
-                    np.copyto(block, v.T)
+                    np.copyto(block, w[1:].T)
                     on_node(i0 + s + 1, block)
         return snaps
 
@@ -357,54 +356,48 @@ class HeatModel(_SpectralModel):
 
 
 class BumpReaction:
-    """f(u) = A u (1 - u^2) chi(u), chi a C^inf bump supported on [-R, R].
-
-    ``cutoff(u)`` evaluates chi and the terms its derivative reuses; ``f`` and
-    ``df`` take them precomputed, so a march that needs both at the same grid
-    values evaluates the cutoff once.
-    """
+    """f(u) = A u (1 - u^2) chi(u), chi(u) = exp(1 - g), g = 1/(1 - (u/R)^2),
+    a C^inf bump supported on [-R, R].  ``f_df`` evaluates f and f' in one
+    pass over the terms they share (chi, g and u^2)."""
 
     def __init__(self, amplitude=2.0, radius=2.5):
         self.amplitude = float(amplitude)
         self.radius = float(radius)
 
-    def cutoff(self, u):
-        r2 = (u / self.radius) ** 2
-        inside = r2 < 1.0 - 2e-3  # chi underflows to exactly 0 beyond this
-        g = np.where(inside, 1.0 / np.where(inside, 1.0 - r2, 1.0), 0.0)
-        chi = np.where(inside, np.exp(1.0 - g), 0.0)
-        return chi, g, inside
+    def f(self, u):
+        return self.f_df(u)[0]
 
-    def f(self, u, cut=None):
+    def f_df(self, u):
         u = np.asarray(u, dtype=float)
-        chi, _, _ = self.cutoff(u) if cut is None else cut
-        return self.amplitude * u * (1.0 - u * u) * chi
-
-    def df(self, u, cut=None):
-        u = np.asarray(u, dtype=float)
-        chi, g, inside = self.cutoff(u) if cut is None else cut
-        r = self.radius
-        gp = np.where(inside, (2.0 * u / r**2) * g * g, 0.0)
-        chip = -gp * chi
-        return self.amplitude * ((1.0 - 3.0 * u * u) * chi + u * (1.0 - u * u) * chip)
+        u2 = u * u
+        # 1 - (u/R)^2 is floored at 1e-3, so g <= 1000 also outside the
+        # support: from 1 - (u/R)^2 < 1/746 on, exp(1 - g) underflows to
+        # exactly 0, and with it f and f'
+        g = 1.0 / np.maximum(1.0 - u2 / self.radius**2, 1e-3)
+        a = self.amplitude * np.exp(1.0 - g)  # A chi
+        p = u * (1.0 - u2)
+        # chi' = -chi g^2 d(u^2/R^2)/du
+        return a * p, a * ((1.0 - 3.0 * u2) - p * (2.0 / self.radius**2) * u * g * g)
 
 
 class ReactionDiffusionModel(_SpectralModel):
     """u_t = Lap u + f(u); the state is the coefficient vector.
 
-    The reaction supplies ``cutoff(u)`` (whatever f and f' share at the grid
-    values u), ``f(u, cut)`` and ``df(u, cut)``; each stage's base grid values
-    and their cutoff are computed once, for both.  f is evaluated on the
+    The reaction supplies ``f_df(u)``, f and f' at grid values u, evaluated
+    once per stage at the base row's grid values.  f is evaluated on the
     dealiased grid of ``min_grid_points``, whose 3/2 rule is exact for
     quadratic products only; the bump reaction is not a polynomial, so
     results carry an aliasing error that depends on that grid.
 
-    A tangent stage multiplies its B columns by f'(u) on that grid in one of
-    two ways, equal up to rounding.  From the grid's ``gather_from`` columns
-    on (spectral.GATHER_MIN_COLUMNS on a dense grid, nm on an FFT grid) it is
-    v @ W, W the multiplication map gathered from one rfft of f'(u); with
-    fewer, and in every base stage, the columns go to the grid and back by
-    ``values_from_coeffs``/``coeffs_from_values``.
+    The base row goes to the grid and back on its own, so a solve and the
+    base of a linearize are the same products, bitwise (a BLAS product's
+    rows depend on how many rows it takes).  A stage multiplies its B tangent
+    rows by f'(u) on that grid in one of two ways, equal up to rounding: with
+    fewer than the grid's ``gather_from`` rows (spectral.GATHER_MIN_COLUMNS
+    on a dense grid, nm on an FFT grid) they go to the grid and back by one
+    ``values_from_coeffs``/``coeffs_from_values`` pair; from ``gather_from``
+    rows on they are v @ W, W the multiplication map gathered from one rfft
+    of f'(u).
     """
 
     kind = "rd"
@@ -419,21 +412,20 @@ class ReactionDiffusionModel(_SpectralModel):
         self.n = es.min_grid_points(dealias=True)
         self._gather_from = _lattice(es, self.n).gather_from
 
-    def _grid(self, u):
-        vals = values_from_coeffs(self.es, u, self.n)
-        return vals, self.reaction.cutoff(vals)
-
-    def _nonlin(self, g):
-        vals, cut = g
-        return coeffs_from_values(self.es, self.reaction.f(vals, cut))
-
-    def _dnonlin(self, g, v):
-        """f'(u) v for the base grid values and cutoff ``g`` of u and tangent columns v (B, nm)."""
-        vals, cut = g
-        df = self.reaction.df(vals, cut)
-        if v.shape[0] >= self._gather_from:
-            return v @ multiplication_map(self.es, df)
-        return coeffs_from_values(self.es, df * values_from_coeffs(self.es, v, self.n))
+    def _stage(self, w):
+        """f(u) over f'(u) v for the stage state w: base u = w[0], tangents v = w[1:]."""
+        es = self.es
+        f, df = self.reaction.f_df(values_from_coeffs(es, w[0], self.n))
+        base = coeffs_from_values(es, f)
+        if w.shape[0] == 1:
+            return base[None]
+        out = np.empty_like(w)
+        out[0] = base
+        if w.shape[0] > self._gather_from:
+            np.matmul(w[1:], multiplication_map(es, df), out=out[1:])
+        else:
+            out[1:] = coeffs_from_values(es, df * values_from_coeffs(es, w[1:], self.n))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +442,8 @@ class NavierStokesModel(_SpectralModel):
     """omega_t + u . grad omega = nu Lap omega + curl f, marched in velocity
     coefficients.
 
-    The state is the divergence-free velocity coefficient vector, (nm,) or
-    (B, nm), as for reaction-diffusion: the curl maps each velocity mode to
+    The state is the divergence-free velocity coefficient vector, stacked
+    as for reaction-diffusion: the curl maps each velocity mode to
     one vorticity mode of the same |k| on the scalar twin ``es.scalar``, so
     the linear part is -nu lambda_j and the forcing is its own coefficient
     vector.  Two real matrices, built once from spectral's coefficient
@@ -465,9 +457,10 @@ class NavierStokesModel(_SpectralModel):
       of -P a: a's projection on the twin times the inverse curl curl^T /
       lambda (<curl e_j, curl e_l> = lambda_j delta_jl), exact as n >= 3 kmax + 1.
 
-    A tangent stage is linear in the tangent states v, so it contracts the
-    base stage's four grid fields into one (nm, n^2) map W once, and maps v
-    through v W _from_grid: one grid field per column, not four.
+    The tangent rows of a stage are linear in the tangent states v, so the
+    stage contracts its base row's four grid fields into one (nm, n^2) map W
+    once, and maps v through v W _from_grid: one grid field per column, not
+    four.
 
     Both maps grow as kmax^4 (n ~ 3 kmax, nm ~ 2 kmax^2), while the five FFTs
     per stage they replace grow as kmax^2 log kmax.  Above kmax 6 a stage on
@@ -506,21 +499,21 @@ class NavierStokesModel(_SpectralModel):
         es = self.es
         return derivative(es, v, 0) * es.dirs[:, 1] - derivative(es, v, 1) * es.dirs[:, 0]
 
-    def _grid(self, v):
-        """u1, u2, d omega/dx1, d omega/dx2 of state(s) v on the grid, (..., 4, n^2)."""
-        return (v @ self._to_grid).reshape(v.shape[:-1] + (4, -1))
-
-    def _nonlin(self, g):
-        out = (g[0] * g[2] + g[1] * g[3]) @ self._from_grid  # -P(u . grad omega)
+    def _stage(self, w):
+        """-P(u . grad omega) + curl f at the base row u = w[0], over
+        -P(u . grad omega' + u' . grad omega) at the tangent rows u' = w[1:]."""
+        g = (w[0] @ self._to_grid).reshape(4, -1)  # u1, u2, d omega/dx1, d omega/dx2
+        base = (g[0] * g[2] + g[1] * g[3]) @ self._from_grid
         if self.forcing is not None:
-            out = out + self.forcing
-        return out
-
-    def _dnonlin(self, g, v):
-        # -P(u . grad omega' + u' . grad omega) for tangent states v (B, nm);
+            base += self.forcing
+        if w.shape[0] == 1:
+            return base[None]
         # multi_dot picks (v W) F or v (W F) by the shapes
         W = np.einsum("jip,ip->jp", self._to_grid.reshape(self.es.size, 4, -1), g[[2, 3, 0, 1]])
-        return np.linalg.multi_dot([v, W, self._from_grid])
+        out = np.empty_like(w)
+        out[0] = base
+        np.linalg.multi_dot([w[1:], W, self._from_grid], out=out[1:])
+        return out
 
     def lattice_divergence(self, field):
         """Max over nodes of max |div u| / max |u| over the twin coefficients

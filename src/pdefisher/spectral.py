@@ -482,16 +482,16 @@ def _point_table(es, x, work):
 
 
 def table_layout(es, data):
-    """Fields data (..., nm) laid out for :func:`_point_table`: ``coeffs``
-    (..., 2 cells), each times its amplitude (sqrt(2); 1 for the constant) in
-    its mode's column, and ``comps`` (2 cells, p), each used column's dirs
-    (div-free) or 1, so ``(_point_table(es, x, work)[0] * coeffs) @ comps``
-    is the fields' values at x.  Unused columns hold 0 in both."""
+    """Fields data (..., nm) laid out for :func:`_point_table`, (..., p, 2
+    cells): component i holds each mode's coefficient times its amplitude
+    (sqrt(2); 1 for the constant) and, on div-free, its dirs entry i, in its
+    mode's column, so ``layout @ _point_table(es, x, work)[0][q]`` is the
+    fields' value at x[q].  Unused columns hold 0."""
     width = 2 * (es.kmax + 1) * (2 * es.kmax + 1) ** (es.d - 1)
-    coeffs, comps = np.zeros(np.shape(data)[:-1] + (width,)), np.zeros((width, es.p))
-    coeffs[..., es._table_cols] = np.asarray(data, dtype=float) * es._table_amp
-    comps[es._table_cols] = 1.0 if es.dirs is None else es.dirs
-    return coeffs, comps
+    scale = es._table_amp * (np.ones((1, es.size)) if es.dirs is None else es.dirs.T)  # (p, nm)
+    layout = np.zeros(np.shape(data)[:-1] + (es.p, width))
+    layout[..., es._table_cols] = np.asarray(data, dtype=float)[..., None, :] * scale
+    return layout
 
 
 def basis_values_at(es, x):

@@ -124,6 +124,34 @@ class TestBaseFlow:
         assert ref.base is None
 
 
+class TestStackedMarch:
+    """A march steps the base state and its B tangent columns as one array.
+    Its base snapshots are solve(theta0)'s, bitwise, and each tangent column
+    is that column marched alone, on both sides of RD's gather rule
+    (GATHER_MIN_COLUMNS = 48 on this dense grid)."""
+
+    @pytest.mark.parametrize(
+        "kind, B", [("rd", 1), ("rd", 9), ("rd", 47), ("rd", 48), ("rd", 128), ("ns", 1), ("ns", 32), ("ns", 64)]
+    )
+    def test_base_is_solve_and_columns_are_single_marches(self, kind, B):
+        mesh = TimeMesh.graded(0.25, levels=2, steps_per_block=4)
+        if kind == "rd":
+            es = build_eigensystem(1, 64)
+            model = ReactionDiffusionModel(es, T=0.25, mesh=mesh)
+            theta0 = _field(es, [([1], 1, 0.6), ([3], 2, 0.3)], const=0.4)
+        else:
+            es = build_eigensystem(2, 4, DIV_FREE)
+            model = NavierStokesModel(es, viscosity=0.05, T=0.25, mesh=mesh)
+            theta0 = _field(es, [([1, 0], 1, 0.8), ([0, 1], 2, 0.6), ([1, 1], 1, 0.5)])
+        cols = np.random.default_rng(B).standard_normal((es.size, B))
+        batch = held_tangents(model, theta0, cols)
+        assert np.array_equal(batch.base.data, model.solve(theta0).data)
+        scale = np.abs(batch.data).max()
+        for b in range(B):
+            single = model.linearize(theta0, FourierCoeffs(es, cols[:, b])).data
+            assert np.abs(batch.data[:, :, b] - single).max() <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("kind", ["heat", "rd", "ns"])
 def test_linearize_refuses_columns_without_on_node(kind, es1, es_ns):
     # (nm, B) columns only stream: no march holds every node's block
@@ -138,14 +166,57 @@ def test_linearize_refuses_columns_without_on_node(kind, es1, es_ns):
 
 
 class ZeroReaction:
-    def cutoff(self, u):
-        return None
+    def f_df(self, u):
+        return np.zeros_like(u), np.zeros_like(u)
 
-    def f(self, u, cut=None):
-        return np.zeros_like(u)
 
-    def df(self, u, cut=None):
-        return np.zeros_like(u)
+class TestBumpReaction:
+    """f_df against f and f' written out with math.exp, just inside and just
+    outside the band where exp(1 - g) underflows (1 - (u/R)^2 < 1/746) and
+    beyond the support, and f' against a central difference of f."""
+
+    A, R = 2.0, 2.5
+
+    def _closed_form(self, u):
+        s = 1.0 - u * u / self.R**2
+        if s <= 0.0:
+            return 0.0, 0.0
+        g = 1.0 / s
+        chi = math.exp(1.0 - g)
+        dchi = -chi * g * g * 2.0 * u / self.R**2
+        return self.A * u * (1.0 - u * u) * chi, self.A * ((1.0 - 3.0 * u * u) * chi + u * (1.0 - u * u) * dchi)
+
+    def _check(self, u, rtol, atol=0.0):
+        f, df = BumpReaction(self.A, self.R).f_df(np.array(u))
+        exact = np.array([self._closed_form(v) for v in u])
+        np.testing.assert_allclose(f, exact[:, 0], rtol=rtol, atol=atol * np.abs(exact[:, 0]).max())
+        np.testing.assert_allclose(df, exact[:, 1], rtol=rtol, atol=atol * np.abs(exact[:, 1]).max())
+        return f, df
+
+    def test_matches_closed_form_inside(self):
+        u = np.random.default_rng(1).uniform(-2.45, 2.45, 200)
+        self._check(list(u) + [0.0, 1.0, -1.0, 3.0**-0.5], rtol=1e-13, atol=1e-13)
+
+    def test_just_inside_the_underflow(self):
+        # 1 - (u/R)^2 from 2.5e-3 down to 1.45e-3: chi from e^-399 to e^-689,
+        # all normal doubles, computed from the same s on both sides
+        s = np.array([2.5e-3, 2e-3, 1.6e-3, 1.45e-3])
+        u = list(self.R * np.sqrt(1.0 - s)) + list(-self.R * np.sqrt(1.0 - s))
+        f, df = self._check(u, rtol=1e-12)
+        assert np.abs(f).min() > 1e-300 and np.abs(df).min() > 1e-300
+
+    def test_zero_outside(self):
+        s = np.array([1.3e-3, 1e-3, 5e-4, 1e-9])
+        u = list(self.R * np.sqrt(1.0 - s)) + [self.R, -self.R, 3.0, -3.0, 1e3, -1e3]
+        f, df = self._check(u, rtol=0.0)
+        assert np.all(f == 0.0) and np.all(df == 0.0)
+
+    def test_derivative_is_the_central_difference(self):
+        reaction, h = BumpReaction(self.A, self.R), 1e-5
+        u = np.linspace(-2.3, 2.3, 47)
+        fd = (reaction.f(u + h) - reaction.f(u - h)) / (2 * h)
+        df = reaction.f_df(u)[1]
+        assert np.abs(df - fd).max() <= 1e-7 * np.abs(df).max()
 
 
 class TestReactionDiffusion:
@@ -187,12 +258,9 @@ class TestReactionDiffusion:
         assert 8.0 < rate < 40.0  # ~2^4 with reference contamination slack
 
     def test_blowup_detection(self, es1):
-        class Explosive(ZeroReaction):
-            def f(self, u, cut=None):
-                return u**3 + 50.0
-
-            def df(self, u, cut=None):
-                return 3 * u**2
+        class Explosive:
+            def f_df(self, u):
+                return u**3 + 50.0, 3 * u**2
 
         rd = ReactionDiffusionModel(
             es1, T=5.0, reaction=Explosive(), mesh=TimeMesh.uniform(5.0, 8)
@@ -254,8 +322,7 @@ class TestRDTangentStage:
         assert rd._gather_from == edge
         rng = np.random.default_rng(kmax + 10 * d)
         u = 0.3 * np.eye(es.size)[0] + rng.standard_normal(es.size) / es.size
-        g = rd._grid(u)
-        df = rd.reaction.df(*g)
+        f, df = rd.reaction.f_df(values_from_coeffs(es, u, rd.n))
         maps = []
 
         def counted(system, values):
@@ -267,10 +334,11 @@ class TestRDTangentStage:
             v = rng.standard_normal((B, es.size))
             expected = coeffs_from_values(es, df * values_from_coeffs(es, v, rd.n))
             gathered = len(maps)
-            got = rd._dnonlin(g, v)
+            got = rd._stage(np.concatenate([u[None], v]))
             assert len(maps) - gathered == (B >= edge)
-            assert got.shape == (B, es.size)
-            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert got.shape == (1 + B, es.size)
+            assert np.array_equal(got[0], coeffs_from_values(es, f))
+            assert np.abs(got[1:] - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_few_columns_build_no_multiplication_tables(self):
         # lan-rd's 9-column march keeps the transforms; a march at the rule's
@@ -403,13 +471,14 @@ class TestNavierStokesGridMaps:
         ns = NavierStokesModel(es, viscosity=0.05, T=0.25, forcing=forcing, mesh=TimeMesh.uniform(0.25, 4))
         u, v = rng.standard_normal(es.size), rng.standard_normal((B, es.size))
 
-        def nonlin(w):  # N at each row of w, from its (4, B, n^2) grid values
-            return ns._nonlin(np.moveaxis(ns._grid(w), -2, 0))
+        def nonlin(w):  # N at each row of w, each marched as a base state
+            return np.array([ns._stage(row[None])[0] for row in w])
 
         oracle = (nonlin(u + v) - nonlin(u - v)) / 2
-        got = ns._dnonlin(ns._grid(u), v)
-        assert got.shape == (B, es.size)
-        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        got = ns._stage(np.concatenate([u[None], v]))
+        assert got.shape == (1 + B, es.size)
+        assert np.array_equal(got[0], nonlin(u[None])[0])
+        assert np.abs(got[1:] - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 class TestReactionDiffusion2D:
@@ -732,6 +801,27 @@ class TestEvaluateExact:
         ])
         np.testing.assert_allclose(f.evaluate(t, x), expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("nq", [1, 3, 4, 5, 1251])
+    @pytest.mark.parametrize(
+        "d, kmax, subspace", [(1, 32, "full"), (2, 3, "full"), (2, 3, DIV_FREE)], ids=["d1", "d2", "d2-div-free"]
+    )
+    def test_blocks_match_basis_values(self, d, kmax, subspace, nq):
+        # evaluation takes nq // (4 p) points per block (p components), and
+        # fewer than 4 p points in one block of its own; the oracle is the
+        # basis values at x times the explicit Lagrange weights' snapshot
+        from pdefisher.spectral import basis_values_at
+
+        es = build_eigensystem(d, kmax, subspace)
+        mesh = TimeMesh.graded(1.0, levels=5, steps_per_block=4)
+        rng = np.random.default_rng(nq + 10 * d)
+        f = SpaceTimeField(es, mesh, rng.standard_normal((mesh.n_nodes, es.size)))
+        t = np.concatenate([[0.0, 1.0], mesh.nodes[::-1], rng.uniform(0, 1, nq)])[:nq]
+        x = rng.uniform(0, 1, (nq, d))
+        coeffs = np.array([_lagrange_oracle(mesh.nodes.tolist(), f.data, tq) for tq in t.tolist()])
+        values = basis_values_at(es, x) * coeffs
+        expected = values @ es.dirs if es.dirs is not None else values.sum(axis=1)
+        np.testing.assert_allclose(f.evaluate(t, x), expected, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("d, subspace", [(1, "full"), (2, DIV_FREE)], ids=["d1", "d2-div-free"])
     def test_no_points(self, d, subspace):
         from pdefisher.spectral import basis_values_at
@@ -881,18 +971,56 @@ class TestPointPlan:
 
     @pytest.mark.parametrize("bad", ["x-nan", "x-inf", "t-above-T", "t-negative", "t-nan"])
     def test_invalid_points_raise_on_what_would_be_a_hit(self, bad):
-        # the thread's plan is built at the invalid points themselves, with
-        # no check, so only evaluate's own validation can refuse them
+        # the value checks run where a plan is built, so no plan exists at
+        # invalid points for an evaluation to hit
         f, _, t, x = self._case(50, seed=4)
         column, i, value = {
             "x-nan": (x[:, 0], 3, np.nan), "x-inf": (x[:, 0], 3, np.inf),
             "t-above-T": (t, 5, 1.5), "t-negative": (t, 5, -0.1), "t-nan": (t, 5, np.nan),
         }[bad]
         column[i] = value
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
             forward._point_plan(f.es, f.mesh, t, x)
         with pytest.raises(ValueError, match="not finite"):
             f.evaluate(t, x)
+
+    @pytest.mark.parametrize("bad", ["x-nan", "x-inf", "x-neg-inf", "t-nan", "t-inf", "t-neg-inf", "t-above-T", "t-negative"])
+    def test_invalid_points_after_a_cached_plan(self, bad):
+        # a plan for other points of the same shape is cached: invalid ones
+        # still raise, and the next valid call equals the one before, bitwise
+        f, _, t, x = self._case(50, seed=6)
+        first = f.evaluate(t, x)
+        tb, xb = t.copy(), x.copy()
+        column, value = {
+            "x-nan": (xb[:, 0], np.nan), "x-inf": (xb[:, 0], np.inf), "x-neg-inf": (xb[:, 0], -np.inf),
+            "t-nan": (tb, np.nan), "t-inf": (tb, np.inf), "t-neg-inf": (tb, -np.inf),
+            "t-above-T": (tb, 1.0 + 1e-9), "t-negative": (tb, -1e-9),
+        }[bad]
+        column[7] = value
+        with pytest.raises(ValueError, match="not finite"):
+            f.evaluate(tb, xb)
+        assert _bitwise_equal(f.evaluate(t, x), first)
+
+    def test_a_cached_plan_allocates_no_table_sized_array(self):
+        # lan-rd's shape: 1,250 points, d = 1, kmax 32 (66 table columns);
+        # the gather reuses the plan's spare, so a cached plan's evaluation
+        # allocates less than one (nq, columns) table, let alone (nq, 4, columns)
+        import tracemalloc
+
+        es = build_eigensystem(1, 32)
+        mesh = TimeMesh.graded(0.5, levels=14, steps_per_block=32)
+        rng = np.random.default_rng(7)
+        f = SpaceTimeField(es, mesh, rng.standard_normal((mesh.n_nodes, es.size)))
+        t, x = rng.uniform(0, 0.5, 1250), rng.uniform(0, 1, (1250, 1))
+        first = f.evaluate(t, x)
+        tracemalloc.start()
+        try:
+            again = f.evaluate(t, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _bitwise_equal(again, first)
+        assert peak < 1250 * 66 * 8
 
     def test_shape_check_runs_on_a_hit(self):
         f, _, t, x = self._case(50, seed=5)
