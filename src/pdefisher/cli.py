@@ -123,7 +123,7 @@ def _task_qmd(exp, task, rng):
     h = build_field(exp["es"], task["h"]) if "h" in task else _default_direction(exp)
     if not np.any(h.data):
         raise ConfigError("task.h is zero; the remainder check needs a nonzero direction")
-    out = qmd_remainder_slope(model, exp["theta0"], h, task["s_values"])
+    out = qmd_remainder_slope(model, exp["theta0"], h, task["s_values"])[0]
     checks = []
     if model.kind == "heat" or np.isnan(out["slope"]):
         checks.append(_zero_remainder_check(out, task["linear_rho_tol"]))
@@ -312,7 +312,7 @@ def _task_ns_diagnostics(exp, task, rng):
     checks = []
 
     h = _default_direction(exp)  # the single mode cos(2 pi x1), and the qmd direction
-    tangent = model.linearize(exp["theta0"], h)
+    qmd, tangent = qmd_remainder_slope(model, exp["theta0"], h, task["s_values"])
     field = tangent.base  # G(theta0), for the divergence and energy checks
     div = model.lattice_divergence(field)
     results["coefficient_divergence"] = div
@@ -334,7 +334,6 @@ def _task_ns_diagnostics(exp, task, rng):
     results["energy_residual_per_unit_time"] = resid
     checks.append(_check("energy-balance", resid, task["energy_tol"], resid <= task["energy_tol"]))
 
-    qmd = qmd_remainder_slope(model, exp["theta0"], h, task["s_values"], tangent)
     results["linearization_slope"] = qmd["slope"]
     if np.isnan(qmd["slope"]):  # linear along h to rounding: no slope to fit
         checks.append(_zero_remainder_check(qmd, REMAINDER_FLOOR))

@@ -31,6 +31,9 @@ from .spectral import (
     values_from_coeffs,
 )
 
+_WINDOW_RTOL = 1e-9  # how far a window endpoint may sit from its node, relative to max(1, T)
+_N_CONTOUR = 32  # points on the contour that averages the ETDRK4 phi-functions
+
 
 class TimeMesh:
     """Stored time nodes grouped in uniform blocks, with Simpson weights."""
@@ -49,7 +52,7 @@ class TimeMesh:
         return cls(nodes, [(0, m, T / m)])
 
     @classmethod
-    def graded(cls, T, levels, steps_per_block=16):
+    def graded(cls, T, levels, steps_per_block):
         """Geometric blocks [0, T 2^-levels], [T 2^-levels, T 2^-levels+1], ..., [T/2, T]."""
         if steps_per_block % 2 or steps_per_block < 4:
             raise ValueError("steps per block must be even and >= 4")
@@ -87,11 +90,11 @@ class TimeMesh:
         denom = _others_product(tn[None, :, :] - tn[:, None, :])[diag, diag]
         return idx, tn, denom
 
-    def window_slice(self, t0, t1, rtol=1e-9):
+    def window_slice(self, t0, t1):
         """Node index range covering [t0, t1]; endpoints must be nodes."""
         i0 = int(np.argmin(np.abs(self.nodes - t0)))
         i1 = int(np.argmin(np.abs(self.nodes - t1)))
-        tol = rtol * max(1.0, self.T)
+        tol = _WINDOW_RTOL * max(1.0, self.T)
         if abs(self.nodes[i0] - t0) > tol or abs(self.nodes[i1] - t1) > tol:
             raise ValueError("window endpoints must coincide with mesh nodes")
         return i0, i1
@@ -213,14 +216,14 @@ class SpaceTimeField:
 # ---------------------------------------------------------------------------
 
 
-def _etdrk4_coeffs(h, lin, n_contour=32):
+def _etdrk4_coeffs(h, lin):
     """Cox-Matthews ETDRK4 coefficients for diagonal linear part ``lin``.
 
     phi-functions evaluated by averaging over a complex contour around h*lin,
     which is stable through lin = 0.
     """
     z0 = h * lin
-    roots = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    roots = np.exp(2j * np.pi * (np.arange(_N_CONTOUR) + 0.5) / _N_CONTOUR)
     z = z0[..., None] + roots
     ez = np.exp(z)
     q = h * np.mean((np.exp(z / 2.0) - 1.0) / z, axis=-1).real
@@ -284,15 +287,13 @@ class _SpectralModel:
     def _march(self, u, v=None, on_node=None):
         """Snapshots of the base march from state u.  Tangent states v (B, nm),
         if given, are marched below u in one state array, and each node's
-        (nm, B) tangent block goes to on_node(i, V_i) in one C-contiguous
-        buffer that the next node overwrites."""
+        tangent block goes to on_node(i, V_i) as the (nm, B) view of the march
+        state, which no later node writes (each step returns a new array)."""
         w = u[None] if v is None else np.concatenate([u[None], v]).copy()  # C order, whatever v's
         snaps = np.empty((self.mesh.n_nodes, self.es.size))
         snaps[0] = u
         if v is not None:
-            block = np.empty((self.es.size, v.shape[0]))
-            np.copyto(block, v.T)
-            on_node(0, block)
+            on_node(0, w[1:].T)
         for i0, nsteps, h in self.mesh.blocks:
             c = _etdrk4_coeffs(h, self.lin[None])  # (1, nm): no broadcast on a solve's (1, nm) state
             for s in range(nsteps):
@@ -301,8 +302,7 @@ class _SpectralModel:
                     raise RuntimeError(f"{self.name} solve blew up at t={self.mesh.nodes[i0+s+1]:.4g}")
                 snaps[i0 + s + 1] = w[0]
                 if v is not None:
-                    np.copyto(block, w[1:].T)
-                    on_node(i0 + s + 1, block)
+                    on_node(i0 + s + 1, w[1:].T)
         return snaps
 
     def solve(self, theta):
@@ -313,10 +313,10 @@ class _SpectralModel:
 
         A FourierCoeffs h with no ``on_node`` returns its tangent as a
         SpaceTimeField whose ``base`` is G(theta0).  Otherwise the tangent is
-        not stored: each node's (nm, B) block V_i of the columns h (nm, B),
-        C-contiguous, goes to on_node(i, V_i) in mesh order from node 0 (the
-        next node overwrites it, so copy it to keep it), and only G(theta0)
-        is returned.
+        not stored: each node's block V_i of the columns h (nm, B), an
+        (nm, B) view of the march state, which no later node writes, goes to
+        on_node(i, V_i) in mesh order from node 0, and only G(theta0) is
+        returned.
         """
         single = isinstance(h, FourierCoeffs)
         held = None
@@ -358,24 +358,29 @@ class HeatModel(_SpectralModel):
 class BumpReaction:
     """f(u) = A u (1 - u^2) chi(u), chi(u) = exp(1 - g), g = 1/(1 - (u/R)^2),
     a C^inf bump supported on [-R, R].  ``f_df`` evaluates f and f' in one
-    pass over the terms they share (chi, g and u^2)."""
+    pass over the terms they share (chi, g and u^2); ``f`` evaluates f
+    alone from the same terms, so it rounds exactly as f_df's f."""
 
     def __init__(self, amplitude=2.0, radius=2.5):
         self.amplitude = float(amplitude)
         self.radius = float(radius)
 
-    def f(self, u):
-        return self.f_df(u)[0]
-
-    def f_df(self, u):
+    def _terms(self, u):
+        """u, u^2, g, A chi and p = u (1 - u^2): f = A chi p."""
         u = np.asarray(u, dtype=float)
         u2 = u * u
         # 1 - (u/R)^2 is floored at 1e-3, so g <= 1000 also outside the
         # support: from 1 - (u/R)^2 < 1/746 on, exp(1 - g) underflows to
         # exactly 0, and with it f and f'
         g = 1.0 / np.maximum(1.0 - u2 / self.radius**2, 1e-3)
-        a = self.amplitude * np.exp(1.0 - g)  # A chi
-        p = u * (1.0 - u2)
+        return u, u2, g, self.amplitude * np.exp(1.0 - g), u * (1.0 - u2)
+
+    def f(self, u):
+        *_, a, p = self._terms(u)
+        return a * p
+
+    def f_df(self, u):
+        u, u2, g, a, p = self._terms(u)
         # chi' = -chi g^2 d(u^2/R^2)/du
         return a * p, a * ((1.0 - 3.0 * u2) - p * (2.0 / self.radius**2) * u * g * g)
 
@@ -383,8 +388,9 @@ class BumpReaction:
 class ReactionDiffusionModel(_SpectralModel):
     """u_t = Lap u + f(u); the state is the coefficient vector.
 
-    The reaction supplies ``f_df(u)``, f and f' at grid values u, evaluated
-    once per stage at the base row's grid values.  f is evaluated on the
+    The reaction supplies ``f(u)`` and ``f_df(u)``, f and f' at grid values
+    u, evaluated once per stage at the base row's grid values; a solve's
+    stages take f alone, which rounds as f_df's f.  f is evaluated on the
     dealiased grid of ``min_grid_points``, whose 3/2 rule is exact for
     quadratic products only; the bump reaction is not a polynomial, so
     results carry an aliasing error that depends on that grid.
@@ -415,12 +421,12 @@ class ReactionDiffusionModel(_SpectralModel):
     def _stage(self, w):
         """f(u) over f'(u) v for the stage state w: base u = w[0], tangents v = w[1:]."""
         es = self.es
-        f, df = self.reaction.f_df(values_from_coeffs(es, w[0], self.n))
-        base = coeffs_from_values(es, f)
+        u = values_from_coeffs(es, w[0], self.n)
         if w.shape[0] == 1:
-            return base[None]
+            return coeffs_from_values(es, self.reaction.f(u))[None]
+        f, df = self.reaction.f_df(u)
         out = np.empty_like(w)
-        out[0] = base
+        out[0] = coeffs_from_values(es, f)
         if w.shape[0] > self._gather_from:
             np.matmul(w[1:], multiplication_map(es, df), out=out[1:])
         else:
@@ -548,22 +554,19 @@ class NavierStokesModel(_SpectralModel):
 REMAINDER_FLOOR = 1e-14
 
 
-def qmd_remainder_slope(model, theta0, h, s_grid, tangent=None):
+def qmd_remainder_slope(model, theta0, h, s_grid):
     """Remainders rho(s) = || G(theta0 + s h) - G(theta0) - s I[h] ||_L2 and
     the log-log slope (2.0 for smooth models); the slope is NaN when fewer
     than two remainders exceed REMAINDER_FLOOR, i.e. when the model is linear
     along h to rounding (always for heat).
 
-    ``tangent`` is ``model.linearize(theta0, h)`` if the caller has marched
-    it already (its first snapshots must be h and, in its base, theta0).
+    Returns (report, tangent): the tangent ``model.linearize(theta0, h)`` it
+    marched, whose ``base`` is G(theta0).
     """
     s_grid = np.asarray(sorted(s_grid), dtype=float)
     if s_grid.size < 4:
         raise ValueError("need at least 4 perturbation sizes")
-    if tangent is None:
-        tangent = model.linearize(theta0, h)
-    elif not (np.array_equal(tangent.data[0], h.data) and np.array_equal(tangent.base.data[0], theta0.data)):
-        raise ValueError("tangent is not the linearization at theta0 along h")
+    tangent = model.linearize(theta0, h)
     remainders = []
     for s in s_grid:
         pert = model.solve(theta0 + s * h)
@@ -580,4 +583,4 @@ def qmd_remainder_slope(model, theta0, h, s_grid, tangent=None):
         "remainders": remainders.tolist(),
         "normalized": (remainders / s_grid).tolist(),
         "slope": slope,
-    }
+    }, tangent

@@ -17,9 +17,10 @@ from collections import namedtuple
 import numpy as np
 
 from .noise import fisher_matrix as compute_fisher, raised_cosine_quantile
-from .spectral import values_from_coeffs
+from .spectral import multiplication_map
 
 _COND_LIMIT = 1e12  # condition number beyond which results are numerically meaningless
+_PLATEAU_INCREMENT = 0.02  # a trace's last increment above this share of its value diverges
 
 
 class DesignMeasure:
@@ -67,32 +68,23 @@ class DesignMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _mode_weights(es, fisher):
-    """Diagonal spatial weight of the pointwise noise form on basis modes."""
-    if fisher is None:
-        return np.ones(es.size)
-    if es.p == 1:
-        return np.full(es.size, float(fisher.matrix[0, 0]))
-    return np.einsum("ma,ab,mb->m", es.dirs, fisher.matrix, es.dirs)
-
-
 def _pointwise_form(es, design, fisher):
     """B_jl = int <e_j, I_eps e_l> lambda dx on the basis modes, (nm, nm).
 
-    A uniform design gives the exact diagonal; otherwise B is the grid
-    quadrature of the identity's values, exact because the products of
-    retained modes with the band-limited density resolve on that grid.
+    Mode j is dirs_j (1 on a scalar system) times a scalar mode s_j, so B =
+    (dirs F dirs^T) o S, S_jl = int s_j s_l lambda dx: the identity / T on a
+    uniform design (B the exact diagonal), else spectral's multiplication map
+    of the density, exact on a grid resolving its products with the modes.
     """
+    f = np.eye(es.p) if fisher is None else fisher.matrix
+    dirs = np.ones((es.size, 1)) if es.dirs is None else es.dirs
     if design.is_uniform:
-        return np.diag(_mode_weights(es, fisher) / design.T)
+        return np.diag(np.einsum("ma,ab,mb->m", dirs, f, dirs) / design.T)
     n = 2 * es.kmax + design.spatial_band + 2
     n += n % 2
-    vals = values_from_coeffs(es, np.eye(es.size), n).reshape(es.size, es.p, -1)
     grid = np.stack(np.meshgrid(*[np.arange(n) / n] * es.d, indexing="ij"), -1)
-    weighted = vals * (design.density(0.0, grid.reshape(-1, es.d)) / n**es.d)
-    if fisher is not None:
-        weighted = np.einsum("ab,jbx->jax", fisher.matrix, weighted)
-    return vals.reshape(es.size, -1) @ weighted.reshape(es.size, -1).T
+    density = design.density(0.0, grid.reshape(-1, es.d)).reshape(grid.shape[:-1])
+    return dirs @ f @ dirs.T * multiplication_map(es if es.scalar is None else es.scalar, density)
 
 
 class _NodeGram:
@@ -285,18 +277,18 @@ def s_norm_truncated(psi, M, k_grid=None):
     return {"k_grid": k_grid, "values": values, "value": values[-1]}
 
 
-def octave_divergence_flag(k_grid, values, rel_increment=0.02):
+def octave_divergence_flag(k_grid, values):
     """Flag a truncation trace that keeps growing instead of plateauing.
 
     Returns (flag, increments).  A trace with a finite limit has per-octave
     increments collapsing to zero; the flag fires when the last increment
-    still exceeds ``rel_increment`` of the accumulated value.
+    still exceeds _PLATEAU_INCREMENT of the accumulated value.
     """
     inc = np.diff(np.asarray(values, dtype=float))
     if inc.size == 0:
         return False, []
     total = max(float(values[-1]), 1e-300)
-    return bool(inc[-1] > rel_increment * total), inc.tolist()
+    return bool(inc[-1] > _PLATEAU_INCREMENT * total), inc.tolist()
 
 
 # ---------------------------------------------------------------------------

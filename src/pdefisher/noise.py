@@ -15,6 +15,7 @@ from numpy.polynomial.legendre import leggauss
 # costs about 0.3 s, and most tasks never draw Gaussian or logistic noise.
 
 _QUAD_NODES = 24
+_FISHER_RTOL, _FISHER_DOUBLINGS = 1e-10, 4  # the Fisher quadrature's convergence rule
 
 
 class FisherMatrix:
@@ -115,21 +116,21 @@ def _information_once(noise, n_panels):
     return 4.0 * (w[:, None] * g).T @ g
 
 
-def _information(noise, rel_tol=1e-10, max_doublings=4):
+def _information(noise):
     """4 int (grad sqrt q)(grad sqrt q)^T dy as a p x p array, converged once
     per noise model and cached on the instance: panels doubled from 4 per
-    axis until the relative change is below rel_tol.  Not yet checked for
+    axis until the relative change is below _FISHER_RTOL.  Not yet checked for
     definiteness, so that the H^1 probe also reaches degenerate densities."""
     if "_info" in vars(noise):
         return noise._info
     n_panels = 4
     prev = _information_once(noise, n_panels)
-    for _ in range(max_doublings):
+    for _ in range(_FISHER_DOUBLINGS):
         n_panels *= 2
         cur = _information_once(noise, n_panels)
         err = np.max(np.abs(cur - prev)) / max(np.max(np.abs(cur)), 1e-300)
         prev = cur
-        if err < rel_tol:
+        if err < _FISHER_RTOL:
             noise._info = cur
             return cur
     raise RuntimeError(f"Fisher quadrature did not converge (last rel change {err:.2e})")

@@ -133,17 +133,17 @@ def test_criterion_04_qmd_remainders(heat9, rd_model, ns_model):
     s_grid = [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1]
     es_h, heat, _, _, theta0_h, _ = heat9
     h = FourierCoeffs.unit(es_h, 1)
-    rho_heat = max(qmd_remainder_slope(heat, theta0_h, h, s_grid)["remainders"])
+    rho_heat = max(qmd_remainder_slope(heat, theta0_h, h, s_grid)[0]["remainders"])
     ok_h = rho_heat < 1e-12
 
     es_r, rd, theta0_r = rd_model
     h_r = FourierCoeffs.unit(es_r, es_r.index_of([1], 1))
-    slope_rd = qmd_remainder_slope(rd, theta0_r, h_r, s_grid)["slope"]
+    slope_rd = qmd_remainder_slope(rd, theta0_r, h_r, s_grid)[0]["slope"]
     ok_r = abs(slope_rd - 2.0) < 0.15
 
     es_n, ns, theta0_n = ns_model
     h_n = FourierCoeffs.unit(es_n, es_n.index_of([0, 1], 1))
-    slope_ns = qmd_remainder_slope(ns, theta0_n, h_n, s_grid)["slope"]
+    slope_ns = qmd_remainder_slope(ns, theta0_n, h_n, s_grid)[0]["slope"]
     ok_n = abs(slope_ns - 2.0) < 0.2
     _report(
         4,
@@ -292,7 +292,7 @@ def test_criterion_09_ns_solver(ns_model):
     )
     energy = ns.energy_balance_residual(field)
     h = FourierCoeffs.unit(es, es.index_of([0, 1], 1))
-    slope = qmd_remainder_slope(ns, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])["slope"]
+    slope = qmd_remainder_slope(ns, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])[0]["slope"]
     ok = div <= 1e-12 and decay_err <= 1e-8 and energy < 1e-6 and abs(slope - 2.0) <= 0.2
     _report(
         9,

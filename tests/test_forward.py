@@ -151,6 +151,20 @@ class TestStackedMarch:
             single = model.linearize(theta0, FourierCoeffs(es, cols[:, b])).data
             assert np.abs(batch.data[:, :, b] - single).max() <= 1e-13 * scale
 
+    @pytest.mark.parametrize("kind", ["rd", "ns"])
+    def test_kept_blocks_hold_their_own_node(self, kind, es1, es_ns):
+        # each on_node block is an (nm, B) view of the march state, which no
+        # later node writes: blocks kept without a copy still hold their node
+        mesh = TimeMesh.uniform(0.25, 8)
+        model, theta0 = _nonlinear_model(kind, es1, es_ns, mesh)
+        cols = np.random.default_rng(7).standard_normal((model.es.size, 3))
+        kept = {}
+        model.linearize(theta0, cols, on_node=kept.__setitem__)
+        held = held_tangents(model, theta0, cols)
+        assert sorted(kept) == list(range(mesh.n_nodes))
+        for i, v in kept.items():
+            assert v.shape == (model.es.size, 3) and np.array_equal(v, held.data[i])
+
 
 @pytest.mark.parametrize("kind", ["heat", "rd", "ns"])
 def test_linearize_refuses_columns_without_on_node(kind, es1, es_ns):
@@ -166,6 +180,9 @@ def test_linearize_refuses_columns_without_on_node(kind, es1, es_ns):
 
 
 class ZeroReaction:
+    def f(self, u):
+        return np.zeros_like(u)
+
     def f_df(self, u):
         return np.zeros_like(u), np.zeros_like(u)
 
@@ -259,6 +276,9 @@ class TestReactionDiffusion:
 
     def test_blowup_detection(self, es1):
         class Explosive:
+            def f(self, u):
+                return u**3 + 50.0
+
             def f_df(self, u):
                 return u**3 + 50.0, 3 * u**2
 
@@ -296,7 +316,7 @@ class TestLinearizeRD:
         rd = ReactionDiffusionModel(es1, T=0.5, reaction=BumpReaction(2.0, 2.5), mesh=mesh)
         theta0 = _field(es1, [([1], 1, 0.4), ([2], 2, 0.2)], const=0.3)
         h = _field(es1, [([1], 1, 1.0)])
-        out = qmd_remainder_slope(rd, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
+        out = qmd_remainder_slope(rd, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])[0]
         assert abs(out["slope"] - 2.0) < 0.15
 
     @pytest.mark.parametrize("kind", ["rd", "ns"])
@@ -408,7 +428,7 @@ class TestNavierStokes:
         ns = NavierStokesModel(es_ns, viscosity=0.05, T=0.25, mesh=TimeMesh.uniform(0.25, 64))
         theta0 = _field(es_ns, [([1, 0], 1, 0.4), ([0, 1], 2, 0.3), ([1, 1], 1, 0.2)])
         h = _field(es_ns, [([0, 1], 1, 1.0)])
-        out = qmd_remainder_slope(ns, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
+        out = qmd_remainder_slope(ns, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])[0]
         assert abs(out["slope"] - 2.0) < 0.2
 
 
@@ -507,7 +527,7 @@ class TestReactionDiffusion2D:
         rd = ReactionDiffusionModel(es, T=0.25, reaction=BumpReaction(), mesh=mesh)
         theta0 = _field(es, [([1, 0], 1, 0.4)], const=0.3)
         h = _field(es, [([0, 1], 1, 1.0)])
-        out = qmd_remainder_slope(rd, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
+        out = qmd_remainder_slope(rd, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])[0]
         assert abs(out["slope"] - 2.0) < 0.15
 
 
@@ -521,7 +541,7 @@ class TestForcedLinearization:
         )
         theta0 = _field(es_ns, [([0, 1], 2, 0.3)])
         h = _field(es_ns, [([1, 0], 1, 1.0)])
-        out = qmd_remainder_slope(ns, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
+        out = qmd_remainder_slope(ns, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])[0]
         assert abs(out["slope"] - 2.0) < 0.2
 
 
@@ -530,7 +550,7 @@ class TestQmdRemainder:
         heat = HeatModel(es1, T=1.0, mesh=TimeMesh.uniform(1.0, 64))
         theta0 = _field(es1, [([1], 1, 0.5)], const=0.2)
         h = _field(es1, [([2], 1, 1.0)])
-        out = qmd_remainder_slope(heat, theta0, h, [1e-3, 1e-2, 1e-1, 1.0])
+        out = qmd_remainder_slope(heat, theta0, h, [1e-3, 1e-2, 1e-1, 1.0])[0]
         assert max(out["remainders"]) < 1e-12
 
     def test_normalized_remainder_decreasing(self, es1):
@@ -539,23 +559,8 @@ class TestQmdRemainder:
         )
         theta0 = _field(es1, [([1], 1, 0.4)], const=0.3)
         h = _field(es1, [([1], 2, 1.0)])
-        out = qmd_remainder_slope(rd, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
+        out = qmd_remainder_slope(rd, theta0, h, [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])[0]
         assert np.all(np.diff(out["normalized"]) > 0)  # decreasing toward s -> 0
-
-    def test_given_tangent(self, es1):
-        # a tangent the caller marched gives the same remainders; one from
-        # another point or direction is refused
-        rd = ReactionDiffusionModel(
-            es1, T=0.25, reaction=BumpReaction(), mesh=TimeMesh.uniform(0.25, 16)
-        )
-        theta0 = _field(es1, [([1], 1, 0.4)], const=0.3)
-        h = _field(es1, [([1], 2, 1.0)])
-        s = [1e-3, 1e-2, 3e-2, 1e-1]
-        own = qmd_remainder_slope(rd, theta0, h, s)
-        assert qmd_remainder_slope(rd, theta0, h, s, rd.linearize(theta0, h)) == own
-        for other in (rd.linearize(theta0 * 2.0, h), rd.linearize(theta0, h * 2.0)):
-            with pytest.raises(ValueError, match="not the linearization"):
-                qmd_remainder_slope(rd, theta0, h, s, other)
 
 
 class TestEvaluateField:
